@@ -25,13 +25,14 @@ import numpy as np
 from . import encoder as enc
 from . import gp
 from . import numcore as nc
-from .dataio import CountySummary, Dataset, split_dataset
+from .dataio import ENRICHED_COLUMNS, CountySummary, Dataset, split_dataset
 from .errors import (
     DimensionMismatch,
     Divergence,
     EmptySplit,
     LengthMismatch,
     NonFiniteInput,
+    SchemaError,
     UnknownVariant,
     ZeroVarianceTruth,
 )
@@ -444,10 +445,16 @@ def _std_doc(s: Standardizer | None):
     return None if s is None else {"mean": s.mean.tolist(), "std": s.std.tolist()}
 
 
-def _std_from(doc):
-    return None if doc is None else Standardizer(
-        mean=np.asarray(doc["mean"]), std=np.asarray(doc["std"])
+def _std_from(doc, width: int, what: str):
+    if doc is None:
+        return None
+    s = Standardizer(
+        mean=np.asarray(doc["mean"], dtype=np.float64),
+        std=np.asarray(doc["std"], dtype=np.float64),
     )
+    if s.mean.shape != (width,) or s.std.shape != (width,):
+        raise SchemaError(f"{what} standardizer needs {width} means and {width} stds")
+    return s
 
 
 def save_model(model: TrainedModel, path) -> None:
@@ -517,13 +524,39 @@ def _config_from_doc(d) -> PipelineConfig:
     )
 
 
-def load_model(path) -> TrainedModel:
-    from .errors import SchemaError
+def _tree_from_doc(t, n_features: int) -> RegressionTree:
+    """A forest tree whose node arrays agree in length, whose features are
+    -1 (leaf) or a column index, and whose internal nodes point at children
+    in range and after themselves, so every walk from the root ends at a
+    leaf."""
+    tree = RegressionTree(
+        feature=np.asarray(t["feature"], dtype=np.int64),
+        threshold=np.asarray(t["threshold"], dtype=np.float64),
+        left=np.asarray(t["left"], dtype=np.int64),
+        right=np.asarray(t["right"], dtype=np.int64),
+        value=np.asarray(t["value"], dtype=np.float64),
+    )
+    size = tree.feature.size
+    arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
+    if size == 0 or any(a.ndim != 1 or a.size != size for a in arrays):
+        raise SchemaError("forest tree node arrays are empty or differ in length")
+    if np.any(tree.feature < -1) or np.any(tree.feature >= n_features):
+        raise SchemaError(f"forest tree feature index outside [-1, {n_features})")
+    internal = np.flatnonzero(tree.feature >= 0)
+    for child in (tree.left[internal], tree.right[internal]):
+        if np.any(child <= internal) or np.any(child >= size):
+            raise SchemaError("forest tree child index out of range or not after its parent")
+    return tree
 
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
-    if doc.get("format") != MODEL_FORMAT:
-        raise SchemaError(f"unsupported model format {doc.get('format')!r}")
+
+def _typed(value, types, what: str):
+    """value itself when it is one of `types` (bool never counts as a number)."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise SchemaError(f"{what} has type {type(value).__name__}")
+    return value
+
+
+def _model_from_doc(doc) -> TrainedModel:
     cfg = _config_from_doc(doc["config"])
 
     gp_state = None
@@ -531,41 +564,67 @@ def load_model(path) -> TrainedModel:
         d = doc["gp"]
         gp_state = gp.GPState(
             kernel=gp.KernelSpec(**d["kernel"]),
-            log_noise=d["log_noise"],
-            mean_const=d["mean_const"],
-        ).refresh(np.asarray(d["train_inputs"]), np.asarray(d["train_targets"]))
+            log_noise=_typed(d["log_noise"], (int, float), "gp log_noise"),
+            mean_const=_typed(d["mean_const"], (int, float), "gp mean_const"),
+        ).refresh(
+            np.asarray(d["train_inputs"], dtype=np.float64),
+            np.asarray(d["train_targets"], dtype=np.float64),
+        )
 
     forest = None
     if doc["forest"] is not None:
         d = doc["forest"]
+        n_features = _typed(d["n_features"], int, "forest n_features")
+        trees = [_tree_from_doc(t, n_features) for t in _typed(d["trees"], list, "forest trees")]
+        if not trees:
+            raise SchemaError("forest has no trees")
         forest = Forest(
-            trees=[
-                RegressionTree(
-                    feature=np.asarray(t["feature"], dtype=np.int64),
-                    threshold=np.asarray(t["threshold"], dtype=np.float64),
-                    left=np.asarray(t["left"], dtype=np.int64),
-                    right=np.asarray(t["right"], dtype=np.int64),
-                    value=np.asarray(t["value"], dtype=np.float64),
-                )
-                for t in d["trees"]
-            ],
+            trees=trees,
             importances=np.asarray(d["importances"], dtype=np.float64),
-            n_features=d["n_features"],
+            n_features=n_features,
             config=ForestConfig(**d["config"]),
         )
 
     return TrainedModel(
         config=cfg,
-        weather_std=_std_from(doc["weather_std"]),
-        enriched_std=_std_from(doc["enriched_std"]),
+        weather_std=_std_from(doc["weather_std"], cfg.encoder.input_width, "weather"),
+        enriched_std=_std_from(doc["enriched_std"], len(ENRICHED_COLUMNS), "enriched"),
         encoder_params=None
         if doc["encoder_params"] is None
-        else enc.EncoderParams.from_flat(cfg.encoder, np.asarray(doc["encoder_params"])),
+        else enc.EncoderParams.from_flat(
+            cfg.encoder, np.asarray(doc["encoder_params"], dtype=np.float64)
+        ),
         gp_state=gp_state,
         forest=forest,
-        head=None if doc["head"] is None else np.asarray(doc["head"]),
-        sigma_ref=doc["sigma_ref"],
-        train_event_ids=list(doc["train_event_ids"]),
-        test_event_ids=list(doc["test_event_ids"]),
-        loss_trace=list(doc["loss_trace"]),
+        head=None if doc["head"] is None else np.asarray(doc["head"], dtype=np.float64),
+        sigma_ref=_typed(doc["sigma_ref"], (int, float), "sigma_ref"),
+        train_event_ids=_typed(doc["train_event_ids"], list, "train_event_ids"),
+        test_event_ids=_typed(doc["test_event_ids"], list, "test_event_ids"),
+        loss_trace=_typed(doc["loss_trace"], list, "loss_trace"),
     )
+
+
+def load_model(path) -> TrainedModel:
+    """Read a model written by save_model.
+
+    A file that is not such a model (truncated JSON, another format tag, a
+    missing key, a value of the wrong type, a malformed forest tree) raises
+    a one-line SchemaError naming the file.
+    """
+    try:
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"{path}: not a JSON document ({exc})") from None
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
+        found = doc.get("format") if isinstance(doc, dict) else None
+        raise SchemaError(f"{path}: unsupported model format {found!r}")
+    try:
+        return _model_from_doc(doc)
+    except KeyError as exc:
+        raise SchemaError(f"{path}: model has no key {exc}") from None
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
+    except (TypeError, ValueError) as exc:
+        message = " ".join(str(exc).split())
+        raise SchemaError(f"{path}: malformed model ({type(exc).__name__}: {message})") from None

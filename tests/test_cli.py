@@ -3,6 +3,7 @@ and the train -> predict -> evaluate round-trip fidelity."""
 
 import contextlib
 import io
+import json
 import re
 
 import numpy as np
@@ -15,6 +16,14 @@ def run_cli(*argv):
     """Invoke the CLI in-process, returning (exit_code, stdout)."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
+        code = cli.main([str(a) for a in argv])
+    return code, buf.getvalue()
+
+
+def run_cli_stderr(*argv):
+    """Invoke the CLI in-process, returning (exit_code, stderr)."""
+    buf = io.StringIO()
+    with contextlib.redirect_stderr(buf), contextlib.redirect_stdout(io.StringIO()):
         code = cli.main([str(a) for a in argv])
     return code, buf.getvalue()
 
@@ -214,6 +223,67 @@ class TestExitCodes:
                               "--epochs", 6, "--lr", 1e8,
                               "--trees", 5, "--hidden", 6, "--latent", 4)
         assert code == 2
+
+
+def _drop_gp(doc):
+    del doc["gp"]
+
+
+def _sigma_ref_string(doc):
+    doc["sigma_ref"] = "wide"
+
+
+def _internal_tree(doc):
+    return next(t for t in doc["forest"]["trees"] if t["feature"][0] >= 0)
+
+
+def _child_out_of_range(doc):
+    tree = _internal_tree(doc)
+    tree["right"][0] = len(tree["feature"])
+
+
+def _child_cycle(doc):
+    tree = _internal_tree(doc)
+    tree["left"][0] = 0  # the root is its own left child
+
+
+def _feature_out_of_range(doc):
+    _internal_tree(doc)["feature"][0] = doc["forest"]["n_features"]
+
+
+def _ragged_tree(doc):
+    _internal_tree(doc)["value"].pop()
+
+
+def _short_standardizer(doc):
+    doc["weather_std"]["mean"].pop()
+
+
+class TestCorruptModel:
+    @pytest.mark.parametrize("corrupt", [
+        _drop_gp, _sigma_ref_string, _child_out_of_range, _child_cycle,
+        _feature_out_of_range, _ragged_tree, _short_standardizer,
+    ])
+    def test_corrupt_document_is_one_validation_error(self, workspace, tmp_path, corrupt):
+        doc = json.loads(workspace["model"].read_text())
+        corrupt(doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code, err = run_cli_stderr("predict", "--model", path, "--data", workspace["data"],
+                                   "--out", tmp_path / "p.csv")
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith("validation error: ")
+
+    def test_truncated_file_is_one_validation_error(self, workspace, tmp_path):
+        text = workspace["model"].read_text()
+        path = tmp_path / "model.json"
+        path.write_text(text[: len(text) // 2])
+        code, err = run_cli_stderr("predict", "--model", path, "--data", workspace["data"],
+                                   "--out", tmp_path / "p.csv")
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith("validation error: ")
 
 
 class TestCheckGrads:

@@ -1,9 +1,13 @@
 """Forest checks: degenerate targets, perfect separability, importance
-attribution, ensemble averaging, and determinism."""
+attribution, ensemble averaging, determinism, and equality with the
+one-tree-at-a-time reference builder in forest_reference.py."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from forest_reference import reference_fit_forest, reference_predict_forest
 from mvelma import forest as rf
 from mvelma.errors import DegenerateInput, DimensionMismatch, NonFiniteInput
 
@@ -213,3 +217,101 @@ class TestImportance:
         imp = rf.feature_importance(f)
         imp[:] = -1
         assert np.all(rf.feature_importance(f) >= 0)
+
+
+def assert_same_forest(got, want):
+    """Array for array and bit for bit, importances included."""
+    assert got.n_features == want.n_features
+    assert got.importances.tobytes() == want.importances.tobytes()
+    assert len(got.trees) == len(want.trees)
+    for t1, t2 in zip(got.trees, want.trees):
+        for name in ("feature", "threshold", "left", "right", "value"):
+            a, b = getattr(t1, name), getattr(t2, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@st.composite
+def forest_problems(draw):
+    n = draw(st.integers(2, 60))
+    d = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        x = rng.integers(0, draw(st.integers(1, 4)), size=(n, d)).astype(float)  # many ties
+    else:
+        x = rng.standard_normal((n, d))
+    target = draw(st.sampled_from(["constant", "integer", "normal"]))
+    if target == "constant":
+        y = np.full(n, 0.7)
+    elif target == "integer":
+        y = rng.integers(0, 3, size=n).astype(float)
+    else:
+        y = rng.standard_normal(n)
+    cfg = rf.ForestConfig(
+        n_trees=draw(st.integers(1, 20)),
+        max_depth=draw(st.sampled_from([None, 0, 3])),
+        min_samples_leaf=draw(st.integers(1, 10)),
+        features_per_split=draw(st.integers(1, d)),
+        bootstrap=draw(st.booleans()),
+        seed=seed,
+    )
+    return x, y, cfg
+
+
+class TestLockstepEqualsReference:
+    @settings(max_examples=80, deadline=None)
+    @given(forest_problems())
+    def test_fit_matches_tree_by_tree_builder(self, problem):
+        x, y, cfg = problem
+        assert_same_forest(rf.fit_forest(x, y, cfg), reference_fit_forest(x, y, cfg))
+
+    def test_one_node_chunks_match(self, monkeypatch):
+        # a cell budget below one node's cells searches every node alone
+        monkeypatch.setattr(rf, "_BATCH_CELLS", 1)
+        rng = np.random.default_rng(SEED + 20)
+        x = rng.integers(0, 5, size=(70, 4)).astype(float)
+        y = x[:, 0] + rng.standard_normal(70)
+        cfg = rf.ForestConfig(n_trees=6, min_samples_leaf=1, seed=3)
+        assert_same_forest(rf.fit_forest(x, y, cfg), reference_fit_forest(x, y, cfg))
+
+    def test_cli_default_shape_matches(self):
+        rng = np.random.default_rng(SEED + 21)
+        x = rng.standard_normal((400, 48))
+        y = np.tanh(x[:, 0]) + 0.5 * x[:, 47] + 0.1 * rng.standard_normal(400)
+        cfg = rf.ForestConfig(n_trees=12, seed=5)
+        assert_same_forest(rf.fit_forest(x, y, cfg), reference_fit_forest(x, y, cfg))
+
+
+class TestPredictAllTrees:
+    @pytest.mark.parametrize("cells", [1, 64, rf._BATCH_CELLS])
+    def test_equals_per_tree_loop(self, monkeypatch, cells):
+        rng = np.random.default_rng(SEED + 22)
+        x = rng.standard_normal((120, 5))
+        y = np.sin(x[:, 0]) + x[:, 1] ** 2
+        f = rf.fit_forest(x, y, rf.ForestConfig(n_trees=25, min_samples_leaf=1, seed=9))
+        query = np.vstack([rng.standard_normal((90, 5)) * 3.0, x[:10]])
+        monkeypatch.setattr(rf, "_BATCH_CELLS", cells)  # row chunks of 1, 2 and all
+        got = rf.predict_forest(f, query)
+        assert got.tobytes() == reference_predict_forest(f, query).tobytes()
+
+    def test_trees_of_different_depths(self):
+        stump = rf.RegressionTree(
+            feature=np.array([-1]), threshold=np.array([0.0]),
+            left=np.array([-1]), right=np.array([-1]), value=np.array([0.25]),
+        )
+        rng = np.random.default_rng(SEED + 23)
+        x = rng.standard_normal((60, 2))
+        deep = rf.fit_forest(x, x[:, 0], rf.ForestConfig(n_trees=2, min_samples_leaf=1, seed=1))
+        f = rf.Forest(trees=[deep.trees[0], stump, deep.trees[1]],
+                      importances=np.zeros(2), n_features=2)
+        assert rf.predict_forest(f, x).tobytes() == reference_predict_forest(f, x).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_rows(self, bad):
+        rng = np.random.default_rng(SEED + 24)
+        x = rng.standard_normal((20, 3))
+        f = rf.fit_forest(x, x[:, 0], rf.ForestConfig(n_trees=3, seed=0))
+        query = np.zeros((4, 3))
+        query[2, 1] = bad
+        with pytest.raises(NonFiniteInput):
+            rf.predict_forest(f, query)

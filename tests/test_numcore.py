@@ -5,6 +5,9 @@ differences at randomly drawn points; factorization and solve routines are
 verified by reconstruction and against hand-worked small cases.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -423,6 +426,21 @@ class TestTapeMechanics:
         first = x.grad.copy()
         nc.backward(tape, y)
         assert np.array_equal(first, x.grad)
+
+    def test_tape_freed_by_reference_counting(self):
+        # nodes refer to their tape weakly, so no cycle waits for the collector
+        gc.disable()
+        try:
+            tape = nc.Tape()
+            x = tape.leaf(2.0)
+            nc.backward(tape, nc.mul(x, x))
+            ref = weakref.ref(tape)
+            del tape
+            assert ref() is None
+        finally:
+            gc.enable()
+        with pytest.raises(ReferenceError):
+            nc.add(x, 1.0)  # a constant needs the freed tape
 
     def test_operator_sugar(self):
         tape = nc.Tape()

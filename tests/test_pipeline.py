@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -381,3 +383,39 @@ class TestSerialization:
         loaded = pipeline.load_model(path)
         assert loaded.gp_state.chol is not None
         assert np.array_equal(loaded.gp_state.alpha, model.gp_state.alpha)
+
+
+class TestTapeLifetime:
+    @pytest.mark.parametrize("tag", ["full", "no-gpr", "no-bilstm"])
+    def test_epoch_tapes_freed_without_cycle_collector(self, monkeypatch, tag):
+        tapes = []
+
+        class RecordingTape(nc.Tape):
+            def __init__(self):
+                super().__init__()
+                tapes.append(weakref.ref(self))
+
+        descent = pipeline._adam_descent
+        alive_after_step = []
+
+        def checked_descent(step_fn, x0, opt):
+            def step(vec):
+                out = step_fn(vec)
+                alive_after_step.append(sum(ref() is not None for ref in tapes))
+                return out
+
+            return descent(step, x0, opt)
+
+        monkeypatch.setattr(nc, "Tape", RecordingTape)
+        monkeypatch.setattr(pipeline, "_adam_descent", checked_descent)
+        gc.disable()
+        try:
+            pipeline.train_joint(tiny_data(), tiny_cfg(ablation=tag))
+            alive_at_end = sum(ref() is not None for ref in tapes)
+        finally:
+            gc.enable()
+        assert tapes
+        assert alive_at_end == 0
+        assert all(alive == 0 for alive in alive_after_step)
+        if tag != "no-bilstm":  # no-bilstm trains through gp.fit's own loop
+            assert alive_after_step
