@@ -4,9 +4,14 @@ A stacked probabilistic pipeline: a bidirectional recurrent encoder with
 attention summarizes the pre-fire weather window, an exact Gaussian process
 regresses the loss with calibrated uncertainty, and a random forest stacks
 the latent summary, static site descriptors, and the GP mean into the final
-prediction. Everything differentiable runs on the tape in `numcore`; the
-command line in `cli` covers synthesis, training, prediction, evaluation,
-ablation, and county aggregation.
+prediction. Everything differentiable is a fused block on the minimal tape in
+`numcore`: a value computed in numpy with a hand-written vector-Jacobian
+product. There are three: the encoder (`encoder.forward`), the GP marginal
+likelihood (`gp.nmll_node`, built on the closed-form kernel derivatives of
+`gp.kernel_from_sqdist`), and the linear MSE head (`pipeline.mse_head_node`);
+`optim.adam_descent` is the one training loop. The command line in `cli`
+covers synthesis, training, prediction, evaluation, ablation, and county
+aggregation.
 """
 
 from . import cli, dataio, encoder, errors, forest, gp, gradcheck, numcore, optim, pipeline

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 
@@ -100,20 +101,29 @@ def _write_predictions(path, event_ids, y_true, pred: pipeline.Prediction) -> No
 
 def _read_predictions(path):
     """Parse a predictions file into (event_ids, column arrays) preserving
-    row order."""
+    row order. Every value must be a finite number and every event id must
+    appear once: a NaN would pass through every metric and county mean, and
+    a repeated row would be counted twice."""
     with open(path, "r", newline="", encoding="utf-8") as f:
         reader = csv.DictReader(f)
         if reader.fieldnames != PREDICTION_COLUMNS:
             raise SchemaError(
                 f"{path}: expected columns {PREDICTION_COLUMNS}, got {reader.fieldnames}"
             )
-        ids, rows = [], []
+        ids, rows, seen = [], [], set()
         for row in reader:
-            ids.append(row["event_id"])
+            eid = row["event_id"]
             try:
-                rows.append([float(row[c]) for c in PREDICTION_COLUMNS[1:]])
+                values = [float(row[c]) for c in PREDICTION_COLUMNS[1:]]
             except (TypeError, ValueError):
-                raise SchemaError(f"{path}: non-numeric value in row for {row['event_id']!r}")
+                raise SchemaError(f"{path}: non-numeric value in row for {eid!r}")
+            if not all(math.isfinite(v) for v in values):
+                raise SchemaError(f"{path}: non-finite value in row for {eid!r}")
+            if eid in seen:
+                raise SchemaError(f"{path}: duplicate row for event {eid!r}")
+            seen.add(eid)
+            ids.append(eid)
+            rows.append(values)
     if not ids:
         raise SchemaError(f"{path}: no prediction rows")
     cols = np.array(rows, dtype=np.float64)

@@ -75,11 +75,6 @@ class Dataset:
     weather: np.ndarray  # N x 30 x 9
     enriched: np.ndarray  # N x 27, ENRICHED_COLUMNS order
     targets: np.ndarray  # N
-    county_index: dict = field(default_factory=dict)  # county_id -> [positions]
-
-    def __post_init__(self):
-        if not self.county_index:
-            self.county_index = _index_counties(self.events)
 
     @property
     def n(self) -> int:
@@ -92,15 +87,7 @@ class Dataset:
             weather=self.weather[positions],
             enriched=self.enriched[positions],
             targets=self.targets[positions],
-            county_index={},
         )
-
-
-def _index_counties(events) -> dict:
-    idx: dict = {}
-    for i, ev in enumerate(events):
-        idx.setdefault(ev.county_id, []).append(i)
-    return idx
 
 
 # ---------------------------------------------------------------------------

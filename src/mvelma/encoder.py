@@ -4,13 +4,13 @@ Each event's T x W weather window is encoded to a D-dimensional latent
 vector: two LSTM passes (forward and reversed time), per-step state
 concatenation, a linear attention score per step, softmax over time, and a
 tanh projection of the attention-weighted context. The whole computation is
-one fused block on a numcore tape, so gradients flow to every parameter and
-every input step.
+one fused block on a numcore tape whose only parent is a leaf holding the
+flat parameter vector, so gradients flow to every parameter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -146,30 +146,14 @@ def init_params(cfg: EncoderConfig) -> EncoderParams:
 
 
 @dataclass
-class EncoderLeaves:
-    """Tape leaves for every parameter array, in flatten() order."""
-
-    nodes: list
-
-    def grads_flat(self) -> np.ndarray:
-        return np.concatenate([n.grad.ravel() for n in self.nodes])
-
-
-@dataclass
 class EncoderOutput:
-    latent: nc.Node  # N x D
-    attention: nc.Node  # N x T, rows sum to 1
-    hidden: list = field(default_factory=list)  # per-step N x 2d_h state arrays
-    leaves: EncoderLeaves | None = None
-    step_inputs: list = field(default_factory=list)  # per-step N x W leaf nodes
+    latent: nc.Node  # N x D, the encoder block
+    alpha: np.ndarray  # N x T attention weights, rows sum to 1
+    params: nc.Node  # leaf holding params.flatten(); its grad after backward()
 
     @property
     def Z(self) -> np.ndarray:
         return self.latent.value
-
-    @property
-    def alpha(self) -> np.ndarray:
-        return self.attention.value
 
 
 # Gate blocks of the stacked weights inside the recurrence, as indices into
@@ -267,8 +251,8 @@ def forward(params: EncoderParams, batch: np.ndarray, tape: nc.Tape) -> EncoderO
     steps is one batched matmul call, the recurrences run on preallocated
     gate arrays, and the block's adjoint is hand-written backpropagation
     through time (gate equations of Hochreiter & Schmidhuber 1997) behind
-    the attention and projection layers. Its reverse pass writes into the
-    parameter leaves and the per-step input leaves.
+    the attention and projection layers. Its reverse pass writes the
+    gradient of every parameter, in flatten() order, into one leaf.
     """
     cfg = params.config
     batch = np.asarray(batch, dtype=np.float64)
@@ -278,12 +262,11 @@ def forward(params: EncoderParams, batch: np.ndarray, tape: nc.Tape) -> EncoderO
         )
     if not np.all(np.isfinite(batch)):
         raise NonFiniteInput("encoder batch contains NaN or Inf")
-    n, t_len, width, d_h = batch.shape[0], cfg.seq_len, cfg.input_width, cfg.hidden
+    n, width, d_h = batch.shape[0], cfg.input_width, cfg.hidden
 
     arrays = params.arrays()
-    leaf_nodes = [tape.leaf(a) for a in arrays]
+    leaf = tape.leaf(params.flatten())
     x_steps = np.ascontiguousarray(batch.transpose(1, 0, 2))  # T x N x W
-    steps = [tape.leaf(x_steps[t]) for t in range(t_len)]
     attn_w, proj_w, proj_b = arrays[16], arrays[18], arrays[19]
 
     directions = []
@@ -297,9 +280,9 @@ def forward(params: EncoderParams, batch: np.ndarray, tape: nc.Tape) -> EncoderO
         # product to a second thread costs more than the product itself
         xp = np.matmul(x_steps[:, None], w_x * _GATE_SCALE) + b * _GATE_SCALE  # T x 4 x N x H
         run = _lstm_pass(xp, w_h * _GATE_SCALE, reverse)
-        directions.append((w_x, w_h, reverse, run))
+        directions.append((w_h, reverse, run))
 
-    hs = np.concatenate([run[3] for _, _, _, run in directions], axis=2)  # T x N x 2H
+    hs = np.concatenate([run[3] for _, _, run in directions], axis=2)  # T x N x 2H
     # The score bias attn_b shifts every logit of a row by the same amount,
     # which the softmax cancels exactly; leaving it out of the sum keeps the
     # output bit-independent of it, and its gradient is exactly zero.
@@ -310,17 +293,16 @@ def forward(params: EncoderParams, batch: np.ndarray, tape: nc.Tape) -> EncoderO
         raise NonFiniteInput("attention weights are not a distribution over time steps")
     context = np.einsum("nt,tnk->nk", attention, hs)
     latent = np.tanh(context @ proj_w + proj_b)
-    d_lat = latent.shape[1]
 
     def vjp(g):
-        d_u = g[:, :d_lat] * (1.0 - latent * latent)
+        d_u = g * (1.0 - latent * latent)
         d_ctx = d_u @ proj_w.T
-        d_att = np.einsum("nk,tnk->nt", d_ctx, hs) + g[:, d_lat:]
+        d_att = np.einsum("nk,tnk->nt", d_ctx, hs)
         d_scores = attention * (d_att - (d_att * attention).sum(axis=1, keepdims=True))
         d_hs = attention.T[:, :, None] * d_ctx + d_scores.T[:, :, None] * attn_w[:, 0]
-        grads, d_x = [None] * 16, np.zeros_like(x_steps)
+        grads = [None] * 16
         ones_row = np.ones((1, n))
-        for k, (w_x, w_h, reverse, (gates, cells, tanh_cells, states)) in enumerate(directions):
+        for k, (w_h, reverse, (gates, cells, tanh_cells, states)) in enumerate(directions):
             d_pre = _lstm_backprop(
                 d_hs[:, :, k * d_h:(k + 1) * d_h], gates, cells, tanh_cells, w_h, reverse
             )
@@ -330,20 +312,13 @@ def forward(params: EncoderParams, batch: np.ndarray, tape: nc.Tape) -> EncoderO
             for pos, gate in enumerate(_GATE_ORDER):
                 grads[8 * k + gate] = d_w[pos]
                 grads[8 * k + 4 + gate] = d_b[pos]
-            d_x += np.matmul(d_pre, w_x.transpose(0, 2, 1)).sum(axis=1)
         grads += [
             np.einsum("tnk,nt->k", hs, d_scores).reshape(-1, 1),
             np.zeros((1, 1)),
             context.T @ d_u,
             d_u.sum(axis=0, keepdims=True),
         ]
-        return grads + list(d_x)
+        return (np.concatenate([a.ravel() for a in grads]).reshape(-1, 1),)
 
-    block = nc.custom(tape, np.hstack([latent, attention]), leaf_nodes + steps, vjp)
-    return EncoderOutput(
-        latent=nc.slice_cols(block, 0, d_lat),
-        attention=nc.slice_cols(block, d_lat, d_lat + t_len),
-        hidden=list(hs),
-        leaves=EncoderLeaves(nodes=leaf_nodes),
-        step_inputs=steps,
-    )
+    block = nc.custom(tape, latent, (leaf,), vjp)
+    return EncoderOutput(latent=block, alpha=attention, params=leaf)

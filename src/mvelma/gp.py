@@ -3,11 +3,16 @@
 Four stationary kernel families over the concatenated latent+site features:
 RBF, Matern 2.5 (closed polynomial-exponential form), Periodic, and a
 composite outputscale*(matern_unit + periodic_unit). Hyperparameters live in
-log space so positivity is structural. The marginal likelihood is assembled
-on a numcore tape (one fused node for the quadratic form and the
-log-determinant, sharing a single Cholesky factor) so its gradient
-reaches both the hyperparameters and the training inputs, which is what lets
-the encoder train jointly against it.
+log space so positivity is structural.
+
+Each family's formula is written once, in `kernel_from_sqdist`, which gives
+K from the pairwise squared distances together with its closed-form
+derivatives in the squared distance and in each log-hyperparameter.
+`kernel_matrix` (posterior, refresh) takes the value; `kernel_block` turns
+the derivatives into a vector-Jacobian product. `nmll_node` is the negative
+log marginal likelihood as one fused tape block on a single Cholesky
+factor; its gradient reaches both the hyperparameters and the training
+inputs, which is what lets the encoder train jointly against it.
 """
 
 from __future__ import annotations
@@ -18,13 +23,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import numcore as nc
-from .errors import (
-    DegenerateInput,
-    DimensionMismatch,
-    Divergence,
-    NonFiniteInput,
-)
-from .optim import Adam, OptimizerConfig
+from . import optim
+from .errors import DegenerateInput, DimensionMismatch, NonFiniteInput
+from .optim import OptimizerConfig
 
 FAMILIES = ("rbf", "matern25", "periodic", "composite")
 SQRT5 = math.sqrt(5.0)
@@ -62,28 +63,71 @@ class KernelSpec:
         return names
 
 
-def _unit_matern25(r, lengthscale):
+def _matern25(r, lengthscale, grad):
+    """Matern 2.5 correlation (1 + u + u^2/3) exp(-u), u = sqrt(5) r / l.
+
+    With grad, also its derivative in r and in log l, else None for both.
+    """
     u = SQRT5 * r / lengthscale
-    return (1.0 + u + u * u / 3.0) * np.exp(-u)
+    e = np.exp(-u)
+    unit = (1.0 + u + u * u / 3.0) * e
+    if not grad:
+        return unit, None, None
+    slope = u * (1.0 + u) * e / 3.0  # -d unit / du; du / d log l = -u
+    return unit, slope * (-SQRT5 / lengthscale), [u * slope]
 
 
-def _unit_periodic(r, lengthscale, period):
-    s = np.sin(np.pi * r / period)
-    return np.exp(-2.0 * s * s / (lengthscale * lengthscale))
+def _periodic(r, lengthscale, period, grad):
+    """Periodic correlation exp(-2 sin^2(pi r / p) / l^2).
+
+    With grad, also its derivative in r and in (log l, log p), else None.
+    """
+    phase = np.pi * r / period
+    s = np.sin(phase)
+    unit = np.exp(-2.0 * s * s / (lengthscale * lengthscale))
+    if not grad:
+        return unit, None, None
+    # -d unit / d phase; d phase / d log p = -phase
+    slope = (2.0 / (lengthscale * lengthscale)) * np.sin(2.0 * phase) * unit
+    d_log_l = (4.0 / (lengthscale * lengthscale)) * s * s * unit
+    return unit, slope * (-np.pi / period), [d_log_l, slope * phase]
 
 
-def _kernel_from_sqdist_values(spec: KernelSpec, d2: np.ndarray) -> np.ndarray:
+def kernel_from_sqdist(spec: KernelSpec, d2: np.ndarray, grad: bool = False):
+    """The kernel of `spec` from pairwise squared distances: the one formula
+    per family.
+
+    Returns K, or with ``grad`` the triple (K, dK/dd2, [dK/dtheta for theta
+    in spec.hyper_names()]), all elementwise over d2. The Matern and periodic
+    parts depend on r = sqrt(d2). Where r = 0, dK/dd2 is taken as exactly 0,
+    which keeps dr/dd2 = 1/(2r) from reaching infinity; both parts are
+    smooth and even in r, so the true gradient of a coincident pair in its
+    inputs is 0 as well.
+    """
     os_ = math.exp(spec.log_outputscale)
     ls = math.exp(spec.log_lengthscale)
     if spec.family == "rbf":
-        return os_ * np.exp(-d2 / (2.0 * ls * ls))
+        k = os_ * np.exp(-d2 / (2.0 * ls * ls))
+        return (k, k * (-0.5 / (ls * ls)), [k, k * d2 / (ls * ls)]) if grad else k
     r = np.sqrt(d2)
     if spec.family == "matern25":
-        return os_ * _unit_matern25(r, ls)
-    if spec.family == "periodic":
-        return os_ * _unit_periodic(r, ls, math.exp(spec.log_period))
-    per = _unit_periodic(r, math.exp(spec.log_periodic_lengthscale), math.exp(spec.log_period))
-    return os_ * (_unit_matern25(r, ls) + per)
+        unit, d_r, d_log = _matern25(r, ls, grad)
+    elif spec.family == "periodic":
+        unit, d_r, d_log = _periodic(r, ls, math.exp(spec.log_period), grad)
+    else:
+        per, per_r, per_log = _periodic(
+            r, math.exp(spec.log_periodic_lengthscale), math.exp(spec.log_period), grad
+        )
+        unit, d_r, d_log = _matern25(r, ls, grad)
+        unit = unit + per
+        if grad:
+            d_r = d_r + per_r
+            d_log = d_log + per_log[::-1]  # log_period, then log_periodic_lengthscale
+    k = os_ * unit
+    if not grad:
+        return k
+    half_inv_r = np.divide(0.5, r, out=np.zeros_like(r), where=r > 0.0)
+    return k, (os_ * d_r) * half_inv_r, [k] + [os_ * d for d in d_log]
 
 
 def kernel_value_at_zero(spec: KernelSpec) -> float:
@@ -98,7 +142,7 @@ def kernel_eval(spec: KernelSpec, a, b) -> float:
     if a.size != b.size:
         raise DimensionMismatch(f"kernel_eval on vectors of size {a.size} and {b.size}")
     d2 = float(np.sum((a - b) ** 2))
-    return float(_kernel_from_sqdist_values(spec, np.array(d2)))
+    return float(kernel_from_sqdist(spec, np.array(d2)))
 
 
 def _as_points(x) -> np.ndarray:
@@ -111,121 +155,110 @@ def _as_points(x) -> np.ndarray:
     return x
 
 
+def _sqdist(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+    """Pairwise squared distances between the rows of x and of y.
+
+    Computed as |x|^2 + |y|^2 - 2 x y^T and clamped at 0 so cancellation can
+    never produce a negative distance. Without y they are the distances
+    within x, with the diagonal exactly 0 rather than rounding dust.
+    """
+    sq = (x * x).sum(axis=1, keepdims=True)
+    if y is None:
+        d2 = sq + sq.T - 2.0 * (x @ x.T)
+    else:
+        d2 = sq + (y * y).sum(axis=1, keepdims=True).T - 2.0 * (x @ y.T)
+    np.maximum(d2, 0.0, out=d2)
+    if y is None:
+        np.fill_diagonal(d2, 0.0)
+    return d2
+
+
 def kernel_matrix(spec: KernelSpec, x, y) -> np.ndarray:
     """Gram matrix between rows of x (N x d) and y (M x d)."""
     x = _as_points(x)
     y = _as_points(y)
     if x.shape[1] != y.shape[1]:
         raise DimensionMismatch(f"kernel_matrix feature dims differ: {x.shape} vs {y.shape}")
-    d2 = (
-        (x * x).sum(axis=1, keepdims=True)
-        + (y * y).sum(axis=1, keepdims=True).T
-        - 2.0 * (x @ y.T)
-    )
-    np.maximum(d2, 0.0, out=d2)
     gram = x is y or (x.shape == y.shape and np.array_equal(x, y))
-    if gram:
-        np.fill_diagonal(d2, 0.0)
-    k = _kernel_from_sqdist_values(spec, d2)
+    k = kernel_from_sqdist(spec, _sqdist(x, None if gram else y))
     if gram:
         k = 0.5 * (k + k.T)  # exact symmetry against matmul rounding
     return k
 
 
+def kernel_block(spec: KernelSpec, x: np.ndarray):
+    """K(x, x) and its vector-Jacobian product.
+
+    ``vjp(G)`` maps an adjoint G of K to the gradient of sum(G * K) over the
+    spec's log-hyperparameters (in hyper_names() order) and over x. Through
+    d2_ij = |x_i|^2 + |x_j|^2 - 2 x_i.x_j, an adjoint W of d2 gives
+    dx = 2 (rowsum(S) x - S x) with S = W + W^T.
+    """
+    k, dk_dd2, dk_dlog = kernel_from_sqdist(spec, _sqdist(x), grad=True)
+
+    def vjp(g):
+        w = g * dk_dd2
+        s = w + w.T
+        d_x = 2.0 * (s.sum(axis=1, keepdims=True) * x - s @ x)
+        return np.array([np.vdot(g, d) for d in dk_dlog]), d_x
+
+    return k, vjp
+
+
 # ---------------------------------------------------------------------------
-# Tape-side kernel assembly
+# Marginal likelihood block
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class HyperNodes:
-    """Tape leaves for the GP hyperparameters, each a 1x1 node."""
-
-    family: str
-    log_outputscale: nc.Node
-    log_lengthscale: nc.Node
-    log_period: nc.Node | None = None
-    log_periodic_lengthscale: nc.Node | None = None
-    log_noise: nc.Node | None = None
-    mean_const: nc.Node | None = None
-
-    def leaves(self) -> list:
-        out = [self.log_outputscale, self.log_lengthscale]
-        if self.log_period is not None:
-            out.append(self.log_period)
-        if self.log_periodic_lengthscale is not None:
-            out.append(self.log_periodic_lengthscale)
-        if self.log_noise is not None:
-            out.append(self.log_noise)
-        if self.mean_const is not None:
-            out.append(self.mean_const)
-        return out
-
-    def grads_flat(self) -> np.ndarray:
-        return np.concatenate([n.grad.ravel() for n in self.leaves()])
-
-
-def hypers_to_nodes(tape: nc.Tape, state: "GPState") -> HyperNodes:
-    k = state.kernel
-    return HyperNodes(
-        family=k.family,
-        log_outputscale=tape.leaf(k.log_outputscale),
-        log_lengthscale=tape.leaf(k.log_lengthscale),
-        log_period=tape.leaf(k.log_period) if k.family in ("periodic", "composite") else None,
-        log_periodic_lengthscale=(
-            tape.leaf(k.log_periodic_lengthscale) if k.family == "composite" else None
-        ),
-        log_noise=tape.leaf(state.log_noise),
-        mean_const=tape.leaf(state.mean_const),
-    )
-
-
-def _unit_matern25_node(r: nc.Node, inv_ls: nc.Node) -> nc.Node:
-    u = nc.scale(nc.mul(r, inv_ls), SQRT5)
-    poly = nc.add(nc.add(u.tape.constant(1.0), u), nc.scale(nc.mul(u, u), 1.0 / 3.0))
-    return nc.mul(poly, nc.exp(nc.scale(u, -1.0)))
-
-
-def _unit_periodic_node(r: nc.Node, inv_ls: nc.Node, inv_period: nc.Node) -> nc.Node:
-    s = nc.sin(nc.scale(nc.mul(r, inv_period), math.pi))
-    expo = nc.scale(nc.mul(nc.mul(s, s), nc.mul(inv_ls, inv_ls)), -2.0)
-    return nc.exp(expo)
-
-
-def kernel_node_from_sqdist(h: HyperNodes, d2: nc.Node) -> nc.Node:
-    """Build the Gram matrix node from a pairwise squared-distance node."""
-    outputscale = nc.exp(h.log_outputscale)
-    inv_ls = nc.exp(nc.scale(h.log_lengthscale, -1.0))
-    if h.family == "rbf":
-        quad = nc.scale(nc.mul(d2, nc.mul(inv_ls, inv_ls)), -0.5)
-        return nc.mul(outputscale, nc.exp(quad))
-    r = nc.power(d2, 0.5)
-    if h.family == "matern25":
-        return nc.mul(outputscale, _unit_matern25_node(r, inv_ls))
-    inv_period = nc.exp(nc.scale(h.log_period, -1.0))
-    if h.family == "periodic":
-        return nc.mul(outputscale, _unit_periodic_node(r, inv_ls, inv_period))
-    inv_pls = nc.exp(nc.scale(h.log_periodic_lengthscale, -1.0))
-    both = nc.add(
-        _unit_matern25_node(r, inv_ls), _unit_periodic_node(r, inv_pls, inv_period)
-    )
-    return nc.mul(outputscale, both)
-
-
-def nmll_node(tape: nc.Tape, h: HyperNodes, x_node: nc.Node, y: np.ndarray) -> nc.Node:
-    """Negative log marginal likelihood as a scalar node.
+def nmll_node(tape: nc.Tape, state: "GPState", latent, y, fixed=None):
+    """Negative log marginal likelihood as one fused tape block.
 
     0.5*(y-m)^T A^-1 (y-m) + 0.5*log|A| + (n/2)*log(2*pi) with
-    A = K(X,X) + noise*I. x_node may be a constant (hyper-only fits) or
-    depend on encoder parameters (joint training).
+    A = K(X,X) + noise*I, where X is the latent node's value followed by the
+    ``fixed`` columns (either may be None; fixed columns carry no gradient).
+
+    Registers one leaf holding ``state.hypers_flat()`` and returns
+    ``(loss, leaf)``. The loss node's parents are that leaf and the latent
+    node, so backward() leaves the hyperparameter gradient in the leaf and
+    hands dL/dX on to the latents (the encoder block in joint training).
+
+    One Cholesky factor A = L L^T serves both terms, and alpha = A^-1 (y-m)
+    and A^-1 = L^-T L^-1 both come from its triangular inverse. The adjoint
+    of A is (A^-1 - alpha alpha^T)/2 (Rasmussen & Williams 2006, eq. 5.9);
+    the kernel block contracts it with its closed-form derivatives. All of
+    this stays on numpy's BLAS: interleaving it with scipy's separately
+    bundled BLAS (cho_solve, dpotri) in the training loop leaves two thread
+    pools contending for the cores.
     """
-    y = nc.as_matrix(y)
-    n = y.shape[0]
-    d2 = nc.sqdist(x_node, x_node)
-    k = kernel_node_from_sqdist(h, d2)
-    a = nc.add_diag(k, nc.exp(h.log_noise))
-    resid = nc.sub(tape.constant(y), h.mean_const)
-    return nc.add(nc.chol_nll(a, resid), tape.constant(0.5 * n * LOG_2PI))
+    hypers = tape.leaf(state.hypers_flat())
+    if latent is None:
+        parents, n_latent, x = (hypers,), 0, fixed
+    else:
+        parents, n_latent = (hypers, latent), latent.value.shape[1]
+        x = latent.value if fixed is None else np.hstack([latent.value, fixed])
+    resid = nc.as_matrix(y) - state.mean_const
+    n = resid.shape[0]
+    if x.shape[0] != n:
+        raise DimensionMismatch(f"{x.shape[0]} inputs vs {n} targets")
+    k, kernel_vjp = kernel_block(state.kernel, x)
+    noise = math.exp(state.log_noise)
+    factor = nc.cholesky(k + noise * np.eye(n))
+    l_inv = nc.lower_inverse(factor.lower)
+    w = l_inv @ resid  # L^-1 (y - m)
+    alpha = l_inv.T @ w
+    value = 0.5 * (w.T @ w).item() + 0.5 * factor.logdet() + 0.5 * n * LOG_2PI
+
+    def vjp(g):
+        adj = l_inv.T @ l_inv
+        adj -= alpha @ alpha.T
+        adj *= 0.5 * g[0, 0]
+        d_kernel, d_x = kernel_vjp(adj)
+        d_hypers = np.concatenate(
+            [d_kernel, [noise * np.trace(adj), -g[0, 0] * alpha.sum()]]
+        )
+        return d_hypers.reshape(-1, 1), d_x[:, :n_latent]
+
+    return nc.Node(tape, np.array([[value]]), parents, vjp), hypers
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +320,9 @@ def init_state(inputs, targets, family: str = "matern25") -> GPState:
         raise DimensionMismatch(f"{x.shape[0]} inputs vs {y.size} targets")
 
     if x.shape[0] > 1:
-        d2 = (
-            (x * x).sum(axis=1, keepdims=True)
-            + (x * x).sum(axis=1, keepdims=True).T
-            - 2.0 * (x @ x.T)
-        )
+        d2 = _sqdist(x)
         iu = np.triu_indices(x.shape[0], k=1)
-        med = float(np.median(np.sqrt(np.maximum(d2[iu], 0.0))))
+        med = float(np.median(np.sqrt(d2[iu])))
     else:
         med = 1.0
     lengthscale = max(med, 1e-3)
@@ -331,13 +360,9 @@ def nmll(state: GPState, inputs=None, targets=None) -> float:
 def fit(
     state: GPState, inputs, targets, opt: OptimizerConfig | None = None
 ) -> tuple[GPState, list]:
-    """Tune hyperparameters by Adam on the marginal likelihood.
-
-    Early-stops once `patience` epochs pass without improving the best loss
-    by `min_delta`, then restores the best hyperparameters. The returned
-    trace holds the per-epoch losses; its last entry is the loss of the
-    restored best state, so trace[-1] <= trace[0] always.
-    """
+    """Tune hyperparameters on the marginal likelihood with
+    optim.adam_descent, which early-stops and restores the best state; the
+    returned trace ends with that state's loss, so trace[-1] <= trace[0]."""
     opt = opt or OptimizerConfig()
     x = _as_points(inputs)
     y = np.asarray(targets, dtype=np.float64).ravel()
@@ -347,41 +372,15 @@ def fit(
         raise NonFiniteInput("GP fit saw NaN or Inf")
 
     st = replace(state, train_inputs=x, train_targets=y)
-    hypers = st.hypers_flat()
-    adam = Adam(hypers.size, opt)
-    best = (np.inf, hypers.copy())
-    trace, stale = [], 0
 
-    for _ in range(opt.max_epochs):
-        if not np.all(np.isfinite(hypers)):
-            raise Divergence("hyperparameters became non-finite during fitting")
-        try:
-            tape = nc.Tape()
-            h = hypers_to_nodes(tape, st.with_hypers_flat(hypers))
-            loss_node = nmll_node(tape, h, tape.constant(x), y)
-        except NonFiniteInput as e:
-            raise Divergence(f"marginal likelihood evaluation overflowed: {e}") from e
-        loss = loss_node.value.item()
-        if not math.isfinite(loss):
-            raise Divergence(f"marginal likelihood became non-finite ({loss})")
-        trace.append(loss)
-        if loss < best[0] - opt.min_delta:
-            best = (loss, hypers.copy())
-            stale = 0
-        elif loss < best[0]:
-            best = (loss, hypers.copy())
-            stale += 1
-        else:
-            stale += 1
-        if stale >= opt.patience:
-            break
-        nc.backward(tape, loss_node)
-        hypers = adam.step(hypers, h.grads_flat())
+    def step(hypers):
+        tape = nc.Tape()
+        loss, leaf = nmll_node(tape, st.with_hypers_flat(hypers), None, y, fixed=x)
+        nc.backward(tape, loss)
+        return loss.value.item(), leaf.grad.ravel()
 
-    final = st.with_hypers_flat(best[1]).refresh()
-    if not trace or trace[-1] != best[0]:
-        trace.append(best[0])
-    return final, trace
+    best, trace = optim.adam_descent(step, st.hypers_flat(), opt)
+    return st.with_hypers_flat(best).refresh(), trace
 
 
 @dataclass

@@ -1,8 +1,8 @@
-"""Finite-difference validation harness for every analytic gradient path:
-the fused encoder block's parameters and inputs, kernel hyperparameters
-(with noise and mean) and input gradients through the fused marginal
-likelihood block, and the tape primitives. Small fixed dimensions keep
-the whole suite well under a minute."""
+"""Finite-difference validation harness for every fused block: the encoder's
+parameters, the kernel block's log-hyperparameters and inputs, the marginal
+likelihood block's hyperparameters (with noise and mean) and inputs, and the
+linear MSE head. Small fixed dimensions keep the whole suite well under a
+minute."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import encoder as enc
-from . import gp
+from . import gp, pipeline
 from . import numcore as nc
 
 TOLERANCE = 1e-4
@@ -28,30 +28,24 @@ class GradCase:
         return self.max_rel_error < TOLERANCE
 
 
-def _tiny_encoder_cfg(seed: int) -> enc.EncoderConfig:
-    return enc.EncoderConfig(input_width=3, seq_len=5, hidden=3, latent=2, seed=seed)
-
-
-def _encoder_loss(params, batch, target):
-    tape = nc.Tape()
-    out = enc.forward(params, batch, tape)
-    diff = nc.sub(out.latent, tape.constant(target))
-    loss = nc.sum_all(nc.mul(diff, diff))
-    return tape, out, loss
+def _weighted_sum(tape: nc.Tape, node: nc.Node, w: np.ndarray) -> nc.Node:
+    """sum(node * w) for a fixed w: a probe that seeds a general adjoint."""
+    return nc.Node(tape, np.array([[np.sum(node.value * w)]]), (node,), lambda g: (g[0, 0] * w,))
 
 
 def _encoder_param_case(seed: int) -> GradCase:
-    cfg = _tiny_encoder_cfg(seed)
+    cfg = enc.EncoderConfig(input_width=3, seq_len=5, hidden=3, latent=2, seed=seed)
     rng = np.random.default_rng(1000 + seed)
     batch = rng.normal(size=(4, cfg.seq_len, cfg.input_width))
-    target = rng.normal(size=(4, cfg.latent))
+    w = rng.normal(size=(4, cfg.latent))
     x0 = enc.init_params(cfg).flatten()
 
     def f(vec):
-        params = enc.EncoderParams.from_flat(cfg, vec)
-        tape, out, loss = _encoder_loss(params, batch, target)
+        tape = nc.Tape()
+        out = enc.forward(enc.EncoderParams.from_flat(cfg, vec), batch, tape)
+        loss = _weighted_sum(tape, out.latent, w)
         nc.backward(tape, loss)
-        return loss.value.item(), out.leaves.grads_flat()
+        return loss.value.item(), out.params.grad.ravel()
 
     # The attention score bias cancels in the softmax: its analytic and
     # numeric gradients are both exactly zero, so it needs no special case.
@@ -59,164 +53,87 @@ def _encoder_param_case(seed: int) -> GradCase:
     return GradCase(f"encoder-params[{seed}]", err, x0.size)
 
 
-def _encoder_input_case(seed: int) -> GradCase:
-    cfg = _tiny_encoder_cfg(seed)
-    rng = np.random.default_rng(2000 + seed)
-    params = enc.init_params(cfg)
-    target = rng.normal(size=(4, cfg.latent))
-    x0 = rng.normal(size=4 * cfg.seq_len * cfg.input_width)
-
-    def f(vec):
-        batch = vec.reshape(4, cfg.seq_len, cfg.input_width)
-        tape, out, loss = _encoder_loss(params, batch, target)
-        nc.backward(tape, loss)
-        grad = np.stack([n.grad for n in out.step_inputs], axis=1)
-        return loss.value.item(), grad.ravel()
-
-    err = nc.finite_diff_check(f, x0, step=1e-5)
-    return GradCase(f"encoder-inputs[{seed}]", err, x0.size)
-
-
-def _nmll_points(family: str, seed: int):
+def _gp_points(family: str, seed: int):
     rng = np.random.default_rng(3000 + seed)
+    # sin over a Euclidean distance is only PSD in 1-D, and the NMLL factors K
     d = 1 if family in ("periodic", "composite") else 3
     x = rng.normal(size=(8, d))
     y = rng.normal(size=8)
     state = gp.init_state(x, y, family)
-    return x, y, state
+    return x, y, state, rng.normal(size=(8, 8))
 
 
-def _kernel_hyper_case(family: str, seed: int) -> GradCase:
-    x, y, state = _nmll_points(family, seed)
-    x0 = state.hypers_flat()
+def _kernel_cases(family: str, seed: int) -> list:
+    """sum(G * K) for a fixed G, by the log-hyperparameters and by X."""
+    x, _, state, g = _gp_points(family, seed)
+    names = state.kernel.hyper_names()
+    theta0 = np.array([getattr(state.kernel, nm) for nm in names])
 
-    def f(vec):
+    def f_hypers(vec):
+        spec = gp.KernelSpec(family=family, **dict(zip(names, vec)))
+        k, vjp = gp.kernel_block(spec, x)
+        return float(np.sum(g * k)), vjp(g)[0]
+
+    def f_inputs(vec):
+        k, vjp = gp.kernel_block(state.kernel, vec.reshape(x.shape))
+        return float(np.sum(g * k)), vjp(g)[1].ravel()
+
+    return [
+        GradCase(f"kernel-hypers[{family},{seed}]",
+                 nc.finite_diff_check(f_hypers, theta0, step=1e-5), theta0.size),
+        GradCase(f"kernel-inputs[{family},{seed}]",
+                 nc.finite_diff_check(f_inputs, x.ravel(), step=1e-5), x.size),
+    ]
+
+
+def _nmll_cases(family: str, seed: int) -> list:
+    x, y, state, _ = _gp_points(family, seed)
+
+    def f_hypers(vec):
         tape = nc.Tape()
-        h = gp.hypers_to_nodes(tape, state.with_hypers_flat(vec))
-        loss = gp.nmll_node(tape, h, tape.constant(x), y)
+        loss, hypers = gp.nmll_node(tape, state.with_hypers_flat(vec), None, y, fixed=x)
         nc.backward(tape, loss)
-        return loss.value.item(), h.grads_flat()
+        return loss.value.item(), hypers.grad.ravel()
 
-    err = nc.finite_diff_check(f, x0, step=1e-5)
-    return GradCase(f"nmll-hypers[{family},{seed}]", err, x0.size)
-
-
-def _nmll_input_case(family: str, seed: int) -> GradCase:
-    x, y, state = _nmll_points(family, seed)
-
-    def f(vec):
+    def f_inputs(vec):
         tape = nc.Tape()
-        x_node = tape.leaf(vec.reshape(x.shape))
-        h = gp.hypers_to_nodes(tape, state)
-        loss = gp.nmll_node(tape, h, x_node, y)
+        latent = tape.leaf(vec.reshape(x.shape))
+        loss, _ = gp.nmll_node(tape, state, latent, y)
         nc.backward(tape, loss)
-        return loss.value.item(), x_node.grad.ravel()
+        return loss.value.item(), latent.grad.ravel()
 
-    err = nc.finite_diff_check(f, x.ravel(), step=1e-5)
-    return GradCase(f"nmll-inputs[{family},{seed}]", err, x.size)
+    h0 = state.hypers_flat()
+    return [
+        GradCase(f"nmll-hypers[{family},{seed}]",
+                 nc.finite_diff_check(f_hypers, h0, step=1e-5), h0.size),
+        GradCase(f"nmll-inputs[{family},{seed}]",
+                 nc.finite_diff_check(f_inputs, x.ravel(), step=1e-5), x.size),
+    ]
 
 
-def _primitive_cases(seed: int) -> list:
+def _mse_head_case(seed: int) -> GradCase:
     rng = np.random.default_rng(4000 + seed)
-    a0 = rng.normal(size=(3, 4))
-    cases = []
+    n, d = 6, 3
+    y = rng.normal(size=n)
+    x0 = rng.normal(size=n * d + d + 1)  # latents, then the head [w ; b]
 
-    def check(name, f, x0, step=1e-5):
-        cases.append(GradCase(f"{name}[{seed}]", nc.finite_diff_check(f, x0, step), x0.size))
-
-    # fixed projection weights so every FD evaluation sees the same function
-    w34 = rng.normal(size=(3, 4))
-    w32 = rng.normal(size=(3, 2))
-    w44 = rng.normal(size=(4, 4))
-
-    def scalarize(tape, node, w):
-        return nc.sum_all(nc.mul(node, tape.constant(w)))
-
-    def elementwise(name, op):
-        def f(vec):
-            tape = nc.Tape()
-            a = tape.leaf(vec.reshape(3, 4))
-            loss = scalarize(tape, op(a), w34)
-            nc.backward(tape, loss)
-            return loss.value.item(), a.grad.ravel()
-
-        check(name, f, a0.ravel())
-
-    elementwise("sigmoid", nc.sigmoid)
-    elementwise("tanh", nc.tanh)
-    elementwise("exp", nc.exp)
-    elementwise("softmax-rows", nc.softmax_rows)
-    elementwise("power-2.5", lambda a: nc.power(nc.exp(a), 2.5))
-    elementwise("log-exp", lambda a: nc.log(nc.exp(a)))
-
-    def f_matmul(vec):
+    def f(vec):
         tape = nc.Tape()
-        a = tape.leaf(vec[:12].reshape(3, 4))
-        b = tape.leaf(vec[12:].reshape(4, 2))
-        loss = scalarize(tape, nc.matmul(a, b), w32)
+        latent = tape.leaf(vec[: n * d].reshape(n, d))
+        loss, head = pipeline.mse_head_node(tape, latent, vec[n * d:], y)
         nc.backward(tape, loss)
-        return loss.value.item(), np.concatenate([a.grad.ravel(), b.grad.ravel()])
+        return loss.value.item(), np.concatenate([latent.grad.ravel(), head.grad.ravel()])
 
-    check("matmul", f_matmul, rng.normal(size=20))
-
-    def f_sqdist(vec):
-        tape = nc.Tape()
-        a = tape.leaf(vec.reshape(4, 3))
-        loss = scalarize(tape, nc.sqdist(a, a), w44)
-        nc.backward(tape, loss)
-        return loss.value.item(), a.grad.ravel()
-
-    check("sqdist", f_sqdist, rng.normal(size=12))
-
-    base = rng.normal(size=(4, 4))
-    spd_shift = base @ base.T + 4.0 * np.eye(4)
-
-    def f_quad(vec):
-        tape = nc.Tape()
-        s = tape.leaf(vec[:1].reshape(1, 1))
-        b = tape.leaf(vec[1:].reshape(-1, 1))
-        # scalar jitter keeps the matrix symmetric positive definite
-        a = nc.add_diag(tape.constant(spd_shift), s)
-        loss = nc.chol_quad_form(a, b)
-        nc.backward(tape, loss)
-        return loss.value.item(), np.concatenate([s.grad.ravel(), b.grad.ravel()])
-
-    check("chol-quad-form", f_quad, np.concatenate([[1.0], rng.normal(size=4)]), step=1e-6)
-
-    def f_logdet(vec):
-        tape = nc.Tape()
-        s = tape.leaf(vec.reshape(1, 1))
-        loss = nc.chol_logdet(nc.add_diag(tape.constant(spd_shift), s))
-        nc.backward(tape, loss)
-        return loss.value.item(), s.grad.ravel()
-
-    check("chol-logdet", f_logdet, np.ones(1), step=1e-6)
-
-    def f_nll(vec):
-        tape = nc.Tape()
-        s = tape.leaf(vec[:1].reshape(1, 1))
-        r = tape.leaf(vec[1:].reshape(-1, 1))
-        loss = nc.chol_nll(nc.add_diag(tape.constant(spd_shift), s), r)
-        nc.backward(tape, loss)
-        return loss.value.item(), np.concatenate([s.grad.ravel(), r.grad.ravel()])
-
-    check("chol-nll", f_nll, np.concatenate([[1.0], rng.normal(size=4)]), step=1e-6)
-
-    return cases
+    return GradCase(f"mse-head[{seed}]", nc.finite_diff_check(f, x0, step=1e-5), x0.size)
 
 
 def run_all(n_seeds: int = 12) -> list:
-    """The full suite: encoder params/inputs, NMLL hypers/inputs for all
-    kernel families, and the tape primitives. Returns one GradCase per
-    check; > 100 cases at the default seed count."""
-    cases = []
-    for s in range(n_seeds):
-        cases.append(_encoder_param_case(s))
-        cases.append(_encoder_input_case(s))
+    """The full suite: encoder parameters, the kernel and marginal-likelihood
+    blocks for every kernel family, and the MSE head. Returns one GradCase
+    per check; > 100 cases at the default seed count."""
+    cases = [_encoder_param_case(s) for s in range(n_seeds)]
     for family in gp.FAMILIES:
         for s in range(6):
-            cases.append(_kernel_hyper_case(family, s))
-            cases.append(_nmll_input_case(family, s))
-    for s in range(3):
-        cases.extend(_primitive_cases(s))
+            cases += _kernel_cases(family, s) + _nmll_cases(family, s)
+    cases += [_mse_head_case(s) for s in range(3)]
     return cases

@@ -1,14 +1,20 @@
-"""Dense float64 linear algebra and a tape-based reverse-mode differentiation engine.
+"""Dense float64 linear algebra and a minimal fused-block reverse-mode tape.
 
 Everything here works on 2-D ``numpy.float64`` arrays ("matrices"); scalars are
-1x1 matrices and vectors are columns. The tape is rebuilt per forward pass
-(dynamic graph): appending nodes in creation order keeps the node list
-topologically sorted, so the reverse sweep is a single reversed iteration.
+1x1 matrices and vectors are columns. Factorizations are delegated to LAPACK
+via numpy/scipy: the Cholesky factor with its jitter ladder, the SPD solve,
+and a block-recursive triangular inverse.
 
-Factorizations are delegated to LAPACK via numpy/scipy; the differentiation
-rules, including the quadratic-form, log-determinant and fused Gaussian
-likelihood nodes used by the Gaussian process marginal likelihood, are
-implemented here.
+The tape holds no elementwise primitives. A node is either a leaf (a
+parameter or input) or a fused block: a value computed in plain numpy plus a
+hand-written vector-Jacobian product that maps the block's adjoint to one
+adjoint per parent. The blocks live with the math they differentiate: the
+encoder in ``encoder``, the kernel and the marginal likelihood in ``gp``, the
+linear head in ``pipeline``. The tape is rebuilt per forward pass (dynamic
+graph): appending nodes in creation order keeps the node list topologically
+sorted, so the reverse sweep is a single reversed iteration.
+
+Central finite differences check every block (see ``gradcheck``).
 """
 
 from __future__ import annotations
@@ -134,27 +140,49 @@ def solve_spd(f: CholeskyFactor, b) -> np.ndarray:
     return cho_solve((f.lower, True), b)
 
 
+def lower_inverse(lower: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix by 2x2 block recursion.
+
+    [[P, 0], [C, Q]]^{-1} = [[P^{-1}, 0], [-Q^{-1} C P^{-1}, Q^{-1}]], with
+    blocks of at most 64 rows inverted directly. Only numpy's own BLAS and
+    LAPACK run here (see gp.nmll_node).
+    """
+    n = lower.shape[0]
+    if n <= 64:
+        return np.tril(np.linalg.inv(lower))
+    h = n // 2
+    out = np.zeros_like(lower)
+    out[:h, :h] = lower_inverse(lower[:h, :h])
+    out[h:, h:] = lower_inverse(lower[h:, h:])
+    out[h:, :h] = -(out[h:, h:] @ (lower[h:, :h] @ out[:h, :h]))
+    return out
+
+
 # ---------------------------------------------------------------------------
-# Reverse-mode tape
+# Fused-block tape
 # ---------------------------------------------------------------------------
 
 
 class Node:
-    """A value on the tape plus the closure that propagates its adjoint.
+    """A value on the tape: a leaf, or a fused block with its parents and VJP.
 
-    A node refers to its tape weakly: the tape lists its nodes, and a strong
-    reference back would make every tape a reference cycle that only the
-    cyclic garbage collector frees. A tape is freed once the caller drops it.
+    ``vjp(g)`` maps the block's adjoint to one adjoint per parent, in
+    ``parents`` order. A node refers to its tape weakly: the tape lists its
+    nodes, and a strong reference back would make every tape a reference
+    cycle that only the cyclic garbage collector frees. A tape is freed once
+    the caller drops it.
     """
 
-    __slots__ = ("_tape", "value", "parents", "adjoint", "_push")
+    __slots__ = ("_tape", "value", "adjoint", "_parents", "_vjp")
 
-    def __init__(self, tape: "Tape", value: np.ndarray, parents=(), push=None):
+    def __init__(self, tape: "Tape", value: np.ndarray, parents=(), vjp=None):
         self._tape = tape._ref
         self.value = value
-        self.parents = parents
         self.adjoint = None
-        self._push = push
+        self._parents = tuple(parents)
+        if any(p._tape is not self._tape for p in self._parents):
+            raise DimensionMismatch("operands live on different tapes")
+        self._vjp = vjp
         tape.nodes.append(self)
 
     @property
@@ -165,43 +193,11 @@ class Node:
         return tape
 
     @property
-    def shape(self):
-        return self.value.shape
-
-    @property
     def grad(self) -> np.ndarray:
         """Adjoint after backward(); zeros when the node is unreachable."""
         if self.adjoint is None:
             return np.zeros_like(self.value)
         return self.adjoint
-
-    # arithmetic sugar; non-Node operands become constants on the same tape
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(self.tape.constant(other), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
 
 class Tape:
@@ -211,46 +207,37 @@ class Tape:
         self.nodes: list[Node] = []
         self._ref = weakref.ref(self)
 
-    def constant(self, value) -> Node:
-        """Leaf node. Adjoints accumulate here too, so inputs get gradients."""
+    def leaf(self, value) -> Node:
+        """A parameter or input; backward() leaves its gradient in ``.grad``."""
         return Node(self, require_finite(as_matrix(value), "tape leaf"))
-
-    # parameters and inputs are mechanically identical leaves
-    leaf = constant
-
-    def backward(self, output: Node) -> None:
-        """Reverse sweep seeding d(output)/d(output) = 1. Output must be 1x1."""
-        if output.value.size != 1:
-            raise NonScalarOutput(
-                f"backward needs a scalar output node, got shape {output.shape}"
-            )
-        for node in self.nodes:
-            node.adjoint = None
-        output.adjoint = np.ones((1, 1))
-        for node in reversed(self.nodes):
-            if node.adjoint is not None and node._push is not None:
-                node._push(node.adjoint)
-
-
-def backward(tape: Tape, output: Node) -> None:
-    """Run the reverse pass; afterwards every leaf's .grad is d(output)/d(leaf)."""
-    tape.backward(output)
 
 
 def custom(tape: Tape, value: np.ndarray, parents, vjp) -> Node:
-    """Register a fused block as one node.
+    """Register a fused block with a hand-written VJP as one node.
 
-    ``vjp(g)`` maps the block's adjoint to one adjoint per parent, in
-    ``parents`` order; blocks with hand-written reverse passes (the encoder)
-    use this instead of unrolling into primitives.
+    The encoder registers its block here. ``bench/spans.py`` times every VJP
+    handed to this function as the encoder's reverse pass, so the GP and head
+    blocks construct their ``Node`` directly.
     """
-    parents = tuple(parents)
+    return Node(tape, value, parents, vjp)
 
-    def push(g):
-        for p, adj in zip(parents, vjp(g)):
-            _accumulate(p, adj)
 
-    return Node(tape, value, parents, push)
+def backward(tape: Tape, output: Node) -> None:
+    """Reverse sweep seeding d(output)/d(output) = 1; output must be 1x1.
+
+    Afterwards every leaf's .grad is d(output)/d(leaf).
+    """
+    if output.value.size != 1:
+        raise NonScalarOutput(
+            f"backward needs a scalar output node, got shape {output.value.shape}"
+        )
+    for node in tape.nodes:
+        node.adjoint = None
+    output.adjoint = np.ones((1, 1))
+    for node in reversed(tape.nodes):
+        if node.adjoint is not None and node._vjp is not None:
+            for parent, adj in zip(node._parents, node._vjp(node.adjoint)):
+                _accumulate(parent, adj)
 
 
 def _accumulate(node: Node, g: np.ndarray) -> None:
@@ -259,338 +246,6 @@ def _accumulate(node: Node, g: np.ndarray) -> None:
         node.adjoint = np.array(np.broadcast_to(g, node.value.shape), dtype=np.float64)
     else:
         node.adjoint += g
-
-
-def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    """Sum an adjoint down to the shape of a broadcast operand."""
-    if g.shape == shape:
-        return g
-    if shape[0] == 1 and g.shape[0] > 1:
-        g = g.sum(axis=0, keepdims=True)
-    if shape[1] == 1 and g.shape[1] > 1:
-        g = g.sum(axis=1, keepdims=True)
-    return g
-
-
-def _pair(a, b):
-    if isinstance(a, Node):
-        if not isinstance(b, Node):
-            b = a.tape.constant(b)
-    elif isinstance(b, Node):
-        a = b.tape.constant(a)
-    else:
-        raise TypeError("at least one operand must be a tape Node")
-    if a._tape is not b._tape:
-        raise DimensionMismatch("operands live on different tapes")
-    return a, b
-
-
-# -- elementwise and structural primitives ----------------------------------
-
-
-def add(a, b) -> Node:
-    a, b = _pair(a, b)
-    val = a.value + b.value
-
-    def push(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
-
-    return Node(a.tape, val, (a, b), push)
-
-
-def sub(a, b) -> Node:
-    a, b = _pair(a, b)
-    val = a.value - b.value
-
-    def push(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(-g, b.shape))
-
-    return Node(a.tape, val, (a, b), push)
-
-
-def mul(a, b) -> Node:
-    """Elementwise product with numpy broadcasting."""
-    a, b = _pair(a, b)
-    val = a.value * b.value
-
-    def push(g):
-        _accumulate(a, _unbroadcast(g * b.value, a.shape))
-        _accumulate(b, _unbroadcast(g * a.value, b.shape))
-
-    return Node(a.tape, val, (a, b), push)
-
-
-def div(a, b) -> Node:
-    a, b = _pair(a, b)
-    val = a.value / b.value
-
-    def push(g):
-        _accumulate(a, _unbroadcast(g / b.value, a.shape))
-        _accumulate(b, _unbroadcast(-g * a.value / (b.value * b.value), b.shape))
-
-    return Node(a.tape, val, (a, b), push)
-
-
-def scale(a: Node, s: float) -> Node:
-    """Multiply by a plain python constant (not a tape value)."""
-    val = a.value * s
-
-    def push(g):
-        _accumulate(a, g * s)
-
-    return Node(a.tape, val, (a,), push)
-
-
-def matmul(a, b) -> Node:
-    a, b = _pair(a, b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionMismatch(f"matmul {a.shape} @ {b.shape}")
-    val = a.value @ b.value
-
-    def push(g):
-        _accumulate(a, g @ b.value.T)
-        _accumulate(b, a.value.T @ g)
-
-    return Node(a.tape, val, (a, b), push)
-
-
-def sigmoid(a: Node) -> Node:
-    # 0.5 * (1 + tanh(x / 2)): one vectorized call, finite for any input
-    out = 0.5 * (1.0 + np.tanh(0.5 * a.value))
-
-    def push(g):
-        _accumulate(a, g * out * (1.0 - out))
-
-    return Node(a.tape, out, (a,), push)
-
-
-def tanh(a: Node) -> Node:
-    out = np.tanh(a.value)
-
-    def push(g):
-        _accumulate(a, g * (1.0 - out * out))
-
-    return Node(a.tape, out, (a,), push)
-
-
-def exp(a: Node) -> Node:
-    out = np.exp(a.value)
-
-    def push(g):
-        _accumulate(a, g * out)
-
-    return Node(a.tape, out, (a,), push)
-
-
-def log(a: Node) -> Node:
-    out = np.log(a.value)
-
-    def push(g):
-        _accumulate(a, g / a.value)
-
-    return Node(a.tape, out, (a,), push)
-
-
-def sin(a: Node) -> Node:
-    out = np.sin(a.value)
-
-    def push(g):
-        _accumulate(a, g * np.cos(a.value))
-
-    return Node(a.tape, out, (a,), push)
-
-
-def power(a: Node, p: float) -> Node:
-    """Elementwise a**p for a constant exponent.
-
-    The derivative p*a**(p-1) is clamped to 0 where it is not finite
-    (a == 0 with p < 1). The kernels built on top only hit that point at
-    zero pairwise distance, where the true gradient through the distance
-    node vanishes anyway, so the clamp is exact there.
-    """
-    out = np.power(a.value, p)
-
-    def push(g):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = p * np.power(a.value, p - 1.0)
-        d = np.where(np.isfinite(d), d, 0.0)
-        _accumulate(a, g * d)
-
-    return Node(a.tape, out, (a,), push)
-
-
-def softmax_rows(a: Node) -> Node:
-    """Softmax along axis 1: each output row is nonnegative and sums to 1."""
-    z = a.value - a.value.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    out = e / e.sum(axis=1, keepdims=True)
-
-    def push(g):
-        inner = (g * out).sum(axis=1, keepdims=True)
-        _accumulate(a, out * (g - inner))
-
-    return Node(a.tape, out, (a,), push)
-
-
-def concat_cols(parts: list[Node]) -> Node:
-    tape = parts[0].tape
-    val = np.hstack([p.value for p in parts])
-    widths = [p.shape[1] for p in parts]
-
-    def push(g):
-        j = 0
-        for p, w in zip(parts, widths):
-            _accumulate(p, g[:, j : j + w])
-            j += w
-
-    return Node(tape, val, tuple(parts), push)
-
-
-def slice_cols(a: Node, j0: int, j1: int) -> Node:
-    val = a.value[:, j0:j1].copy()
-
-    def push(g):
-        full = np.zeros_like(a.value)
-        full[:, j0:j1] = g
-        _accumulate(a, full)
-
-    return Node(a.tape, val, (a,), push)
-
-
-def sum_all(a: Node) -> Node:
-    val = np.array([[a.value.sum()]])
-
-    def push(g):
-        _accumulate(a, np.full_like(a.value, g[0, 0]))
-
-    return Node(a.tape, val, (a,), push)
-
-
-def sqdist(a: Node, b: Node) -> Node:
-    """Pairwise squared distances between rows of a (n x d) and b (m x d).
-
-    Computed as |a|^2 + |b|^2 - 2 a b^T and clamped at 0 so cancellation
-    can never produce a negative distance.
-    """
-    a, b = _pair(a, b)
-    if a.shape[1] != b.shape[1]:
-        raise DimensionMismatch(f"sqdist feature dims differ: {a.shape} vs {b.shape}")
-    av, bv = a.value, b.value
-    raw = (
-        (av * av).sum(axis=1, keepdims=True)
-        + (bv * bv).sum(axis=1, keepdims=True).T
-        - 2.0 * (av @ bv.T)
-    )
-    val = np.maximum(raw, 0.0)
-    if a is b:
-        # self-distances must be exactly zero, not rounding dust
-        np.fill_diagonal(val, 0.0)
-
-    def push(g):
-        row = g.sum(axis=1, keepdims=True)
-        col = g.sum(axis=0, keepdims=True).T
-        _accumulate(a, 2.0 * (row * av - g @ bv))
-        _accumulate(b, 2.0 * (col * bv - g.T @ av))
-
-    return Node(a.tape, val, (a, b), push)
-
-
-def add_diag(a: Node, s: Node) -> Node:
-    """A + s * I for a square node A and a 1x1 scalar node s."""
-    n, m = a.shape
-    if n != m:
-        raise DimensionMismatch(f"add_diag needs a square matrix, got {a.shape}")
-    val = a.value + s.value[0, 0] * np.eye(n)
-
-    def push(g):
-        _accumulate(a, g)
-        _accumulate(s, np.array([[np.trace(g)]]))
-
-    return Node(a.tape, val, (a, s), push)
-
-
-def chol_quad_form(a: Node, b: Node) -> Node:
-    """Scalar b^T A^{-1} b via Cholesky; A symmetric positive definite, b a column.
-
-    Adjoints: dA = -g * alpha alpha^T and db = 2 g alpha with alpha = A^{-1} b.
-    """
-    a, b = _pair(a, b)
-    if b.shape[1] != 1 or b.shape[0] != a.shape[0]:
-        raise DimensionMismatch(f"quad form needs column rhs matching A: {a.shape}, {b.shape}")
-    factor = cholesky(a.value)
-    alpha = solve_spd(factor, b.value)
-    val = np.array([[(b.value.T @ alpha).item()]])
-
-    def push(g):
-        g00 = g[0, 0]
-        _accumulate(a, -g00 * (alpha @ alpha.T))
-        _accumulate(b, 2.0 * g00 * alpha)
-
-    return Node(a.tape, val, (a, b), push)
-
-
-def chol_logdet(a: Node) -> Node:
-    """Scalar log|A| via Cholesky; adjoint is g * A^{-1}."""
-    factor = cholesky(a.value)
-    val = np.array([[factor.logdet()]])
-
-    def push(g):
-        inv = solve_spd(factor, np.eye(factor.n))
-        _accumulate(a, g[0, 0] * inv)
-
-    return Node(a.tape, val, (a,), push)
-
-
-def _lower_inverse(lower: np.ndarray) -> np.ndarray:
-    """Inverse of a lower-triangular matrix by 2x2 block recursion.
-
-    [[P, 0], [C, Q]]^{-1} = [[P^{-1}, 0], [-Q^{-1} C P^{-1}, Q^{-1}]], with
-    blocks of at most 64 rows inverted directly. Only numpy's own BLAS and
-    LAPACK run here (see chol_nll).
-    """
-    n = lower.shape[0]
-    if n <= 64:
-        return np.tril(np.linalg.inv(lower))
-    h = n // 2
-    out = np.zeros_like(lower)
-    out[:h, :h] = _lower_inverse(lower[:h, :h])
-    out[h:, h:] = _lower_inverse(lower[h:, h:])
-    out[h:, :h] = -(out[h:, h:] @ (lower[h:, :h] @ out[:h, :h]))
-    return out
-
-
-def chol_nll(a: Node, r: Node) -> Node:
-    """Scalar 0.5 * r^T A^{-1} r + 0.5 * log|A| from a single factorization.
-
-    The Gaussian negative log likelihood without its constant: A symmetric
-    positive definite, r a column. With A = L L^T and alpha = A^{-1} r the
-    adjoints are dA = g/2 * (A^{-1} - alpha alpha^T) (Rasmussen & Williams
-    2006, eq. 5.9) and dr = g * alpha.
-
-    alpha and A^{-1} = L^{-T} L^{-1} both come from the triangular inverse of
-    the one Cholesky factor. Everything stays on numpy's BLAS: interleaving
-    it with scipy's separately bundled BLAS (cho_solve, dpotri) in the
-    training loop leaves two thread pools contending for the cores.
-    """
-    a, r = _pair(a, r)
-    if r.shape[1] != 1 or r.shape[0] != a.shape[0]:
-        raise DimensionMismatch(f"nll needs column rhs matching A: {a.shape}, {r.shape}")
-    factor = cholesky(a.value)
-    l_inv = _lower_inverse(factor.lower)
-    w = l_inv @ r.value  # L^{-1} r
-    alpha = l_inv.T @ w
-    val = np.array([[0.5 * (w.T @ w).item() + 0.5 * factor.logdet()]])
-
-    def push(g):
-        inv = l_inv.T @ l_inv
-        inv -= alpha @ alpha.T
-        inv *= 0.5 * g[0, 0]
-        _accumulate(a, inv)
-        _accumulate(r, g[0, 0] * alpha)
-
-    return Node(a.tape, val, (a, r), push)
 
 
 # ---------------------------------------------------------------------------

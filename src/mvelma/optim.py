@@ -1,10 +1,13 @@
-"""Adam optimizer over flat float64 parameter vectors."""
+"""Adam over flat float64 parameter vectors, and the training loop around it."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import Divergence, NonFiniteInput
 
 
 @dataclass
@@ -38,23 +41,43 @@ class Adam:
         return params - c.learning_rate * mhat / (np.sqrt(vhat) + c.eps)
 
 
-class EarlyStopper:
-    """Track the best loss; signal stop after `patience` epochs without
-    improvement of at least `min_delta`."""
+def adam_descent(step_fn, x0, opt: OptimizerConfig):
+    """Adam with patience early stopping and best-restore: the one training
+    loop, shared by the GP hyperparameter fit and both encoder phases.
 
-    def __init__(self, patience: int, min_delta: float):
-        self.patience = patience
-        self.min_delta = min_delta
-        self.best = np.inf
-        self.best_epoch = -1
-        self.stale = 0
-
-    def update(self, loss: float, epoch: int) -> bool:
-        """Record this epoch's loss; return True when training should stop."""
-        if loss < self.best - self.min_delta:
-            self.best = loss
-            self.best_epoch = epoch
-            self.stale = 0
-            return False
-        self.stale += 1
-        return self.stale >= self.patience
+    ``step_fn(vec)`` returns ``(loss, grad)``. Training stops once
+    ``opt.patience`` epochs pass without improving the best loss by
+    ``opt.min_delta``, or after ``opt.max_epochs``. Returns the best
+    parameters and the per-epoch losses; the trace ends with the restored
+    best loss, so trace[-1] <= trace[0] always. Non-finite parameters or
+    losses, and a NonFiniteInput or OverflowError raised by ``step_fn``,
+    end in Divergence.
+    """
+    vec = np.asarray(x0, dtype=np.float64).copy()
+    adam = Adam(vec.size, opt)
+    best = (np.inf, vec.copy())
+    trace, stale = [], 0
+    for _ in range(opt.max_epochs):
+        if not np.all(np.isfinite(vec)):
+            raise Divergence("parameters became non-finite during fitting")
+        try:
+            loss, grad = step_fn(vec)
+        except (NonFiniteInput, OverflowError) as e:
+            raise Divergence(f"training loss overflowed: {e}") from e
+        if not math.isfinite(loss):
+            raise Divergence(f"training loss became non-finite ({loss})")
+        trace.append(loss)
+        if loss < best[0] - opt.min_delta:
+            best = (loss, vec.copy())
+            stale = 0
+        elif loss < best[0]:
+            best = (loss, vec.copy())
+            stale += 1
+        else:
+            stale += 1
+        if stale >= opt.patience:
+            break
+        vec = adam.step(vec, grad)
+    if not trace or trace[-1] != best[0]:
+        trace.append(best[0])
+    return best[1], trace

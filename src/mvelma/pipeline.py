@@ -23,21 +23,19 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import encoder as enc
-from . import gp
+from . import gp, optim
 from . import numcore as nc
 from .dataio import ENRICHED_COLUMNS, CountySummary, Dataset, split_dataset
 from .errors import (
     DimensionMismatch,
-    Divergence,
     EmptySplit,
     LengthMismatch,
-    NonFiniteInput,
     SchemaError,
     UnknownVariant,
     ZeroVarianceTruth,
 )
 from .forest import Forest, ForestConfig, RegressionTree, fit_forest, predict_forest
-from .optim import Adam, OptimizerConfig
+from .optim import OptimizerConfig
 
 VARIANTS = (
     "full", "no-bilstm", "no-gpr", "no-rf",
@@ -170,37 +168,26 @@ def confidence_from_variance(variance, sigma_ref: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _adam_descent(step_fn, x0, opt: OptimizerConfig):
-    """Adam with patience early stopping and best-restore; the returned
-    trace ends with the restored best loss. step_fn(vec) -> (loss, grad)."""
-    vec = np.asarray(x0, dtype=np.float64).copy()
-    adam = Adam(vec.size, opt)
-    best = (np.inf, vec.copy())
-    trace, stale = [], 0
-    for _ in range(opt.max_epochs):
-        if not np.all(np.isfinite(vec)):
-            raise Divergence("parameters became non-finite during fitting")
-        try:
-            loss, grad = step_fn(vec)
-        except NonFiniteInput as e:
-            raise Divergence(f"training loss overflowed: {e}") from e
-        if not math.isfinite(loss):
-            raise Divergence(f"training loss became non-finite ({loss})")
-        trace.append(loss)
-        if loss < best[0] - opt.min_delta:
-            best = (loss, vec.copy())
-            stale = 0
-        elif loss < best[0]:
-            best = (loss, vec.copy())
-            stale += 1
-        else:
-            stale += 1
-        if stale >= opt.patience:
-            break
-        vec = adam.step(vec, grad)
-    if not trace or trace[-1] != best[0]:
-        trace.append(best[0])
-    return best[1], trace
+def mse_head_node(tape: nc.Tape, latent: nc.Node, head: np.ndarray, y: np.ndarray):
+    """Mean squared error of the linear head z @ w + b against y, as one
+    fused tape block.
+
+    ``head`` is [w ; b]. Registers one leaf holding it and returns
+    ``(loss, leaf)``; the loss node's parents are that leaf and the latent
+    node. With r = z w + b - y the adjoint is (2/N) r for the prediction,
+    so d/dz = (2/N) r w^T, d/dw = (2/N) z^T r and d/db = (2/N) sum(r).
+    """
+    leaf = tape.leaf(head)
+    z, w, b = latent.value, leaf.value[:-1], leaf.value[-1:]
+    resid = (z @ w + b) - nc.as_matrix(y)
+    scale = 1.0 / resid.shape[0]
+
+    def vjp(g):
+        d_pred = 2.0 * ((g[0, 0] * scale) * resid)
+        return np.vstack([z.T @ d_pred, d_pred.sum(axis=0, keepdims=True)]), d_pred @ w.T
+
+    value = (resid * resid).sum() * scale
+    return nc.Node(tape, np.array([[value]]), (leaf, latent), vjp), leaf
 
 
 def _channel_means(weather3: np.ndarray) -> np.ndarray:
@@ -224,25 +211,17 @@ def _train_joint_phase(weather3, static, y, cfg: PipelineConfig):
     x0 = _gp_inputs(_encode(params0, weather3), static, cfg.gp_input)
     gp0 = gp.init_state(x0, y, cfg.kernel_family)
     n_enc = params0.flatten().size
+    fixed = static if cfg.gp_input == "stacked" else None
 
     def step(vec):
         tape = nc.Tape()
-        params = enc.EncoderParams.from_flat(cfg.encoder, vec[:n_enc])
-        out = enc.forward(params, weather3, tape)
-        if cfg.gp_input == "latent":
-            x_node = out.latent
-        else:
-            x_node = nc.concat_cols([out.latent, tape.constant(static)])
-        h = gp.hypers_to_nodes(tape, gp0.with_hypers_flat(vec[n_enc:]))
-        loss_node = gp.nmll_node(tape, h, x_node, y)
-        loss = loss_node.value.item()
-        if not math.isfinite(loss):
-            return loss, None
-        nc.backward(tape, loss_node)
-        return loss, np.concatenate([out.leaves.grads_flat(), h.grads_flat()])
+        out = enc.forward(enc.EncoderParams.from_flat(cfg.encoder, vec[:n_enc]), weather3, tape)
+        loss, hypers = gp.nmll_node(tape, gp0.with_hypers_flat(vec[n_enc:]), out.latent, y, fixed)
+        nc.backward(tape, loss)
+        return loss.value.item(), np.concatenate([out.params.grad.ravel(), hypers.grad.ravel()])
 
     vec0 = np.concatenate([params0.flatten(), gp0.hypers_flat()])
-    best, trace = _adam_descent(step, vec0, cfg.gp_opt)
+    best, trace = optim.adam_descent(step, vec0, cfg.gp_opt)
     params = enc.EncoderParams.from_flat(cfg.encoder, best[:n_enc])
     z = _encode(params, weather3)
     state = gp0.with_hypers_flat(best[n_enc:]).refresh(_gp_inputs(z, static, cfg.gp_input), y)
@@ -257,25 +236,16 @@ def _train_mse_phase(weather3, y, cfg: PipelineConfig):
     d = cfg.encoder.latent
     rng = np.random.default_rng(cfg.encoder.seed + 1)
     head0 = np.concatenate([rng.uniform(-1.0, 1.0, d) / math.sqrt(d), [0.0]])
-    y_col = y.reshape(-1, 1)
 
     def step(vec):
         tape = nc.Tape()
-        params = enc.EncoderParams.from_flat(cfg.encoder, vec[:n_enc])
-        out = enc.forward(params, weather3, tape)
-        w = tape.leaf(vec[n_enc:n_enc + d].reshape(-1, 1))
-        b = tape.leaf(vec[n_enc + d:].reshape(1, 1))
-        diff = nc.sub(nc.add(nc.matmul(out.latent, w), b), tape.constant(y_col))
-        loss_node = nc.scale(nc.sum_all(nc.mul(diff, diff)), 1.0 / y.size)
-        loss = loss_node.value.item()
-        if not math.isfinite(loss):
-            return loss, None
-        nc.backward(tape, loss_node)
-        grad = np.concatenate([out.leaves.grads_flat(), w.grad.ravel(), b.grad.ravel()])
-        return loss, grad
+        out = enc.forward(enc.EncoderParams.from_flat(cfg.encoder, vec[:n_enc]), weather3, tape)
+        loss, head = mse_head_node(tape, out.latent, vec[n_enc:], y)
+        nc.backward(tape, loss)
+        return loss.value.item(), np.concatenate([out.params.grad.ravel(), head.grad.ravel()])
 
     vec0 = np.concatenate([params0.flatten(), head0])
-    best, trace = _adam_descent(step, vec0, cfg.gp_opt)
+    best, trace = optim.adam_descent(step, vec0, cfg.gp_opt)
     return enc.EncoderParams.from_flat(cfg.encoder, best[:n_enc]), best[n_enc:], trace
 
 

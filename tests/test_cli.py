@@ -216,6 +216,27 @@ class TestExitCodes:
         code, _ = run_cli("evaluate", "--pred", path, "--data", workspace["data"])
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["evaluate", "map"])
+    @pytest.mark.parametrize("corruption", ["nan", "inf", "duplicate"])
+    def test_bad_prediction_rows_are_one_validation_error(
+        self, workspace, tmp_path, command, corruption
+    ):
+        header, first, *rest = workspace["preds"].read_text().splitlines()
+        if corruption == "duplicate":
+            rows = [first, first] + rest
+        else:
+            cells = first.split(",")
+            cells[2] = corruption  # y_pred
+            rows = [",".join(cells)] + rest
+        path = tmp_path / "predictions.csv"
+        path.write_text("\n".join([header] + rows) + "\n")
+        extra = ("--out", tmp_path / "county.csv") if command == "map" else ()
+        code, err = run_cli_stderr(command, "--pred", path, "--data", workspace["data"], *extra)
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith("validation error: ")
+        assert not (tmp_path / "county.csv").exists()
+
     def test_divergent_training_exits_2(self, workspace, tmp_path):
         with np.errstate(all="ignore"):
             code, _ = run_cli("train", "--data", workspace["data"],

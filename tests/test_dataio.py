@@ -114,7 +114,7 @@ class TestCsvRoundTrip:
             assert (a.event_id, a.county_id, a.start_date) == (b.event_id, b.county_id, b.start_date)
             assert (a.latitude, a.longitude, a.fire_duration_days) == (
                 b.latitude, b.longitude, b.fire_duration_days)
-        assert ds.county_index == ds2.county_index
+        assert [e.county_id for e in ds.events] == [e.county_id for e in ds2.events]
 
     def test_missing_column_raises(self, tmp_path):
         p = tmp_path / "events.csv"
@@ -366,8 +366,9 @@ class TestSynthGenerate:
 
     def test_every_county_gets_an_event(self):
         ds, _ = dataio.synth_generate(12, 12, seed=21)
-        assert len(ds.county_index) == 12
-        assert all(int(cid[2:]) % 2 == 1 for cid in ds.county_index)
+        counties = {ev.county_id for ev in ds.events}
+        assert len(counties) == 12
+        assert all(int(cid[2:]) % 2 == 1 for cid in counties)
 
     def test_output_passes_validation_untouched(self):
         ds, _ = dataio.synth_generate(25, 3, seed=17)

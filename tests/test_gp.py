@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+import tape_reference as tr
 from scipy.special import gamma, kv
 
 from mvelma import gp
@@ -207,8 +208,7 @@ class TestNmll:
             mean_const=0.1,
         )
         tape = nc.Tape()
-        h = gp.hypers_to_nodes(tape, state)
-        node = gp.nmll_node(tape, h, tape.constant(x), y)
+        node, _ = gp.nmll_node(tape, state, None, y, fixed=x)
         assert abs(node.value.item() - gp.nmll(state, x, y)) < 1e-10
 
     def test_gradients_wrt_hypers_and_inputs(self):
@@ -226,16 +226,71 @@ class TestNmll:
                 st = base.with_hypers_flat(flat[:n_h])
                 xm = flat[n_h:].reshape(n, d)
                 tape = nc.Tape()
-                h = gp.hypers_to_nodes(tape, st)
                 x_node = tape.leaf(xm)
-                node = gp.nmll_node(tape, h, x_node, y)
+                node, hypers = gp.nmll_node(tape, st, x_node, y)
                 nc.backward(tape, node)
-                grad = np.concatenate([h.grads_flat(), x_node.grad.ravel()])
+                grad = np.concatenate([hypers.grad.ravel(), x_node.grad.ravel()])
                 return node.value.item(), grad
 
             flat0 = np.concatenate([base.hypers_flat(), x0.ravel()])
             err = nc.finite_diff_check(f, flat0, 1e-5)
             assert err < 1e-4, f"{family}: max rel grad error {err:.2e}"
+
+    @pytest.mark.parametrize("family", gp.FAMILIES)
+    def test_input_gradient_at_coincident_points(self, family):
+        """Two training points at r = 0 off the diagonal: the derivative
+        through r = sqrt(d2) is taken as 0 there, which is exact because
+        the kernel is even in r, so the X gradient stays finite and agrees
+        with central differences."""
+        rng = np.random.default_rng(SEED + 20)
+        x0 = rng.standard_normal((6, dims_for(family)))
+        x0[4] = x0[1]
+        y = rng.standard_normal(6)
+        state = gp.init_state(x0, y, family)
+
+        def f(flat):
+            tape = nc.Tape()
+            x_node = tape.leaf(flat.reshape(x0.shape))
+            node, _ = gp.nmll_node(tape, state, x_node, y)
+            nc.backward(tape, node)
+            return node.value.item(), x_node.grad.ravel()
+
+        value, grad = f(x0.ravel())
+        assert np.all(np.isfinite(grad))
+        numeric = nc.central_difference(lambda v: f(v)[0], x0.ravel(), 1e-5)
+        assert np.max(np.abs(grad - numeric)) < 1e-8 * max(1.0, np.max(np.abs(numeric)))
+
+    @pytest.mark.parametrize("family", gp.FAMILIES)
+    def test_block_matches_primitive_composition(self, family):
+        """The fused block against the same likelihood built from one tape
+        node per elementwise operation (tape_reference), with a coincident
+        pair among the inputs: value and gradients within 1e-10."""
+        rng = np.random.default_rng(SEED + 21)
+        x = rng.standard_normal((40, dims_for(family)))
+        x[7] = x[3]
+        y = rng.standard_normal(40)
+        state = gp.init_state(x, y, family)
+
+        tape = nc.Tape()
+        x_node = tape.leaf(x)
+        node, hypers = gp.nmll_node(tape, state, x_node, y)
+        nc.backward(tape, node)
+        ref_tape = nc.Tape()
+        ref_x = ref_tape.leaf(x)
+        ref, ref_hypers = tr.nmll(ref_tape, state, ref_x, y)
+        nc.backward(ref_tape, ref)
+
+        assert abs(node.value.item() - ref.value.item()) < 1e-10 * abs(ref.value.item())
+        for ours, theirs in ((hypers.grad, ref_hypers.grad), (x_node.grad, ref_x.grad)):
+            assert np.max(np.abs(ours.ravel() - theirs.ravel())) < 1e-10 * np.max(np.abs(theirs))
+
+    @pytest.mark.parametrize("family", gp.FAMILIES)
+    def test_kernel_block_value_is_kernel_matrix(self, family):
+        rng = np.random.default_rng(SEED + 22)
+        x = rng.standard_normal((9, 3))
+        spec = gp.init_state(x, rng.standard_normal(9), family).kernel
+        k, _ = gp.kernel_block(spec, x)
+        assert np.max(np.abs(k - gp.kernel_matrix(spec, x, x))) < 1e-15
 
 
 class TestPosterior:

@@ -1,8 +1,11 @@
 """Linear algebra and reverse-mode differentiation checks.
 
-Every differentiable primitive is verified against central finite
-differences at randomly drawn points; factorization and solve routines are
-verified by reconstruction and against hand-worked small cases.
+Factorization, solve and triangular-inverse routines are verified by
+reconstruction and against hand-worked small cases. The tape mechanics are
+exercised through the elementwise primitives of the test-only reference in
+`tape_reference`, each of which is verified against central finite
+differences at randomly drawn points; those primitives are the oracle that
+the fused blocks are checked against in `test_gp` and `test_pipeline`.
 """
 
 import gc
@@ -10,6 +13,8 @@ import weakref
 
 import numpy as np
 import pytest
+
+import tape_reference as tr
 
 from mvelma import numcore as nc
 from mvelma.errors import (
@@ -127,6 +132,17 @@ class TestSolveSpd:
             nc.solve_spd(f, np.ones((4, 1)))
 
 
+class TestLowerInverse:
+    @pytest.mark.parametrize("n", [1, 5, 64, 65, 200])
+    def test_inverts_cholesky_factor(self, n):
+        # sizes on both sides of the 64-row direct block and a two-level recursion
+        rng = np.random.default_rng(RNG_SEED + 10)
+        lower = nc.cholesky(random_spd(rng, n)).lower
+        inv = nc.lower_inverse(lower)
+        assert np.array_equal(inv, np.tril(inv))
+        assert np.allclose(inv @ lower, np.eye(n), atol=1e-10)
+
+
 def tape_grad_check(build, x0, step=1e-6, tol=1e-7):
     """build(tape, leaf) -> scalar node; checks d(out)/d(leaf) by central FD."""
 
@@ -151,46 +167,46 @@ class TestPrimitiveGradients:
         c = self.rng.standard_normal((1, 4))
         x0 = self.rng.standard_normal((3, 4))
         tape_grad_check(
-            lambda t, a: nc.sum_all(nc.mul(nc.add(a, t.constant(c)), a)), x0
+            lambda t, a: tr.sum_all(tr.mul(tr.add(a, t.leaf(c)), a)), x0
         )
 
     def test_sub(self):
         c = self.rng.standard_normal((3, 4))
         x0 = self.rng.standard_normal((3, 4))
         tape_grad_check(
-            lambda t, a: nc.sum_all(nc.mul(nc.sub(a, t.constant(c)), a)), x0
+            lambda t, a: tr.sum_all(tr.mul(tr.sub(a, t.leaf(c)), a)), x0
         )
 
     def test_mul_broadcast_column(self):
         c = self.rng.standard_normal((3, 1))
         x0 = self.rng.standard_normal((3, 4))
         tape_grad_check(
-            lambda t, a: nc.sum_all(nc.mul(a, nc.mul(t.constant(c), a))), x0
+            lambda t, a: tr.sum_all(tr.mul(a, tr.mul(t.leaf(c), a))), x0
         )
 
     def test_div(self):
         c = 2.0 + np.abs(self.rng.standard_normal((3, 4)))
         x0 = self.rng.standard_normal((3, 4))
         tape_grad_check(
-            lambda t, a: nc.sum_all(nc.div(nc.mul(a, a), t.constant(c))), x0
+            lambda t, a: tr.sum_all(tr.div(tr.mul(a, a), t.leaf(c))), x0
         )
 
     def test_div_wrt_denominator(self):
         num = self.rng.standard_normal((2, 3))
         x0 = 1.5 + np.abs(self.rng.standard_normal((2, 3)))
         tape_grad_check(
-            lambda t, a: nc.sum_all(nc.div(t.constant(num), a)), x0
+            lambda t, a: tr.sum_all(tr.div(t.leaf(num), a)), x0
         )
 
     def test_scale_and_neg(self):
         x0 = self.rng.standard_normal((2, 5))
-        tape_grad_check(lambda t, a: nc.sum_all(nc.scale(nc.mul(a, a), -2.5)), x0)
+        tape_grad_check(lambda t, a: tr.sum_all(tr.scale(tr.mul(a, a), -2.5)), x0)
 
     def test_matmul_left(self):
         c = self.rng.standard_normal((4, 2))
         x0 = self.rng.standard_normal((3, 4))
         tape_grad_check(
-            lambda t, a: nc.sum_all(nc.mul(nc.matmul(a, t.constant(c)), nc.matmul(a, t.constant(c)))),
+            lambda t, a: tr.sum_all(tr.mul(tr.matmul(a, t.leaf(c)), tr.matmul(a, t.leaf(c)))),
             x0,
         )
 
@@ -198,50 +214,50 @@ class TestPrimitiveGradients:
         c = self.rng.standard_normal((3, 4))
         x0 = self.rng.standard_normal((4, 2))
         tape_grad_check(
-            lambda t, a: nc.sum_all(nc.mul(nc.matmul(t.constant(c), a), nc.matmul(t.constant(c), a))),
+            lambda t, a: tr.sum_all(tr.mul(tr.matmul(t.leaf(c), a), tr.matmul(t.leaf(c), a))),
             x0,
         )
 
     def test_sigmoid(self):
         x0 = 3.0 * self.rng.standard_normal((3, 3))
-        tape_grad_check(lambda t, a: nc.sum_all(nc.sigmoid(a)), x0)
+        tape_grad_check(lambda t, a: tr.sum_all(tr.sigmoid(a)), x0)
 
     def test_sigmoid_extreme_inputs_finite(self):
         tape = nc.Tape()
         leaf = tape.leaf(np.array([[-800.0, 800.0]]))
-        out = nc.sum_all(nc.sigmoid(leaf))
+        out = tr.sum_all(tr.sigmoid(leaf))
         nc.backward(tape, out)
         assert np.all(np.isfinite(out.value))
         assert np.all(np.isfinite(leaf.grad))
 
     def test_tanh(self):
         x0 = 2.0 * self.rng.standard_normal((2, 4))
-        tape_grad_check(lambda t, a: nc.sum_all(nc.tanh(a)), x0)
+        tape_grad_check(lambda t, a: tr.sum_all(tr.tanh(a)), x0)
 
     def test_exp(self):
         x0 = self.rng.standard_normal((2, 3))
-        tape_grad_check(lambda t, a: nc.sum_all(nc.exp(a)), x0)
+        tape_grad_check(lambda t, a: tr.sum_all(tr.exp(a)), x0)
 
     def test_log(self):
         x0 = 1.0 + np.abs(self.rng.standard_normal((2, 3)))
-        tape_grad_check(lambda t, a: nc.sum_all(nc.log(a)), x0)
+        tape_grad_check(lambda t, a: tr.sum_all(tr.log(a)), x0)
 
     def test_sin(self):
         x0 = self.rng.standard_normal((3, 2))
-        tape_grad_check(lambda t, a: nc.sum_all(nc.sin(a)), x0)
+        tape_grad_check(lambda t, a: tr.sum_all(tr.sin(a)), x0)
 
     def test_power_integer(self):
         x0 = self.rng.standard_normal((2, 3))
-        tape_grad_check(lambda t, a: nc.sum_all(nc.power(a, 3.0)), x0)
+        tape_grad_check(lambda t, a: tr.sum_all(tr.power(a, 3.0)), x0)
 
     def test_power_half(self):
         x0 = 0.5 + np.abs(self.rng.standard_normal((2, 3)))
-        tape_grad_check(lambda t, a: nc.sum_all(nc.power(a, 0.5)), x0)
+        tape_grad_check(lambda t, a: tr.sum_all(tr.power(a, 0.5)), x0)
 
     def test_power_zero_base_clamped(self):
         tape = nc.Tape()
         leaf = tape.leaf(np.array([[0.0, 4.0]]))
-        out = nc.sum_all(nc.power(leaf, 0.5))
+        out = tr.sum_all(tr.power(leaf, 0.5))
         nc.backward(tape, out)
         g = leaf.grad
         assert g[0, 0] == 0.0
@@ -251,21 +267,21 @@ class TestPrimitiveGradients:
         x0 = self.rng.standard_normal((3, 5))
         w = self.rng.standard_normal((3, 5))
         tape_grad_check(
-            lambda t, a: nc.sum_all(nc.mul(nc.softmax_rows(a), t.constant(w))), x0
+            lambda t, a: tr.sum_all(tr.mul(tr.softmax_rows(a), t.leaf(w))), x0
         )
 
     def test_softmax_rows_sum_to_one(self):
         tape = nc.Tape()
         a = tape.leaf(self.rng.standard_normal((4, 7)) * 10)
-        s = nc.softmax_rows(a)
+        s = tr.softmax_rows(a)
         assert np.allclose(s.value.sum(axis=1), 1.0, atol=1e-14)
         assert np.all(s.value >= 0)
 
     def test_softmax_shift_invariance(self):
         x = self.rng.standard_normal((2, 6))
         t1, t2 = nc.Tape(), nc.Tape()
-        s1 = nc.softmax_rows(t1.leaf(x))
-        s2 = nc.softmax_rows(t2.leaf(x + 123.0))
+        s1 = tr.softmax_rows(t1.leaf(x))
+        s2 = tr.softmax_rows(t2.leaf(x + 123.0))
         assert np.allclose(s1.value, s2.value, atol=1e-12)
 
     def test_concat_and_slice(self):
@@ -273,15 +289,15 @@ class TestPrimitiveGradients:
         w = self.rng.standard_normal((3, 8))
 
         def build(t, a):
-            cat = nc.concat_cols([a, nc.mul(a, a)])
-            return nc.sum_all(nc.mul(cat, t.constant(w)))
+            cat = tr.concat_cols([a, tr.mul(a, a)])
+            return tr.sum_all(tr.mul(cat, t.leaf(w)))
 
         tape_grad_check(build, x0)
 
     def test_slice_cols_grad(self):
         x0 = self.rng.standard_normal((2, 6))
         tape_grad_check(
-            lambda t, a: nc.sum_all(nc.mul(nc.slice_cols(a, 1, 4), nc.slice_cols(a, 2, 5))),
+            lambda t, a: tr.sum_all(tr.mul(tr.slice_cols(a, 1, 4), tr.slice_cols(a, 2, 5))),
             x0,
         )
 
@@ -291,10 +307,10 @@ class TestPrimitiveGradients:
         w = self.rng.standard_normal((4, 5))
 
         def build_a(t, a):
-            return nc.sum_all(nc.mul(nc.sqdist(a, t.constant(b0)), t.constant(w)))
+            return tr.sum_all(tr.mul(tr.sqdist(a, t.leaf(b0)), t.leaf(w)))
 
         def build_b(t, b):
-            return nc.sum_all(nc.mul(nc.sqdist(t.constant(a0), b), t.constant(w)))
+            return tr.sum_all(tr.mul(tr.sqdist(t.leaf(a0), b), t.leaf(w)))
 
         tape_grad_check(build_a, a0, tol=1e-6)
         tape_grad_check(build_b, b0, tol=1e-6)
@@ -303,14 +319,14 @@ class TestPrimitiveGradients:
         a = np.array([[0.0, 0.0], [1.0, 0.0]])
         b = np.array([[0.0, 3.0]])
         tape = nc.Tape()
-        d = nc.sqdist(tape.leaf(a), tape.leaf(b))
+        d = tr.sqdist(tape.leaf(a), tape.leaf(b))
         assert np.allclose(d.value, [[9.0], [10.0]], atol=1e-14)
 
     def test_sqdist_self_diagonal_zero(self):
         x = self.rng.standard_normal((6, 4)) * 100
         tape = nc.Tape()
         a = tape.leaf(x)
-        d = nc.sqdist(a, a)
+        d = tr.sqdist(a, a)
         assert np.all(np.diag(d.value) == 0.0)
         assert np.all(d.value >= 0.0)
 
@@ -318,9 +334,9 @@ class TestPrimitiveGradients:
         x0 = self.rng.standard_normal((1, 1)) ** 2 + 1.0
 
         def build(t, s):
-            base = t.constant(random_spd(np.random.default_rng(0), 3))
-            a = nc.add_diag(base, s)
-            return nc.chol_logdet(a)
+            base = t.leaf(random_spd(np.random.default_rng(0), 3))
+            a = tr.add_diag(base, s)
+            return tr.chol_logdet(a)
 
         tape_grad_check(build, x0)
 
@@ -329,7 +345,7 @@ class TestPrimitiveGradients:
         a = random_spd(rng, 5)
         b = rng.standard_normal((5, 1))
         tape = nc.Tape()
-        q = nc.chol_quad_form(tape.constant(a), tape.constant(b))
+        q = tr.chol_quad_form(tape.leaf(a), tape.leaf(b))
         expected = (b.T @ np.linalg.solve(a, b)).item()
         assert abs(q.value[0, 0] - expected) < 1e-10
 
@@ -338,7 +354,7 @@ class TestPrimitiveGradients:
         a = random_spd(rng, 4)
         b0 = rng.standard_normal((4, 1))
         tape_grad_check(
-            lambda t, b: nc.chol_quad_form(t.constant(a), b), b0
+            lambda t, b: tr.chol_quad_form(t.leaf(a), b), b0
         )
 
     def test_chol_quad_form_grad_a(self):
@@ -351,12 +367,12 @@ class TestPrimitiveGradients:
         def f(x):
             tape = nc.Tape()
             leaf = tape.leaf(x.reshape(1, 3))
-            a_node = tape.constant(a0)
+            a_node = tape.leaf(a0)
             for i in range(3):
                 e = np.zeros((3, 3))
                 e[i, i] = 1.0
-                a_node = nc.add(a_node, nc.mul(nc.slice_cols(leaf, i, i + 1), tape.constant(e)))
-            out = nc.chol_quad_form(a_node, tape.constant(b))
+                a_node = tr.add(a_node, tr.mul(tr.slice_cols(leaf, i, i + 1), tape.leaf(e)))
+            out = tr.chol_quad_form(a_node, tape.leaf(b))
             nc.backward(tape, out)
             return float(out.value[0, 0]), leaf.grad.ravel().copy()
 
@@ -367,7 +383,7 @@ class TestPrimitiveGradients:
         rng = np.random.default_rng(RNG_SEED + 7)
         a = random_spd(rng, 6)
         tape = nc.Tape()
-        node = nc.chol_logdet(tape.constant(a))
+        node = tr.chol_logdet(tape.leaf(a))
         assert abs(node.value[0, 0] - np.linalg.slogdet(a)[1]) < 1e-10
 
     def test_chol_logdet_grad_via_diag(self):
@@ -378,12 +394,12 @@ class TestPrimitiveGradients:
         def f(x):
             tape = nc.Tape()
             leaf = tape.leaf(x.reshape(1, 3))
-            a_node = tape.constant(a0)
+            a_node = tape.leaf(a0)
             for i in range(3):
                 e = np.zeros((3, 3))
                 e[i, i] = 1.0
-                a_node = nc.add(a_node, nc.mul(nc.slice_cols(leaf, i, i + 1), tape.constant(e)))
-            out = nc.chol_logdet(a_node)
+                a_node = tr.add(a_node, tr.mul(tr.slice_cols(leaf, i, i + 1), tape.leaf(e)))
+            out = tr.chol_logdet(a_node)
             nc.backward(tape, out)
             return float(out.value[0, 0]), leaf.grad.ravel().copy()
 
@@ -407,7 +423,7 @@ class TestTapeMechanics:
         # y = x*x + x*x -> dy/dx = 4x
         tape = nc.Tape()
         x = tape.leaf(3.0)
-        y = nc.add(nc.mul(x, x), nc.mul(x, x))
+        y = tr.add(tr.mul(x, x), tr.mul(x, x))
         nc.backward(tape, y)
         assert abs(x.grad[0, 0] - 12.0) < 1e-14
 
@@ -415,13 +431,13 @@ class TestTapeMechanics:
         tape = nc.Tape()
         x = tape.leaf(1.0)
         z = tape.leaf(5.0)
-        nc.backward(tape, nc.mul(x, x))
+        nc.backward(tape, tr.mul(x, x))
         assert z.grad[0, 0] == 0.0
 
     def test_repeated_backward_resets(self):
         tape = nc.Tape()
         x = tape.leaf(2.0)
-        y = nc.mul(x, x)
+        y = tr.mul(x, x)
         nc.backward(tape, y)
         first = x.grad.copy()
         nc.backward(tape, y)
@@ -433,29 +449,35 @@ class TestTapeMechanics:
         try:
             tape = nc.Tape()
             x = tape.leaf(2.0)
-            nc.backward(tape, nc.mul(x, x))
+            nc.backward(tape, tr.mul(x, x))
             ref = weakref.ref(tape)
             del tape
             assert ref() is None
         finally:
             gc.enable()
         with pytest.raises(ReferenceError):
-            nc.add(x, 1.0)  # a constant needs the freed tape
+            tr.add(x, 1.0)  # a constant needs the freed tape
 
-    def test_operator_sugar(self):
+    def test_custom_block_one_adjoint_per_parent(self):
+        # out = sum(a) * sum(b); adjoints arrive in parents order
         tape = nc.Tape()
-        x = tape.leaf(4.0)
-        y = (x * x - 2.0 * x + 1.0) / 2.0
-        nc.backward(tape, y)
-        assert abs(y.value[0, 0] - 4.5) < 1e-14
-        assert abs(x.grad[0, 0] - 3.0) < 1e-14
+        a = tape.leaf(np.array([[1.0, 2.0]]))
+        b = tape.leaf(np.array([[3.0], [4.0]]))
+        sa, sb = a.value.sum(), b.value.sum()
+        out = nc.custom(tape, np.array([[sa * sb]]), (a, b),
+                        lambda g: (g * sb * np.ones((1, 2)), g * sa * np.ones((2, 1))))
+        nc.backward(tape, out)
+        assert out.value[0, 0] == 21.0
+        assert np.array_equal(a.grad, [[7.0, 7.0]])
+        assert np.array_equal(b.grad, [[3.0], [3.0]])
+        assert tape.nodes == [a, b, out]
 
     def test_mixed_tapes_rejected(self):
         t1, t2 = nc.Tape(), nc.Tape()
         a = t1.leaf(1.0)
         b = t2.leaf(2.0)
         with pytest.raises(DimensionMismatch):
-            nc.add(a, b)
+            tr.add(a, b)
 
 
 class TestFiniteDiffCheck:
@@ -485,8 +507,8 @@ class TestFiniteDiffCheck:
         def f(x):
             tape = nc.Tape()
             leaf = tape.leaf(x.reshape(2, 2))
-            h = nc.tanh(nc.matmul(leaf, tape.constant(w[:2, :2])))
-            out = nc.sum_all(nc.mul(nc.sigmoid(h), nc.exp(nc.scale(h, 0.3))))
+            h = tr.tanh(tr.matmul(leaf, tape.leaf(w[:2, :2])))
+            out = tr.sum_all(tr.mul(tr.sigmoid(h), tr.exp(tr.scale(h, 0.3))))
             nc.backward(tape, out)
             return float(out.value[0, 0]), leaf.grad.ravel().copy()
 
