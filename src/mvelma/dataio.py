@@ -188,6 +188,7 @@ def read_weather(path) -> dict:
     req = ["event_id", "day_offset"] + WEATHER_COLUMNS
     f, reader = _open_reader(path, req)
     out: dict = {}
+    seen = set()  # (event_id, day_offset), so a repeat of an all-blank row is caught too
     with f:
         for row_no, row in enumerate(reader, start=2):
             eid = row["event_id"].strip()
@@ -196,12 +197,14 @@ def read_weather(path) -> dict:
                 raise SchemaError(
                     f"{path} row {row_no}: day_offset must be an integer in [-30, -1], got {row['day_offset']}"
                 )
-            t = int(off) + SEQ_LEN  # -30 -> row 0 ... -1 -> row 29
-            mat = out.setdefault(eid, np.full((SEQ_LEN, N_CHANNELS), np.nan))
-            if not np.all(np.isnan(mat[t])):
+            if (eid, off) in seen:
                 raise SchemaError(f"{path} row {row_no}: duplicate day_offset {int(off)} for event {eid}")
-            for j, col in enumerate(WEATHER_COLUMNS):
-                mat[t, j] = _parse_float(row[col], path, row_no, col)
+            seen.add((eid, off))
+            mat = out.get(eid)
+            if mat is None:
+                mat = out[eid] = np.full((SEQ_LEN, N_CHANNELS), np.nan)
+            # -30 -> row 0 ... -1 -> row 29
+            mat[int(off) + SEQ_LEN] = [_parse_float(row[col], path, row_no, col) for col in WEATHER_COLUMNS]
     return out
 
 

@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from mvelma import cli, dataio, pipeline
+from mvelma import cli, dataio, encoder, pipeline
 
 
 def run_cli(*argv):
@@ -154,6 +154,29 @@ class TestTrainPredictEvaluate:
             outs.append(out)
         assert (tmp_path / "m1.json").read_bytes() == (tmp_path / "m2.json").read_bytes()
         assert metrics_line(outs[0]) == metrics_line(outs[1])
+
+    def test_train_is_deterministic_with_threaded_encoder(self, workspace, tmp_path, monkeypatch):
+        """At this width the encoder runs its two directions on two threads
+        wherever more than one CPU is available. Two runs, and a run forced
+        onto the sequential path, write the same model bytes."""
+        hidden = 140
+        knobs = ("--epochs", 3, "--trees", 5, "--hidden", hidden, "--latent", 4)
+        outs = []
+        for name in ("m1.json", "m2.json"):
+            code, out = run_cli("train", "--data", workspace["data"],
+                                "--model", tmp_path / name, *knobs)
+            assert code == 0
+            outs.append(out)
+        n_train = len(json.loads((tmp_path / "m1.json").read_text())["train_event_ids"])
+        assert n_train * hidden >= encoder._THREAD_MIN_STATE
+        assert (tmp_path / "m1.json").read_bytes() == (tmp_path / "m2.json").read_bytes()
+        assert metrics_line(outs[0]) == metrics_line(outs[1])
+
+        monkeypatch.setattr(encoder, "_THREAD_MIN_STATE", n_train * hidden + 1)
+        code, _ = run_cli("train", "--data", workspace["data"],
+                          "--model", tmp_path / "sequential.json", *knobs)
+        assert code == 0
+        assert (tmp_path / "sequential.json").read_bytes() == (tmp_path / "m1.json").read_bytes()
 
 
 class TestMapAndAblate:

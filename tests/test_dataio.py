@@ -179,6 +179,18 @@ class TestCsvRoundTrip:
         with pytest.raises(SchemaError, match="duplicate day_offset"):
             dataio.read_weather(p)
 
+    def test_duplicate_of_blank_day_offset_raises(self, tmp_path):
+        # a repeat must not overwrite a first row whose values were all blank
+        p = tmp_path / "weather.csv"
+        cols = ",".join(dataio.WEATHER_COLUMNS)
+        blank = ",".join([""] * 9)
+        vals = ",".join(["1.0"] * 9)
+        p.write_text(
+            f"event_id,day_offset,{cols}\ne0,-5,{blank}\ne0,-5,{vals}\n"
+        )
+        with pytest.raises(SchemaError, match="row 3: duplicate day_offset -5 for event e0"):
+            dataio.read_weather(p)
+
     def test_ndvi_out_of_range_raises(self, tmp_path):
         p = tmp_path / "ndvi.csv"
         p.write_text("event_id,date,ndvi\ne0,2020-06-01,1.5\n")

@@ -1,9 +1,13 @@
 """Encoder checks: shapes, determinism, attention behavior, architecture
-symmetry, and gradients against finite differences."""
+symmetry, gradients against finite differences, and the fused block against
+the per-gate oracle in encoder_reference.py on both of its thread paths."""
 
 import numpy as np
 import pytest
 import tape_reference as tr
+from encoder_reference import reference_forward
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvelma import encoder as enc
 from mvelma import numcore as nc
@@ -184,3 +188,71 @@ class TestGradients:
 
         x0 = enc.init_params(cfg).flatten()
         assert nc.finite_diff_check(f, x0, 1e-5) < 1e-4
+
+
+@st.composite
+def encoder_problems(draw):
+    cfg = enc.EncoderConfig(
+        input_width=draw(st.integers(1, 5)),
+        seq_len=draw(st.integers(1, 8)),
+        hidden=draw(st.integers(1, 16)),
+        latent=draw(st.integers(1, 4)),
+    )
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    params = enc.EncoderParams.from_flat(cfg, rng.uniform(-1.0, 1.0, enc.param_count(cfg)))
+    batch = 2.0 * rng.standard_normal((n, cfg.seq_len, cfg.input_width))
+    return params, batch, rng.standard_normal((n, cfg.latent))
+
+
+def _encode(params, batch, w):
+    """Latents, attention and the gradient of sum(Z * w) in flatten() order."""
+    tape = nc.Tape()
+    out = enc.forward(params, batch, tape)
+    nc.backward(tape, tr.sum_all(tr.mul(out.latent, w)))
+    return out.Z, out.alpha, out.params.grad.ravel()
+
+
+def _assert_rel_close(actual, expected, rtol=1e-12):
+    np.testing.assert_allclose(actual, expected, rtol=0.0, atol=rtol * np.abs(expected).max())
+
+
+class TestReferenceOracle:
+    """The fused block sums in another order than the per-gate reference, so
+    it must match to a relative 1e-12, not bit for bit. Its threaded and
+    sequential paths do the same arithmetic and must match exactly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(encoder_problems())
+    def test_matches_reference_on_both_paths(self, problem):
+        params, batch, w = problem
+        latent, attention, vjp = reference_forward(params, batch)
+        pools = []
+
+        class CountingPool(enc.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(enc, "ThreadPoolExecutor", CountingPool)
+            mp.setattr(enc, "_THREAD_MIN_STATE", batch.shape[0] * params.config.hidden + 1)
+            sequential = _encode(params, batch, w)
+            assert not pools
+            mp.setattr(enc, "_THREAD_MIN_STATE", 0)
+            threaded = _encode(params, batch, w)
+            if enc._thread_directions(1, 1):  # more than one CPU available
+                assert len(pools) == 2  # forward pass and reverse pass
+
+        z, alpha, grad = sequential
+        _assert_rel_close(z, latent)
+        _assert_rel_close(alpha, attention)
+        _assert_rel_close(grad, vjp(w))
+        for a, b in zip(sequential, threaded):
+            assert np.array_equal(a, b)
+
+    def test_thread_rule_separates_the_benchmark_shapes(self):
+        # the criterion-7 shape (400 x 12) stays on one thread; the CLI
+        # default (400 x 64) uses two wherever two CPUs are available
+        assert not enc._thread_directions(400, 12)
+        assert enc._thread_directions(400, 64) == enc._thread_directions(10**6, 10**6)

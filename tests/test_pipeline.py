@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import tape_reference as tr
 
-from mvelma import dataio, gp, optim, pipeline
+from mvelma import dataio, encoder, gp, optim, pipeline
 from mvelma import numcore as nc
 from mvelma.encoder import EncoderConfig
 from mvelma.errors import (
@@ -407,6 +407,15 @@ class TestSerialization:
 class TestTapeLifetime:
     @pytest.mark.parametrize("tag", ["full", "no-gpr", "no-bilstm"])
     def test_epoch_tapes_freed_without_cycle_collector(self, monkeypatch, tag):
+        self.check_tapes_freed(monkeypatch, tag)
+
+    def test_epoch_tapes_freed_with_threaded_encoder(self, monkeypatch):
+        # both encoder directions on two threads, wherever two CPUs are available
+        monkeypatch.setattr(encoder, "_THREAD_MIN_STATE", 0)
+        self.check_tapes_freed(monkeypatch, "full")
+
+    @staticmethod
+    def check_tapes_freed(monkeypatch, tag):
         tapes = []
 
         class RecordingTape(nc.Tape):
