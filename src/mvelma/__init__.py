@@ -9,9 +9,13 @@ prediction. Everything differentiable is a fused block on the minimal tape in
 product. There are three: the encoder (`encoder.forward`), the GP marginal
 likelihood (`gp.nmll_node`, built on the closed-form kernel derivatives of
 `gp.kernel_from_sqdist`), and the linear MSE head (`pipeline.mse_head_node`);
-`optim.adam_descent` is the one training loop. The command line in `cli`
-covers synthesis, training, prediction, evaluation, ablation, and county
-aggregation.
+`optim.adam_descent` is the one training loop. The encoder stores its
+weights in the fused layout its kernels use, one (W+1+H) x 4H matrix per
+direction; one permutation maps it to the per-gate order of the model file
+at save and load. `pipeline._train_encoder` is its one training routine,
+taking either the likelihood or the head as the loss block. The command
+line in `cli` covers synthesis, training, prediction, evaluation, ablation,
+and county aggregation.
 """
 
 from . import cli, dataio, encoder, errors, forest, gp, gradcheck, numcore, optim, pipeline

@@ -122,13 +122,18 @@ def _fmt(v) -> str:
 
 
 def _parse_float(text, path, row_no, col):
+    """A cell's number: NaN for a blank or 'nan' cell, which the imputation
+    rules handle; an error for text that is not a finite number."""
     text = text.strip()
     if text == "" or text.lower() == "nan":
         return math.nan
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise SchemaError(f"{path} row {row_no} column {col!r}: not a number: {text!r}") from None
+    if math.isinf(value):
+        raise SchemaError(f"{path} row {row_no} column {col!r}: not a finite number: {text!r}")
+    return value
 
 
 def _parse_date(text, path, row_no, col):
@@ -166,6 +171,11 @@ def read_events(path) -> list:
                     row["fire_duration_days"], path, row_no, "fire_duration_days"
                 ),
             )
+            # the duration is a model input that no imputation rule fills
+            if math.isnan(ev.fire_duration_days):
+                raise SchemaError(
+                    f"{path} row {row_no} column 'fire_duration_days': missing value"
+                )
             if ev.fire_duration_days < 0:
                 raise SchemaError(f"{path} row {row_no}: negative fire_duration_days")
             if has_conf:

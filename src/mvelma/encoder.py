@@ -7,13 +7,19 @@ tanh projection of the attention-weighted context. The whole computation is
 one fused block on a numcore tape whose only parent is a leaf holding the
 flat parameter vector, so gradients flow to every parameter.
 
-Inside the block each direction's four gates share fused weights, with gate
-blocks in the order (output, input, forget, cell): (W+1) x 4H for the inputs,
-the bias being the row that meets a constant-one input, and H x 4H for the
-recurrence. Arrays are feature-major, with the batch as the last, contiguous
-axis: the inputs are (W+1) x T x N, each step's gates a contiguous 4H x N
-block of a T x 4H x N array, and every gate's slice an H x N block whose rows
-are N values long, so the elementwise work of a step runs on long contiguous
+The parameters are stored in the layout the kernels use (EncoderParams):
+each direction's four gates share one (W+1+H) x 4H matrix, rows being the
+input weights, the bias, which meets a constant-one input, and the recurrent
+weights, and column blocks the gates in the order (output, input, forget,
+cell). The block reads these matrices as they are and writes its gradient
+straight into a vector of the same layout. The model file keeps its per-gate
+order; one permutation (_file_order) maps between the two at save and load,
+and init_params draws in file order so a seed gives the same parameters.
+
+Arrays are feature-major, with the batch as the last, contiguous axis: the
+inputs are (W+1) x T x N, each step's gates a contiguous 4H x N block of a
+T x 4H x N array, and every gate's slice an H x N block whose rows are N
+values long, so the elementwise work of a step runs on long contiguous
 rows at any hidden size. One product gives the input projection and bias of
 all steps, each step adds one recurrent product, the adjoint of a step's
 state is one product with the recurrent weights, and the weight and bias
@@ -43,9 +49,6 @@ import numpy as np
 from . import numcore as nc
 from .errors import NonFiniteInput, ShapeMismatch
 
-GATE_NAMES = ("input", "forget", "cell", "output")
-
-
 @dataclass
 class EncoderConfig:
     input_width: int = 9  # weather channels per day
@@ -60,114 +63,104 @@ class EncoderConfig:
                 raise ShapeMismatch(f"EncoderConfig.{name} must be >= 1")
 
 
-@dataclass
-class CellParams:
-    """One direction's LSTM cell: per-gate weights (W+d_h) x d_h and biases 1 x d_h.
+# Gate blocks of the fused weights, as indices into the (input, forget, cell,
+# output) order of the model file: the three sigmoid gates come first so one
+# slice covers them, then the cell candidate.
+_GATE_ORDER = (3, 0, 1, 2)  # output, input, forget, cell
 
-    Gate order everywhere is (input, forget, cell, output).
+
+def _shapes(cfg: EncoderConfig):
+    """Shapes of the parts of the flat vector: each direction's fused matrix,
+    then attn_w, attn_b, proj_w and proj_b."""
+    fused = (cfg.input_width + 1 + cfg.hidden, 4 * cfg.hidden)
+    d2 = 2 * cfg.hidden
+    return [fused, fused, (d2, 1), (1, 1), (d2, cfg.latent), (1, cfg.latent)]
+
+
+def param_count(cfg: EncoderConfig) -> int:
+    return sum(r * c for r, c in _shapes(cfg))
+
+
+def _parts(cfg: EncoderConfig, flat: np.ndarray):
+    """Views of a flat vector, one per entry of _shapes."""
+    parts, j = [], 0
+    for r, c in _shapes(cfg):
+        parts.append(flat[j:j + r * c].reshape(r, c))
+        j += r * c
+    return parts
+
+
+def _file_order(cfg: EncoderConfig) -> np.ndarray:
+    """Positions in the flat vector of the model file's values, in file order.
+
+    The file stores each direction (forward, then reversed time) as four
+    (W+H) x H gate weights, inputs above recurrence, and then four 1 x H gate
+    biases, both in (input, forget, cell, output) order; attn_w, attn_b,
+    proj_w and proj_b follow as they are.
     """
-
-    w_input: np.ndarray
-    w_forget: np.ndarray
-    w_cell: np.ndarray
-    w_output: np.ndarray
-    b_input: np.ndarray
-    b_forget: np.ndarray
-    b_cell: np.ndarray
-    b_output: np.ndarray
-
-    def arrays(self):
-        return [
-            self.w_input, self.w_forget, self.w_cell, self.w_output,
-            self.b_input, self.b_forget, self.b_cell, self.b_output,
-        ]
+    width, d_h = cfg.input_width, cfg.hidden
+    parts = _parts(cfg, np.arange(param_count(cfg)))
+    order = []
+    for fused in parts[:2]:  # per direction, its gate blocks in file order
+        gates = [fused[:, p * d_h:(p + 1) * d_h] for p in map(_GATE_ORDER.index, range(4))]
+        order += [np.delete(g, width, axis=0) for g in gates] + [g[width] for g in gates]
+    return np.concatenate([a.ravel() for a in order + parts[2:]])
 
 
 @dataclass
 class EncoderParams:
+    """The encoder's parameters as one flat vector in the layout its kernels
+    use, with named views into it.
+
+    Each direction (forward, then reversed time) is one (W+1+H) x 4H matrix:
+    rows are the input weights, the bias, which meets a constant-one input,
+    and the recurrent weights; column blocks are the gates in _GATE_ORDER.
+    attn_w (2H x 1), attn_b (1 x 1), proj_w (2H x D) and proj_b (1 x D)
+    follow. Writing to a view writes to ``flat``.
+    """
+
     config: EncoderConfig
-    forward_cell: CellParams
-    backward_cell: CellParams
-    attn_w: np.ndarray  # 2d_h x 1
-    attn_b: np.ndarray  # 1 x 1
-    proj_w: np.ndarray  # 2d_h x D
-    proj_b: np.ndarray  # 1 x D
+    flat: np.ndarray
 
-    def arrays(self):
-        return (
-            self.forward_cell.arrays()
-            + self.backward_cell.arrays()
-            + [self.attn_w, self.attn_b, self.proj_w, self.proj_b]
-        )
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self.arrays()])
+    def __post_init__(self):
+        self.flat = np.asarray(self.flat, dtype=np.float64)
+        expected = param_count(self.config)
+        if self.flat.shape != (expected,):
+            raise ShapeMismatch(f"expected {expected} parameters, got {self.flat.size}")
+        parts = _parts(self.config, self.flat)
+        self.directions = tuple(parts[:2])
+        self.attn_w, self.attn_b, self.proj_w, self.proj_b = parts[2:]
 
     @classmethod
-    def from_flat(cls, cfg: EncoderConfig, flat: np.ndarray) -> "EncoderParams":
-        expected = param_count(cfg)
-        if flat.size != expected:
-            raise ShapeMismatch(f"expected {expected} parameters, got {flat.size}")
-        shapes = _param_shapes(cfg)
-        out, j = [], 0
-        for shp in shapes:
-            k = shp[0] * shp[1]
-            out.append(np.asarray(flat[j : j + k], dtype=np.float64).reshape(shp))
-            j += k
-        return cls(
-            config=cfg,
-            forward_cell=CellParams(*out[0:8]),
-            backward_cell=CellParams(*out[8:16]),
-            attn_w=out[16],
-            attn_b=out[17],
-            proj_w=out[18],
-            proj_b=out[19],
-        )
+    def from_file_order(cls, cfg: EncoderConfig, values) -> "EncoderParams":
+        """Parameters from the model file's per-gate order (see _file_order)."""
+        values = cls(cfg, values).flat  # checks the length
+        flat = np.empty_like(values)
+        flat[_file_order(cfg)] = values
+        return cls(cfg, flat)
 
-
-def _param_shapes(cfg: EncoderConfig):
-    win = cfg.input_width + cfg.hidden
-    cell = [(win, cfg.hidden)] * 4 + [(1, cfg.hidden)] * 4
-    return cell + cell + [
-        (2 * cfg.hidden, 1),
-        (1, 1),
-        (2 * cfg.hidden, cfg.latent),
-        (1, cfg.latent),
-    ]
-
-
-def param_count(cfg: EncoderConfig) -> int:
-    return sum(r * c for r, c in _param_shapes(cfg))
+    def in_file_order(self) -> np.ndarray:
+        return self.flat[_file_order(self.config)]
 
 
 def init_params(cfg: EncoderConfig) -> EncoderParams:
     """Seeded uniform(-1/sqrt(d_h), 1/sqrt(d_h)) weights; zero biases except
     the forget gates, which start at 1.0 to keep early memory open.
 
-    Draw order is fixed (forward cell gates i/f/c/o, backward cell, attention,
-    projection) so a seed reproduces parameters bit for bit.
+    Draws follow the file order (forward cell gates i/f/c/o, backward cell,
+    attention, projection) so a seed reproduces parameters bit for bit.
     """
     rng = np.random.default_rng(cfg.seed)
     bound = 1.0 / np.sqrt(cfg.hidden)
-    win = cfg.input_width + cfg.hidden
-
-    def cell():
-        ws = [rng.uniform(-bound, bound, size=(win, cfg.hidden)) for _ in range(4)]
-        bs = [np.zeros((1, cfg.hidden)) for _ in range(4)]
-        bs[1] = np.ones((1, cfg.hidden))  # forget gate
-        return CellParams(*ws, *bs)
-
-    fwd, bwd = cell(), cell()
-    attn_w = rng.uniform(-bound, bound, size=(2 * cfg.hidden, 1))
-    proj_w = rng.uniform(-bound, bound, size=(2 * cfg.hidden, cfg.latent))
-    return EncoderParams(
-        config=cfg,
-        forward_cell=fwd,
-        backward_cell=bwd,
-        attn_w=attn_w,
-        attn_b=np.zeros((1, 1)),
-        proj_w=proj_w,
-        proj_b=np.zeros((1, cfg.latent)),
+    d_h, win = cfg.hidden, cfg.input_width + cfg.hidden
+    biases = np.zeros((4, d_h))
+    biases[1] = 1.0  # forget gate
+    cells = [np.concatenate([rng.uniform(-bound, bound, 4 * win * d_h), biases.ravel()])
+             for _ in range(2)]
+    attn_w = rng.uniform(-bound, bound, 2 * d_h)
+    proj_w = rng.uniform(-bound, bound, 2 * d_h * cfg.latent)
+    return EncoderParams.from_file_order(
+        cfg, np.concatenate(cells + [attn_w, [0.0], proj_w, np.zeros(cfg.latent)])
     )
 
 
@@ -175,17 +168,13 @@ def init_params(cfg: EncoderConfig) -> EncoderParams:
 class EncoderOutput:
     latent: nc.Node  # N x D, the encoder block
     alpha: np.ndarray  # N x T attention weights, rows sum to 1
-    params: nc.Node  # leaf holding params.flatten(); its grad after backward()
+    params: nc.Node  # leaf holding params.flat; its grad after backward()
 
     @property
     def Z(self) -> np.ndarray:
         return self.latent.value
 
 
-# Gate blocks of the fused weights inside the recurrence, as indices into
-# the (input, forget, cell, output) order of CellParams: the three sigmoid
-# gates come first so one slice covers them, then the cell candidate.
-_GATE_ORDER = (3, 0, 1, 2)  # output, input, forget, cell
 # Halving the sigmoid gates' pre-activations lets one tanh evaluate all four:
 # sigmoid(x) = 0.5 * (1 + tanh(x / 2)).
 _GATE_SCALE = (0.5, 0.5, 0.5, 1.0)
@@ -195,32 +184,22 @@ _GATE_SCALE = (0.5, 0.5, 0.5, 1.0)
 _THREAD_MIN_STATE = 6_400
 
 
-def _fuse_cell(cell, width: int):
-    """One direction's weights as two gate-blocked matrices.
-
-    Returns the (W+1) x 4H input weights, whose last row is the bias, and the
-    H x 4H recurrent weights; column block k belongs to gate _GATE_ORDER[k].
-    """
-    w = np.concatenate([cell[k] for k in _GATE_ORDER], axis=1)  # (W+H) x 4H
-    b = np.concatenate([cell[4 + k] for k in _GATE_ORDER], axis=1)  # 1 x 4H
-    return np.vstack([w[:width], b]), w[width:]
-
-
-def _lstm_pass(x1, w_x1, w_h, states, reverse):
+def _lstm_pass(x1, w, states, reverse):
     """Run one LSTM direction; write its hidden states into ``states``.
 
-    ``x1`` is (W+1) x T x N, the inputs with a row of ones, so one batched
-    product with ``w_x1`` gives every step's input projection plus bias
-    straight into the T x 4H x N gate array; each step then adds w_h^T h to
-    its 4H x N block. ``states`` is H x T x N. Returns the gate activations
-    and the cell states and their tanh (T x H x N), all indexed by original
-    time whichever way the pass runs.
+    ``x1`` is (W+1) x T x N, the inputs with a row of ones, and ``w`` the
+    direction's fused (W+1+H) x 4H weights, so one batched product with its
+    first W+1 rows gives every step's input projection plus bias straight
+    into the T x 4H x N gate array; each step then adds w_h^T h, w_h being
+    the last H rows, to its 4H x N block. ``states`` is H x T x N. Returns
+    the gate activations and the cell states and their tanh (T x H x N), all
+    indexed by original time whichever way the pass runs.
     """
-    _, t_len, n = x1.shape
-    d_h = w_h.shape[0]
+    width1, t_len, n = x1.shape
+    d_h = w.shape[1] // 4
     scale = np.repeat(_GATE_SCALE, d_h)[:, None]
-    gates = np.matmul(w_x1.T * scale, x1.transpose(1, 0, 2))  # T x 4H x N
-    w_h = w_h.T * scale  # 4H x H
+    gates = np.matmul(w[:width1].T * scale, x1.transpose(1, 0, 2))  # T x 4H x N
+    w_h = w[width1:].T * scale  # 4H x H
     cells = np.empty((t_len, d_h, n))
     tanh_cells = np.empty((t_len, d_h, n))
     recur = np.empty((4 * d_h, n))
@@ -299,13 +278,13 @@ def _lstm_backprop(d_ctx, att, w_att, d_scores, gates, cells, tanh_cells, w_h, r
     return d_pre
 
 
-def _weight_grads(x1, states, d_pre, reverse):
-    """Gradient of one direction's fused weights from its gate adjoints.
+def _weight_grads(x1, states, d_pre, out, reverse):
+    """Write the gradient of one direction's fused weights into ``out``.
 
     One (W+1+H) x T*N by T*N x 4H product: the left factor stacks each
     step's inputs and ones row (``x1``) on the hidden state the step read,
-    which is zero before the first step. Rows of the result follow the
-    inputs, the bias, then the recurrent weights.
+    which is zero before the first step, so rows of the result follow the
+    inputs, the bias, then the recurrent weights, as in the stored matrix.
     """
     width1, t_len, n = x1.shape
     d_h = states.shape[0]
@@ -318,7 +297,7 @@ def _weight_grads(x1, states, d_pre, reverse):
     else:
         h_prev[:, 1:] = states[:, :-1]
         h_prev[:, 0] = 0.0
-    return xh.reshape(width1 + d_h, -1) @ d_pre.reshape(d_pre.shape[0], -1).T
+    np.matmul(xh.reshape(width1 + d_h, -1), d_pre.reshape(d_pre.shape[0], -1).T, out=out)
 
 
 def _thread_directions(n: int, d_h: int) -> bool:
@@ -352,7 +331,8 @@ def forward(params: EncoderParams, batch: np.ndarray, tape: nc.Tape) -> EncoderO
     matmul into its gate block, and the block's adjoint is hand-written
     backpropagation through time (gate equations of Hochreiter & Schmidhuber
     1997) behind the attention and projection layers. Its reverse pass writes
-    the gradient of every parameter, in flatten() order, into one leaf.
+    the gradient of every parameter into one vector laid out like
+    ``params.flat``, the value of the block's one leaf.
     """
     cfg = params.config
     batch = np.asarray(batch, dtype=np.float64)
@@ -364,57 +344,48 @@ def forward(params: EncoderParams, batch: np.ndarray, tape: nc.Tape) -> EncoderO
         raise NonFiniteInput("encoder batch contains NaN or Inf")
     n, width, d_h = batch.shape[0], cfg.input_width, cfg.hidden
 
-    arrays = params.arrays()
-    leaf = tape.leaf(params.flatten())
+    leaf = tape.leaf(params.flat)
     x1 = np.empty((width + 1, cfg.seq_len, n))  # the inputs and a row of ones
     x1[:width] = batch.transpose(2, 1, 0)
     x1[width] = 1.0
-    attn_w, proj_w, proj_b = arrays[16], arrays[18], arrays[19]
-    fused = (_fuse_cell(arrays[0:8], width), _fuse_cell(arrays[8:16], width))
     hs = np.empty((2 * d_h, cfg.seq_len, n))  # both directions' states
     halves = (hs[:d_h], hs[d_h:])
     threaded = _thread_directions(n, d_h)
     runs = _both_directions(
-        threaded, lambda k: _lstm_pass(x1, *fused[k], halves[k], reverse=k == 1)
+        threaded, lambda k: _lstm_pass(x1, params.directions[k], halves[k], reverse=k == 1)
     )
 
     # The score bias attn_b shifts every logit of an event by the same amount,
     # which the softmax cancels exactly; leaving it out of the sum keeps the
     # output bit-independent of it, and its gradient is exactly zero.
-    scores = np.einsum("ktn,k->tn", hs, attn_w[:, 0])  # T x N
+    scores = np.einsum("ktn,k->tn", hs, params.attn_w[:, 0])  # T x N
     e = np.exp(scores - scores.max(axis=0))
     att = e / e.sum(axis=0)  # T x N, each column a distribution over time
     if not (np.all(att >= 0.0) and np.max(np.abs(att.sum(axis=0) - 1.0)) < 1e-10):
         raise NonFiniteInput("attention weights are not a distribution over time steps")
     context = np.einsum("ktn,tn->nk", hs, att)
-    latent = np.tanh(context @ proj_w + proj_b)
+    latent = np.tanh(context @ params.proj_w + params.proj_b)
 
     def vjp(g):
+        grad = EncoderParams(cfg, np.zeros(params.flat.size))
         d_u = g * (1.0 - latent * latent)
-        d_ctx = proj_w @ d_u.T  # 2H x N
+        d_ctx = params.proj_w @ d_u.T  # 2H x N
         d_att = np.einsum("ktn,kn->tn", hs, d_ctx)
         d_scores = att * (d_att - (d_att * att).sum(axis=0))
 
         def direction_grads(k):
             half = slice(k * d_h, (k + 1) * d_h)
+            w_h = params.directions[k][width + 1:]
             d_pre = _lstm_backprop(
-                d_ctx[half], att, attn_w[half], d_scores, *runs[k], fused[k][1], reverse=k == 1
+                d_ctx[half], att, params.attn_w[half], d_scores, *runs[k], w_h, reverse=k == 1
             )
-            return _weight_grads(x1, halves[k], d_pre, reverse=k == 1)
+            _weight_grads(x1, halves[k], d_pre, grad.directions[k], reverse=k == 1)
 
-        grads = [None] * 16
-        for k, d_w in enumerate(_both_directions(threaded, direction_grads)):
-            for pos, gate in enumerate(_GATE_ORDER):
-                block = slice(pos * d_h, (pos + 1) * d_h)
-                grads[8 * k + gate] = np.vstack([d_w[:width, block], d_w[width + 1:, block]])
-                grads[8 * k + 4 + gate] = d_w[width:width + 1, block]
-        grads += [
-            np.einsum("ktn,tn->k", hs, d_scores).reshape(-1, 1),
-            np.zeros((1, 1)),
-            context.T @ d_u,
-            d_u.sum(axis=0, keepdims=True),
-        ]
-        return (np.concatenate([a.ravel() for a in grads]).reshape(-1, 1),)
+        _both_directions(threaded, direction_grads)
+        grad.attn_w[:, 0] = np.einsum("ktn,tn->k", hs, d_scores)
+        grad.proj_w[...] = context.T @ d_u
+        grad.proj_b[0] = d_u.sum(axis=0)
+        return (grad.flat.reshape(-1, 1),)
 
     block = nc.custom(tape, latent, (leaf,), vjp)
     return EncoderOutput(latent=block, alpha=att.T, params=leaf)

@@ -38,11 +38,11 @@ def _encoder_param_case(seed: int) -> GradCase:
     rng = np.random.default_rng(1000 + seed)
     batch = rng.normal(size=(4, cfg.seq_len, cfg.input_width))
     w = rng.normal(size=(4, cfg.latent))
-    x0 = enc.init_params(cfg).flatten()
+    x0 = enc.init_params(cfg).flat
 
     def f(vec):
         tape = nc.Tape()
-        out = enc.forward(enc.EncoderParams.from_flat(cfg, vec), batch, tape)
+        out = enc.forward(enc.EncoderParams(cfg, vec), batch, tape)
         loss = _weighted_sum(tape, out.latent, w)
         nc.backward(tape, loss)
         return loss.value.item(), out.params.grad.ravel()

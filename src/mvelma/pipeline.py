@@ -10,7 +10,9 @@ forest on [z ; static ; posterior mean]. Ablation variants drop components:
 without the encoder, z becomes the 9 per-channel 30-day weather means;
 without the GP, the encoder trains against a linear head by mean squared
 error and the posterior-mean column disappears; without the forest, the
-prediction is the GP posterior mean itself.
+prediction is the GP posterior mean itself. Both ways of training the
+encoder go through _train_encoder, which takes the loss block and its
+initial vector.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .errors import (
     EmptySplit,
     LengthMismatch,
     SchemaError,
+    ShapeMismatch,
     UnknownVariant,
     ZeroVarianceTruth,
 )
@@ -202,51 +205,24 @@ def _encode(params: enc.EncoderParams, weather3: np.ndarray) -> np.ndarray:
     return enc.forward(params, weather3, nc.Tape()).Z
 
 
-def _train_joint_phase(weather3, static, y, cfg: PipelineConfig):
-    """Encoder params and GP hyperparameters under one Adam loop on the NMLL.
+def _train_encoder(weather3, params0: enc.EncoderParams, loss_block, block0, opt: OptimizerConfig):
+    """The encoder and one loss block's own parameters under one Adam loop.
 
-    Returns the best encoder parameters, the refreshed GP state, the loss
-    trace and the train latents under the best parameters."""
-    params0 = enc.init_params(cfg.encoder)
-    x0 = _gp_inputs(_encode(params0, weather3), static, cfg.gp_input)
-    gp0 = gp.init_state(x0, y, cfg.kernel_family)
-    n_enc = params0.flatten().size
-    fixed = static if cfg.gp_input == "stacked" else None
+    ``loss_block(tape, vec, latent)`` puts the loss on the tape and returns
+    ``(loss, leaf)``, the leaf holding ``vec``; ``block0`` is its initial
+    vector. Returns the best encoder parameters, the block's best vector and
+    the loss trace."""
+    cfg, n_enc = params0.config, params0.flat.size
 
     def step(vec):
         tape = nc.Tape()
-        out = enc.forward(enc.EncoderParams.from_flat(cfg.encoder, vec[:n_enc]), weather3, tape)
-        loss, hypers = gp.nmll_node(tape, gp0.with_hypers_flat(vec[n_enc:]), out.latent, y, fixed)
+        out = enc.forward(enc.EncoderParams(cfg, vec[:n_enc]), weather3, tape)
+        loss, leaf = loss_block(tape, vec[n_enc:], out.latent)
         nc.backward(tape, loss)
-        return loss.value.item(), np.concatenate([out.params.grad.ravel(), hypers.grad.ravel()])
+        return loss.value.item(), np.concatenate([out.params.grad.ravel(), leaf.grad.ravel()])
 
-    vec0 = np.concatenate([params0.flatten(), gp0.hypers_flat()])
-    best, trace = optim.adam_descent(step, vec0, cfg.gp_opt)
-    params = enc.EncoderParams.from_flat(cfg.encoder, best[:n_enc])
-    z = _encode(params, weather3)
-    state = gp0.with_hypers_flat(best[n_enc:]).refresh(_gp_inputs(z, static, cfg.gp_input), y)
-    return params, state, trace, z
-
-
-def _train_mse_phase(weather3, y, cfg: PipelineConfig):
-    """Encoder plus a linear head trained by mean squared error; used when
-    the GP is ablated away and the encoder has no likelihood to descend."""
-    params0 = enc.init_params(cfg.encoder)
-    n_enc = params0.flatten().size
-    d = cfg.encoder.latent
-    rng = np.random.default_rng(cfg.encoder.seed + 1)
-    head0 = np.concatenate([rng.uniform(-1.0, 1.0, d) / math.sqrt(d), [0.0]])
-
-    def step(vec):
-        tape = nc.Tape()
-        out = enc.forward(enc.EncoderParams.from_flat(cfg.encoder, vec[:n_enc]), weather3, tape)
-        loss, head = mse_head_node(tape, out.latent, vec[n_enc:], y)
-        nc.backward(tape, loss)
-        return loss.value.item(), np.concatenate([out.params.grad.ravel(), head.grad.ravel()])
-
-    vec0 = np.concatenate([params0.flatten(), head0])
-    best, trace = optim.adam_descent(step, vec0, cfg.gp_opt)
-    return enc.EncoderParams.from_flat(cfg.encoder, best[:n_enc]), best[n_enc:], trace
+    best, trace = optim.adam_descent(step, np.concatenate([params0.flat, block0]), opt)
+    return enc.EncoderParams(cfg, best[:n_enc]), best[n_enc:], trace
 
 
 def _oof_means(state: gp.GPState, x: np.ndarray, y: np.ndarray, folds: int, seed: int):
@@ -281,9 +257,29 @@ def train_joint(data: Dataset, cfg: PipelineConfig | None = None) -> TrainedMode
 
     encoder_params, gp_state, head, trace = None, None, None, []
     if uses_encoder and uses_gp:
-        encoder_params, gp_state, trace, z = _train_joint_phase(w3, static, y, cfg)
+        # the encoder and the GP hyperparameters descend the NMLL together
+        params0 = enc.init_params(cfg.encoder)
+        x0 = _gp_inputs(_encode(params0, w3), static, cfg.gp_input)
+        gp0 = gp.init_state(x0, y, cfg.kernel_family)
+        fixed = static if cfg.gp_input == "stacked" else None
+        encoder_params, hypers, trace = _train_encoder(
+            w3, params0,
+            lambda tape, vec, latent: gp.nmll_node(
+                tape, gp0.with_hypers_flat(vec), latent, y, fixed
+            ),
+            gp0.hypers_flat(), cfg.gp_opt,
+        )
+        z = _encode(encoder_params, w3)
+        gp_state = gp0.with_hypers_flat(hypers).refresh(_gp_inputs(z, static, cfg.gp_input), y)
     elif uses_encoder:
-        encoder_params, head, trace = _train_mse_phase(w3, y, cfg)
+        # without the GP the encoder trains against a linear head by MSE
+        d = cfg.encoder.latent
+        rng = np.random.default_rng(cfg.encoder.seed + 1)
+        head0 = np.concatenate([rng.uniform(-1.0, 1.0, d) / math.sqrt(d), [0.0]])
+        encoder_params, head, trace = _train_encoder(
+            w3, enc.init_params(cfg.encoder),
+            lambda tape, vec, latent: mse_head_node(tape, latent, vec, y), head0, cfg.gp_opt,
+        )
         z = _encode(encoder_params, w3)
     else:
         z = _channel_means(w3)
@@ -464,7 +460,7 @@ def save_model(model: TrainedModel, path) -> None:
         "enriched_std": _std_doc(model.enriched_std),
         "encoder_params": None
         if model.encoder_params is None
-        else model.encoder_params.flatten().tolist(),
+        else model.encoder_params.in_file_order().tolist(),
         "gp": gp_doc,
         "forest": forest_doc,
         "head": None if model.head is None else model.head.tolist(),
@@ -530,6 +526,17 @@ def _typed(value, types, what: str):
 
 def _model_from_doc(doc) -> TrainedModel:
     cfg = _config_from_doc(doc["config"])
+    uses_encoder, uses_gp, uses_forest = variant_components(cfg.ablation)
+    # train_joint writes a head exactly when the encoder trains without the GP
+    parts = {"encoder_params": uses_encoder, "gp": uses_gp, "forest": uses_forest,
+             "head": uses_encoder and not uses_gp}
+    for key, used in parts.items():
+        if (doc[key] is not None) != used:
+            need = "present" if used else "null"
+            raise SchemaError(f"{key} must be {need} under ablation {cfg.ablation!r}")
+    head = None if doc["head"] is None else np.asarray(doc["head"], dtype=np.float64)
+    if head is not None and head.shape != (cfg.encoder.latent + 1,):
+        raise SchemaError(f"head needs {cfg.encoder.latent + 1} weights, got shape {head.shape}")
 
     gp_state = None
     if doc["gp"] is not None:
@@ -563,12 +570,10 @@ def _model_from_doc(doc) -> TrainedModel:
         enriched_std=_std_from(doc["enriched_std"], len(ENRICHED_COLUMNS), "enriched"),
         encoder_params=None
         if doc["encoder_params"] is None
-        else enc.EncoderParams.from_flat(
-            cfg.encoder, np.asarray(doc["encoder_params"], dtype=np.float64)
-        ),
+        else enc.EncoderParams.from_file_order(cfg.encoder, doc["encoder_params"]),
         gp_state=gp_state,
         forest=forest,
-        head=None if doc["head"] is None else np.asarray(doc["head"], dtype=np.float64),
+        head=head,
         sigma_ref=_typed(doc["sigma_ref"], (int, float), "sigma_ref"),
         train_event_ids=_typed(doc["train_event_ids"], list, "train_event_ids"),
         test_event_ids=_typed(doc["test_event_ids"], list, "test_event_ids"),
@@ -576,26 +581,35 @@ def _model_from_doc(doc) -> TrainedModel:
     )
 
 
+def _finite_float(text: str) -> float:
+    """A JSON number, or NaN and Infinity, which json reads as constants."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise SchemaError(f"non-finite number {text}")
+    return value
+
+
 def load_model(path) -> TrainedModel:
     """Read a model written by save_model.
 
     A file that is not such a model (truncated JSON, another format tag, a
-    missing key, a value of the wrong type, a malformed forest tree) raises
-    a one-line SchemaError naming the file.
+    missing key, a value of the wrong type or a non-finite number, a
+    malformed forest tree, a wrong-length encoder or head, or model parts
+    that do not match the configured ablation) raises a one-line SchemaError
+    naming the file.
     """
     try:
         with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
+            doc = json.load(f, parse_float=_finite_float, parse_constant=_finite_float)
+        if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
+            found = doc.get("format") if isinstance(doc, dict) else None
+            raise SchemaError(f"unsupported model format {found!r}")
+        return _model_from_doc(doc)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{path}: not a JSON document ({exc})") from None
-    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
-        found = doc.get("format") if isinstance(doc, dict) else None
-        raise SchemaError(f"{path}: unsupported model format {found!r}")
-    try:
-        return _model_from_doc(doc)
     except KeyError as exc:
         raise SchemaError(f"{path}: model has no key {exc}") from None
-    except SchemaError as exc:
+    except (SchemaError, ShapeMismatch, UnknownVariant) as exc:
         raise SchemaError(f"{path}: {exc}") from None
     except (TypeError, ValueError) as exc:
         message = " ".join(str(exc).split())

@@ -5,13 +5,15 @@ product per step and gate, precomputes the gate slopes of every step as
 T x N x H arrays, and forms the weight gradient as T x 4 per-step products
 summed over time. It is the plain-number oracle of the fused encoder block:
 same parameters, same maths, with the summation order of the straightforward
-implementation.
+implementation. It reads the parameters, and returns their gradient, in the
+model file's per-gate order, so it also checks the encoder's mapping between
+that order and its stored layout.
 """
 
 import numpy as np
 
 # Gate blocks in the recurrence, as indices into the (input, forget, cell,
-# output) order of CellParams: the sigmoid gates first, then the candidate.
+# output) order of the model file: the sigmoid gates first, then the candidate.
 _GATE_ORDER = (3, 0, 1, 2)  # output, input, forget, cell
 # sigmoid(x) = 0.5 * (1 + tanh(x / 2)) lets one tanh evaluate all four gates
 _GATE_SCALE = np.array([0.5, 0.5, 0.5, 1.0]).reshape(4, 1, 1)
@@ -80,14 +82,29 @@ def _lstm_backprop(d_states, gates, cells, tanh_cells, w_h, reverse):
     return d_pre
 
 
+def _file_arrays(cfg, values):
+    """The 20 per-gate arrays of a model-file parameter vector: per direction
+    four (W+H) x H gate weights and four 1 x H gate biases, in (input,
+    forget, cell, output) order, then attn_w, attn_b, proj_w and proj_b."""
+    win, d_h = cfg.input_width + cfg.hidden, cfg.hidden
+    cell = [(win, d_h)] * 4 + [(1, d_h)] * 4
+    shapes = cell + cell + [(2 * d_h, 1), (1, 1), (2 * d_h, cfg.latent), (1, cfg.latent)]
+    arrays, j = [], 0
+    for r, c in shapes:
+        arrays.append(values[j:j + r * c].reshape(r, c))
+        j += r * c
+    assert j == values.size
+    return arrays
+
+
 def reference_forward(params, batch):
     """Encode an N x T x W batch; returns (latent, attention, vjp), where
-    vjp(g) maps the N x D latent adjoint to the flat gradient in flatten()
-    order."""
+    vjp(g) maps the N x D latent adjoint to the flat gradient in the model
+    file's order."""
     cfg = params.config
     batch = np.asarray(batch, dtype=np.float64)
     n, width, d_h = batch.shape[0], cfg.input_width, cfg.hidden
-    arrays = params.arrays()
+    arrays = _file_arrays(cfg, params.in_file_order())
     x_steps = np.ascontiguousarray(batch.transpose(1, 0, 2))  # T x N x W
     attn_w, proj_w, proj_b = arrays[16], arrays[18], arrays[19]
 

@@ -4,7 +4,9 @@ and the train -> predict -> evaluate round-trip fidelity."""
 import contextlib
 import io
 import json
+import pathlib
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -37,6 +39,10 @@ def usage_exit_code(*argv):
 
 
 TRAIN_KNOBS = ("--epochs", 4, "--trees", 10, "--hidden", 6, "--latent", 4)
+# A model file and its test-split predictions, kept to pin the model format:
+# `synth --events 40 --counties 3 --seed 0`, then `train --hidden 3 --latent 2
+# --trees 3` at the other defaults, then `predict`.
+MODEL_FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "model_v1"
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +185,25 @@ class TestTrainPredictEvaluate:
         assert (tmp_path / "sequential.json").read_bytes() == (tmp_path / "m1.json").read_bytes()
 
 
+class TestModelFormatFixture:
+    def test_committed_model_round_trips_and_predicts(self, tmp_path):
+        """The committed model loads, saves back to the same bytes, and
+        predicts the committed predictions file byte for byte."""
+        model = pipeline.load_model(MODEL_FIXTURE / "model.json")
+        pipeline.save_model(model, tmp_path / "model.json")
+        saved = (tmp_path / "model.json").read_bytes()
+        assert saved == (MODEL_FIXTURE / "model.json").read_bytes()
+
+        data = tmp_path / "data"
+        code, _ = run_cli("synth", "--events", 40, "--counties", 3, "--seed", 0, "--out", data)
+        assert code == 0
+        code, _ = run_cli("predict", "--model", MODEL_FIXTURE / "model.json", "--data", data,
+                          "--out", tmp_path / "predictions.csv")
+        assert code == 0
+        assert (tmp_path / "predictions.csv").read_bytes() == \
+            (MODEL_FIXTURE / "predictions.csv").read_bytes()
+
+
 class TestMapAndAblate:
     def test_map_writes_sorted_county_means(self, workspace, tmp_path):
         out_csv = tmp_path / "county_map.csv"
@@ -269,6 +294,32 @@ class TestExitCodes:
         assert code == 2
 
 
+class TestBadCsvValues:
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    @pytest.mark.parametrize("fname,column,value", [
+        ("enriched.csv", "elevation", "inf"),
+        ("weather.csv", "tavg_c", "-inf"),
+        ("events.csv", "fire_duration_days", ""),
+    ])
+    def test_bad_cell_is_one_validation_error(self, workspace, tmp_path, command,
+                                              fname, column, value):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        header, first, *rest = (data / fname).read_text().splitlines()
+        cells = first.split(",")
+        cells[header.split(",").index(column)] = value
+        (data / fname).write_text("\n".join([header, ",".join(cells)] + rest) + "\n")
+        if command == "train":
+            argv = ("train", "--data", data, "--model", tmp_path / "m.json", *TRAIN_KNOBS)
+        else:
+            argv = ("predict", "--model", workspace["model"], "--data", data,
+                    "--out", tmp_path / "p.csv")
+        code, err = run_cli_stderr(*argv)
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"validation error: {data / fname} row 2 column {column!r}: ")
+
+
 def _drop_gp(doc):
     del doc["gp"]
 
@@ -303,10 +354,51 @@ def _short_standardizer(doc):
     doc["weather_std"]["mean"].pop()
 
 
+def _nan_encoder_param(doc):
+    doc["encoder_params"][0] = float("nan")
+
+
+def _nan_forest_threshold(doc):
+    _internal_tree(doc)["threshold"][0] = float("nan")
+
+
+def _infinite_gp_input(doc):
+    doc["gp"]["train_inputs"][0][0] = float("-inf")
+
+
+def _short_encoder(doc):
+    doc["encoder_params"] = doc["encoder_params"][:5]
+
+
+def _null_gp(doc):
+    doc["gp"] = None
+
+
+def _null_encoder(doc):
+    doc["encoder_params"] = None
+
+
+def _head_under_full(doc):
+    doc["head"] = [0.0] * (doc["config"]["encoder"]["latent"] + 1)
+
+
+def _as_no_gpr_rf(doc, head_size):
+    """The document re-labelled as an encoder-and-head model."""
+    doc["config"]["ablation"] = "no-gpr-rf"
+    doc["gp"] = doc["forest"] = None
+    doc["head"] = [0.1] * head_size
+
+
+def _one_entry_head(doc):
+    _as_no_gpr_rf(doc, 1)
+
+
 class TestCorruptModel:
     @pytest.mark.parametrize("corrupt", [
         _drop_gp, _sigma_ref_string, _child_out_of_range, _child_cycle,
         _feature_out_of_range, _ragged_tree, _short_standardizer,
+        _nan_encoder_param, _nan_forest_threshold, _infinite_gp_input, _short_encoder,
+        _null_gp, _null_encoder, _head_under_full, _one_entry_head,
     ])
     def test_corrupt_document_is_one_validation_error(self, workspace, tmp_path, corrupt):
         doc = json.loads(workspace["model"].read_text())
@@ -317,7 +409,29 @@ class TestCorruptModel:
                                    "--out", tmp_path / "p.csv")
         assert code == 1
         assert len(err.splitlines()) == 1
-        assert err.startswith("validation error: ")
+        assert err.startswith(f"validation error: {path}: ")
+
+    def test_head_of_latent_plus_one_loads(self, workspace, tmp_path):
+        # the control for _one_entry_head: the right head size predicts
+        doc = json.loads(workspace["model"].read_text())
+        _as_no_gpr_rf(doc, doc["config"]["encoder"]["latent"] + 1)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code, _ = run_cli("predict", "--model", path, "--data", workspace["data"],
+                          "--out", tmp_path / "p.csv")
+        assert code == 0
+
+    def test_number_overflowing_to_infinity_is_one_validation_error(self, workspace, tmp_path):
+        doc = json.loads(workspace["model"].read_text())
+        doc["sigma_ref"] = 1e308
+        text = json.dumps(doc)
+        assert text.count("1e+308") == 1
+        path = tmp_path / "model.json"
+        path.write_text(text.replace("1e+308", "1e999"))
+        code, err = run_cli_stderr("predict", "--model", path, "--data", workspace["data"],
+                                   "--out", tmp_path / "p.csv")
+        assert code == 1
+        assert err == f"validation error: {path}: non-finite number 1e999\n"
 
     def test_truncated_file_is_one_validation_error(self, workspace, tmp_path):
         text = workspace["model"].read_text()

@@ -132,6 +132,41 @@ class TestCsvRoundTrip:
         with pytest.raises(SchemaError, match=r"row 3.*latitude"):
             dataio.read_events(p)
 
+    @pytest.mark.parametrize("text", ["inf", "-inf", "Infinity", "1e999"])
+    def test_infinite_value_reports_row_and_column(self, tmp_path, text):
+        p = tmp_path / "events.csv"
+        p.write_text(
+            "event_id,county_id,latitude,longitude,start_date,fire_duration_days\n"
+            "e0,06001,38.0,-121.0,2020-06-01,4.0\n"
+            f"e1,06001,38.0,{text},2020-06-01,4.0\n"
+        )
+        with pytest.raises(SchemaError, match=r"row 3 column 'longitude': not a finite number"):
+            dataio.read_events(p)
+
+    def test_infinite_weather_and_enriched_values_raise(self, tmp_path):
+        ds, _ = dataio.synth_generate(12, 2, seed=3)
+        dataio.write_dataset(ds, tmp_path)
+        for fname, col in (("weather.csv", "wind_ms"), ("enriched.csv", "ndvi_7d_std")):
+            path = tmp_path / fname
+            original = path.read_text()
+            header, first, *rest = original.splitlines()
+            cells = first.split(",")
+            cells[header.split(",").index(col)] = "inf"
+            path.write_text("\n".join([header, ",".join(cells)] + rest) + "\n")
+            with pytest.raises(SchemaError, match=rf"{fname} row 2 column '{col}': not a finite"):
+                dataio.load_dataset(tmp_path)
+            path.write_text(original)
+
+    @pytest.mark.parametrize("text", ["", "nan"])
+    def test_missing_duration_raises(self, tmp_path, text):
+        p = tmp_path / "events.csv"
+        p.write_text(
+            "event_id,county_id,latitude,longitude,start_date,fire_duration_days\n"
+            f"e0,06001,38.0,-121.0,2020-06-01,{text}\n"
+        )
+        with pytest.raises(SchemaError, match="row 2 column 'fire_duration_days': missing value"):
+            dataio.read_events(p)
+
     def test_bad_date_raises(self, tmp_path):
         p = tmp_path / "events.csv"
         p.write_text(

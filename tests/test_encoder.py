@@ -29,41 +29,56 @@ class TestInit:
         # attention 128+1, projection 128*20+20
         assert enc.param_count(cfg) == 40597
         p = enc.init_params(cfg)
-        assert p.flatten().size == 40597
+        assert p.flat.size == p.in_file_order().size == 40597
 
     def test_deterministic_by_seed(self):
-        a = enc.init_params(tiny_cfg()).flatten()
-        b = enc.init_params(tiny_cfg()).flatten()
+        a = enc.init_params(tiny_cfg()).flat
+        b = enc.init_params(tiny_cfg()).flat
         assert np.array_equal(a, b)
 
     def test_seeds_differ(self):
-        a = enc.init_params(tiny_cfg(seed=0)).flatten()
-        b = enc.init_params(tiny_cfg(seed=1)).flatten()
+        a = enc.init_params(tiny_cfg(seed=0)).flat
+        b = enc.init_params(tiny_cfg(seed=1)).flat
         assert np.any(a != b)
 
     def test_weight_bounds_and_biases(self):
         cfg = tiny_cfg()
         p = enc.init_params(cfg)
         bound = 1.0 / np.sqrt(cfg.hidden)
-        for cell in (p.forward_cell, p.backward_cell):
-            for w in (cell.w_input, cell.w_forget, cell.w_cell, cell.w_output):
-                assert np.all(np.abs(w) <= bound)
-            assert np.all(cell.b_forget == 1.0)
-            for b in (cell.b_input, cell.b_cell, cell.b_output):
-                assert np.all(b == 0.0)
+        forget = enc._GATE_ORDER.index(1)  # column block of the forget gate
+        for fused in p.directions:
+            assert fused.shape == (cfg.input_width + 1 + cfg.hidden, 4 * cfg.hidden)
+            weights = np.delete(fused, cfg.input_width, axis=0)
+            assert np.all(np.abs(weights) <= bound)
+            for k, bias in enumerate(np.split(fused[cfg.input_width], 4)):
+                assert np.all(bias == (1.0 if k == forget else 0.0))
         assert np.all(p.attn_b == 0.0) and np.all(p.proj_b == 0.0)
 
     def test_flatten_round_trip(self):
+        """The model file's per-gate order maps to the stored layout and back,
+        and the named parts are views of the flat vector."""
         cfg = tiny_cfg()
         p = enc.init_params(cfg)
-        flat = p.flatten()
-        q = enc.EncoderParams.from_flat(cfg, flat)
-        assert np.array_equal(q.flatten(), flat)
-        assert np.array_equal(q.forward_cell.w_forget, p.forward_cell.w_forget)
+        file_values = p.in_file_order()
+        q = enc.EncoderParams.from_file_order(cfg, file_values)
+        assert np.array_equal(q.flat, p.flat)
+        assert np.array_equal(q.in_file_order(), file_values)
+        # in file order the backward cell's input-gate weights come right
+        # after the forward cell's 4 weight and 4 bias blocks
+        win, d_h = cfg.input_width + cfg.hidden, cfg.hidden
+        start = 4 * win * d_h + 4 * d_h
+        w_input = file_values[start:start + win * d_h].reshape(win, d_h)
+        pos = enc._GATE_ORDER.index(0)  # column block of the input gate
+        block = p.directions[1][:, pos * d_h:(pos + 1) * d_h]
+        assert np.array_equal(np.delete(block, cfg.input_width, axis=0), w_input)
+        q.proj_b[0, 0] = 5.0
+        assert q.flat[-cfg.latent] == 5.0
 
     def test_from_flat_wrong_size(self):
         with pytest.raises(ShapeMismatch):
-            enc.EncoderParams.from_flat(tiny_cfg(), np.zeros(3))
+            enc.EncoderParams(tiny_cfg(), np.zeros(3))
+        with pytest.raises(ShapeMismatch):
+            enc.EncoderParams.from_file_order(tiny_cfg(), np.zeros(3))
 
     def test_invalid_config(self):
         with pytest.raises(ShapeMismatch):
@@ -90,7 +105,7 @@ class TestForward:
 
     def test_zero_params_zero_input(self):
         cfg = enc.EncoderConfig(input_width=9, seq_len=30, hidden=8, latent=4)
-        params = enc.EncoderParams.from_flat(cfg, np.zeros(enc.param_count(cfg)))
+        params = enc.EncoderParams(cfg, np.zeros(enc.param_count(cfg)))
         batch = np.zeros((3, 30, 9))
         out = enc.forward(params, batch, nc.Tape())
         assert np.all(out.Z == 0.0)
@@ -146,15 +161,11 @@ class TestBidirectionality:
         p = enc.init_params(cfg)
 
         d_h = cfg.hidden
-        swapped = enc.EncoderParams(
-            config=cfg,
-            forward_cell=p.backward_cell,
-            backward_cell=p.forward_cell,
-            attn_w=np.vstack([p.attn_w[d_h:], p.attn_w[:d_h]]),
-            attn_b=p.attn_b,
-            proj_w=np.vstack([p.proj_w[d_h:], p.proj_w[:d_h]]),
-            proj_b=p.proj_b,
-        )
+        swapped = enc.EncoderParams(cfg, p.flat.copy())
+        swapped.directions[0][...] = p.directions[1]
+        swapped.directions[1][...] = p.directions[0]
+        swapped.attn_w[...] = np.vstack([p.attn_w[d_h:], p.attn_w[:d_h]])
+        swapped.proj_w[...] = np.vstack([p.proj_w[d_h:], p.proj_w[:d_h]])
         out = enc.forward(p, batch, nc.Tape())
         out_rev = enc.forward(swapped, batch[:, ::-1, :], nc.Tape())
         assert np.allclose(out_rev.Z, out.Z, atol=1e-12)
@@ -179,14 +190,14 @@ class TestGradients:
         w = rng.standard_normal((4, 2))  # random linear functional of Z
 
         def f(flat):
-            params = enc.EncoderParams.from_flat(cfg, flat)
+            params = enc.EncoderParams(cfg, flat)
             tape = nc.Tape()
             out = enc.forward(params, batch, tape)
             loss = tr.sum_all(tr.mul(out.latent, w))
             nc.backward(tape, loss)
             return float(loss.value[0, 0]), out.params.grad.ravel()
 
-        x0 = enc.init_params(cfg).flatten()
+        x0 = enc.init_params(cfg).flat
         assert nc.finite_diff_check(f, x0, 1e-5) < 1e-4
 
 
@@ -200,17 +211,19 @@ def encoder_problems(draw):
     )
     n = draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    params = enc.EncoderParams.from_flat(cfg, rng.uniform(-1.0, 1.0, enc.param_count(cfg)))
+    params = enc.EncoderParams(cfg, rng.uniform(-1.0, 1.0, enc.param_count(cfg)))
     batch = 2.0 * rng.standard_normal((n, cfg.seq_len, cfg.input_width))
     return params, batch, rng.standard_normal((n, cfg.latent))
 
 
 def _encode(params, batch, w):
-    """Latents, attention and the gradient of sum(Z * w) in flatten() order."""
+    """Latents, attention and the gradient of sum(Z * w) in the model file's
+    order, which the reference uses."""
     tape = nc.Tape()
     out = enc.forward(params, batch, tape)
     nc.backward(tape, tr.sum_all(tr.mul(out.latent, w)))
-    return out.Z, out.alpha, out.params.grad.ravel()
+    grad = enc.EncoderParams(params.config, out.params.grad.ravel())
+    return out.Z, out.alpha, grad.in_file_order()
 
 
 def _assert_rel_close(actual, expected, rtol=1e-12):
