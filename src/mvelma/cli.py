@@ -85,10 +85,6 @@ def _training_echo_pairs(args):
     ]
 
 
-def _target_by_id(ds: dataio.Dataset) -> dict:
-    return {ev.event_id: float(t) for ev, t in zip(ds.events, ds.targets)}
-
-
 def _write_predictions(path, event_ids, y_true, pred: pipeline.Prediction) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write(",".join(PREDICTION_COLUMNS) + "\n")
@@ -138,6 +134,15 @@ def _events_for_ids(ds: dataio.Dataset, event_ids, source: str):
             f"{source}: {len(missing)} event id(s) not present in the dataset, "
             f"first missing {missing[0]!r}"
         )
+
+
+def _predictions_with_events(args):
+    """The predictions file's columns and the dataset's events for its rows,
+    in the file's row order."""
+    ids, cols = _read_predictions(args.pred)
+    ds, _ = dataio.load_dataset(args.data)
+    _events_for_ids(ds, ids, args.pred)
+    return cols, pipeline.subset_by_ids(ds, ids)
 
 
 def _cmd_synth(args) -> int:
@@ -194,12 +199,8 @@ def _cmd_predict(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     _echo("evaluate", [("pred", args.pred), ("data", args.data)])
-    ids, cols = _read_predictions(args.pred)
-    ds, _ = dataio.load_dataset(args.data)
-    _events_for_ids(ds, ids, args.pred)
-    truth = _target_by_id(ds)
-    y_true = np.array([truth[eid] for eid in ids])
-    metrics = pipeline.evaluate(cols["y_pred"], y_true)
+    cols, matched = _predictions_with_events(args)
+    metrics = pipeline.evaluate(cols["y_pred"], matched.targets)
     print(_metrics_line(metrics))
     return 0
 
@@ -214,14 +215,10 @@ def _cmd_ablate(args) -> int:
 
 def _cmd_map(args) -> int:
     _echo("map", [("pred", args.pred), ("data", args.data), ("out", args.out)])
-    ids, cols = _read_predictions(args.pred)
-    ds, _ = dataio.load_dataset(args.data)
-    _events_for_ids(ds, ids, args.pred)
-    by_id = {ev.event_id: ev for ev in ds.events}
-    truth = _target_by_id(ds)
-    events = [by_id[eid] for eid in ids]
-    observed = np.array([truth[eid] for eid in ids])
-    summaries = pipeline.aggregate_county(events, observed, cols["y_pred"], cols["confidence"])
+    cols, matched = _predictions_with_events(args)
+    summaries = pipeline.aggregate_county(
+        matched.events, matched.targets, cols["y_pred"], cols["confidence"]
+    )
     dataio.export_county_map(summaries, args.out)
     print(f"wrote {len(summaries)} county rows to {args.out}")
     return 0

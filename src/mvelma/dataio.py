@@ -308,7 +308,6 @@ def write_dataset(ds: Dataset, out_dir) -> None:
 
 @dataclass
 class ValidationReport:
-    events_in: int = 0
     events_out: int = 0
     filtered_low_confidence: list = field(default_factory=list)
     dropped_missing_variable: list = field(default_factory=list)  # (event_id, column)
@@ -319,16 +318,6 @@ class ValidationReport:
 
     def log(self, msg: str) -> None:
         self.messages.append(msg)
-
-    def summary(self) -> str:
-        return (
-            f"{self.events_in} events in, {self.events_out} kept; "
-            f"{len(self.filtered_low_confidence)} below detection confidence, "
-            f"{len(self.dropped_missing_variable)} dropped for a fully missing weather variable, "
-            f"{len(self.weather_fills)} weather gap fills, "
-            f"{len(self.elevation_fills)} elevation fills, "
-            f"{len(self.lc_zero_fills)} land-cover zero fills"
-        )
 
 
 def _check_weather_ranges(eid, mat):
@@ -356,7 +345,7 @@ def validate_and_impute(events, weather_raw, enriched_raw, ndvi_raw=None):
     the NDVI series when given, else from the events' target column.
     Returns (Dataset, ValidationReport); the report lists every action.
     """
-    report = ValidationReport(events_in=len(events))
+    report = ValidationReport()
 
     kept = []
     for ev in events:

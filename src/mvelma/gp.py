@@ -223,12 +223,9 @@ def nmll_node(tape: nc.Tape, state: "GPState", latent, y, fixed=None):
     hands dL/dX on to the latents (the encoder block in joint training).
 
     One Cholesky factor A = L L^T serves both terms, and alpha = A^-1 (y-m)
-    and A^-1 = L^-T L^-1 both come from its triangular inverse. The adjoint
+    and A^-1 = L^-T L^-1 both come from the inverse it carries. The adjoint
     of A is (A^-1 - alpha alpha^T)/2 (Rasmussen & Williams 2006, eq. 5.9);
-    the kernel block contracts it with its closed-form derivatives. All of
-    this stays on numpy's BLAS: interleaving it with scipy's separately
-    bundled BLAS (cho_solve, dpotri) in the training loop leaves two thread
-    pools contending for the cores.
+    the kernel block contracts it with its closed-form derivatives.
     """
     hypers = tape.leaf(state.hypers_flat())
     if latent is None:
@@ -243,7 +240,7 @@ def nmll_node(tape: nc.Tape, state: "GPState", latent, y, fixed=None):
     k, kernel_vjp = kernel_block(state.kernel, x)
     noise = math.exp(state.log_noise)
     factor = nc.cholesky(k + noise * np.eye(n))
-    l_inv = nc.lower_inverse(factor.lower)
+    l_inv = factor.inverse
     w = l_inv @ resid  # L^-1 (y - m)
     alpha = l_inv.T @ w
     value = 0.5 * (w.T @ w).item() + 0.5 * factor.logdet() + 0.5 * n * LOG_2PI
@@ -392,8 +389,8 @@ class GPPosterior:
 def posterior(state: GPState, test) -> GPPosterior:
     """Predictive mean and (noise-free) variance at the test rows.
 
-    mean = m + K_*^T alpha; variance = k(x,x) - diag(K_*^T A^-1 K_*),
-    clamped at zero against rounding.
+    mean = m + K_*^T alpha; variance = k(x,x) - colsum((L^-1 K_*)^2),
+    clamped at zero against rounding (Rasmussen & Williams 2006, Alg. 2.1).
     """
     if state.chol is None or state.alpha is None:
         state = state.refresh()
@@ -404,7 +401,7 @@ def posterior(state: GPState, test) -> GPPosterior:
         )
     k_star = kernel_matrix(state.kernel, state.train_inputs, test)  # N x M
     mean = state.mean_const + (k_star.T @ state.alpha).ravel()
-    v = nc.solve_spd(state.chol, k_star)  # A^-1 K_*
+    w = state.chol.inverse @ k_star  # L^-1 K_*
     prior = kernel_value_at_zero(state.kernel)
-    variance = np.maximum(prior - np.einsum("ij,ij->j", k_star, v), 0.0)
+    variance = np.maximum(prior - np.einsum("ij,ij->j", w, w), 0.0)
     return GPPosterior(mean=mean, variance=variance)

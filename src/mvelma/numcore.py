@@ -1,9 +1,9 @@
 """Dense float64 linear algebra and a minimal fused-block reverse-mode tape.
 
 Everything here works on 2-D ``numpy.float64`` arrays ("matrices"); scalars are
-1x1 matrices and vectors are columns. Factorizations are delegated to LAPACK
-via numpy/scipy: the Cholesky factor with its jitter ladder, the SPD solve,
-and a block-recursive triangular inverse.
+1x1 matrices and vectors are columns. One Cholesky factor, with its jitter
+ladder, carries its block-recursive triangular inverse, and every SPD solve
+goes through that inverse, all on numpy's BLAS and LAPACK.
 
 The tape holds no elementwise primitives. A node is either a leaf (a
 parameter or input) or a fused block: a value computed in plain numpy plus a
@@ -25,7 +25,6 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .errors import DimensionMismatch, NonScalarOutput, NotPositiveDefinite
 
@@ -92,13 +91,15 @@ def require_finite(arr: np.ndarray, what: str = "input") -> np.ndarray:
 
 @dataclass
 class CholeskyFactor:
-    """Lower-triangular factor L with L @ L.T equal to the factored matrix.
+    """Lower-triangular factor L with L @ L.T equal to the factored matrix,
+    and its inverse L^-1.
 
     ``jitter`` records the diagonal boost (possibly 0) that made the
     factorization succeed.
     """
 
     lower: np.ndarray
+    inverse: np.ndarray
     n: int
     jitter: float = 0.0
 
@@ -126,26 +127,27 @@ def cholesky(m, jitters=JITTER_LADDER) -> CholeskyFactor:
             lower = np.linalg.cholesky(m + jit * eye if jit else m)
         except np.linalg.LinAlgError:
             continue
-        return CholeskyFactor(lower=lower, n=n, jitter=jit)
+        return CholeskyFactor(lower=lower, inverse=lower_inverse(lower), n=n, jitter=jit)
     raise NotPositiveDefinite(
         f"matrix of size {n} is not positive definite (max jitter {jitters[-1]:g})"
     )
 
 
 def solve_spd(f: CholeskyFactor, b) -> np.ndarray:
-    """Solve A x = b given the Cholesky factor of A. b is n x k (or a vector)."""
+    """Solve A x = b given the Cholesky factor of A, as L^-T (L^-1 b).
+
+    b is n x k (or a vector)."""
     b = as_matrix(b)
     if b.shape[0] != f.n:
         raise DimensionMismatch(f"rhs has {b.shape[0]} rows, factor is {f.n}x{f.n}")
-    return cho_solve((f.lower, True), b)
+    return f.inverse.T @ (f.inverse @ b)
 
 
 def lower_inverse(lower: np.ndarray) -> np.ndarray:
     """Inverse of a lower-triangular matrix by 2x2 block recursion.
 
     [[P, 0], [C, Q]]^{-1} = [[P^{-1}, 0], [-Q^{-1} C P^{-1}, Q^{-1}]], with
-    blocks of at most 64 rows inverted directly. Only numpy's own BLAS and
-    LAPACK run here (see gp.nmll_node).
+    blocks of at most 64 rows inverted directly.
     """
     n = lower.shape[0]
     if n <= 64:

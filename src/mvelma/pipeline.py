@@ -538,22 +538,30 @@ def _model_from_doc(doc) -> TrainedModel:
     if head is not None and head.shape != (cfg.encoder.latent + 1,):
         raise SchemaError(f"head needs {cfg.encoder.latent + 1} weights, got shape {head.shape}")
 
+    # the widths predict builds: z, then [z ; static], then the GP mean
+    z_width = cfg.encoder.latent if uses_encoder else cfg.encoder.input_width
+    stack_width = z_width + len(ENRICHED_COLUMNS)
     gp_state = None
     if doc["gp"] is not None:
         d = doc["gp"]
+        x = np.asarray(d["train_inputs"], dtype=np.float64)
+        width = stack_width if cfg.gp_input == "stacked" else z_width
+        if x.ndim != 2 or x.shape[1] != width:
+            raise DimensionMismatch(f"gp train_inputs need {width} columns, got shape {x.shape}")
+        # refresh rejects a train_targets count other than the input rows
         gp_state = gp.GPState(
             kernel=gp.KernelSpec(**d["kernel"]),
             log_noise=_typed(d["log_noise"], (int, float), "gp log_noise"),
             mean_const=_typed(d["mean_const"], (int, float), "gp mean_const"),
-        ).refresh(
-            np.asarray(d["train_inputs"], dtype=np.float64),
-            np.asarray(d["train_targets"], dtype=np.float64),
-        )
+        ).refresh(x, np.asarray(d["train_targets"], dtype=np.float64))
 
     forest = None
     if doc["forest"] is not None:
         d = doc["forest"]
         n_features = _typed(d["n_features"], int, "forest n_features")
+        width = stack_width + 1 if uses_gp else stack_width
+        if n_features != width:
+            raise DimensionMismatch(f"forest n_features {n_features} != stack width {width}")
         trees = [_tree_from_doc(t, n_features) for t in _typed(d["trees"], list, "forest trees")]
         if not trees:
             raise SchemaError("forest has no trees")
@@ -594,9 +602,10 @@ def load_model(path) -> TrainedModel:
 
     A file that is not such a model (truncated JSON, another format tag, a
     missing key, a value of the wrong type or a non-finite number, a
-    malformed forest tree, a wrong-length encoder or head, or model parts
-    that do not match the configured ablation) raises a one-line SchemaError
-    naming the file.
+    malformed forest tree, a wrong-length encoder or head, model parts that
+    do not match the configured ablation, GP inputs or forest features of
+    another width than predict builds, or a GP target count other than its
+    input rows) raises a one-line SchemaError naming the file.
     """
     try:
         with open(path, encoding="utf-8") as f:
@@ -609,7 +618,7 @@ def load_model(path) -> TrainedModel:
         raise SchemaError(f"{path}: not a JSON document ({exc})") from None
     except KeyError as exc:
         raise SchemaError(f"{path}: model has no key {exc}") from None
-    except (SchemaError, ShapeMismatch, UnknownVariant) as exc:
+    except (SchemaError, ShapeMismatch, UnknownVariant, DimensionMismatch) as exc:
         raise SchemaError(f"{path}: {exc}") from None
     except (TypeError, ValueError) as exc:
         message = " ".join(str(exc).split())

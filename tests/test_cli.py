@@ -4,9 +4,12 @@ and the train -> predict -> evaluate round-trip fidelity."""
 import contextlib
 import io
 import json
+import os
 import pathlib
 import re
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -382,6 +385,19 @@ def _head_under_full(doc):
     doc["head"] = [0.0] * (doc["config"]["encoder"]["latent"] + 1)
 
 
+def _gp_input_column_dropped(doc):
+    for row in doc["gp"]["train_inputs"]:
+        row.pop()
+
+
+def _gp_target_dropped(doc):
+    doc["gp"]["train_targets"].pop()
+
+
+def _forest_too_wide(doc):
+    doc["forest"]["n_features"] += 5
+
+
 def _as_no_gpr_rf(doc, head_size):
     """The document re-labelled as an encoder-and-head model."""
     doc["config"]["ablation"] = "no-gpr-rf"
@@ -399,6 +415,7 @@ class TestCorruptModel:
         _feature_out_of_range, _ragged_tree, _short_standardizer,
         _nan_encoder_param, _nan_forest_threshold, _infinite_gp_input, _short_encoder,
         _null_gp, _null_encoder, _head_under_full, _one_entry_head,
+        _gp_input_column_dropped, _gp_target_dropped, _forest_too_wide,
     ])
     def test_corrupt_document_is_one_validation_error(self, workspace, tmp_path, corrupt):
         doc = json.loads(workspace["model"].read_text())
@@ -454,3 +471,38 @@ class TestCheckGrads:
         assert len(case_lines) >= 50
         assert all(l.endswith(" ok") for l in case_lines)
         assert "gradient checks passed" in lines[-1]
+
+
+# Runs the whole workflow through cli.main in an interpreter in which every
+# scipy import fails, so the package must need nothing beyond numpy.
+NO_SCIPY_WORKFLOW = """
+import sys
+sys.modules["scipy"] = None
+from mvelma import cli
+root, knobs = sys.argv[1], sys.argv[2:]
+steps = [
+    ["synth", "--events", "40", "--counties", "3", "--seed", "5", "--out", root + "/data"],
+    ["train", "--data", root + "/data", "--model", root + "/model.json"] + knobs,
+    ["predict", "--model", root + "/model.json", "--data", root + "/data",
+     "--out", root + "/predictions.csv"],
+    ["evaluate", "--pred", root + "/predictions.csv", "--data", root + "/data"],
+    ["map", "--pred", root + "/predictions.csv", "--data", root + "/data",
+     "--out", root + "/county_map.csv"],
+    ["check-grads", "--seeds", "1"],
+]
+for argv in steps:
+    code = cli.main(argv)
+    if code != 0:
+        sys.exit(f"{argv[0]} exited {code}")
+"""
+
+
+def test_workflow_runs_without_scipy(tmp_path):
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-c", NO_SCIPY_WORKFLOW, str(tmp_path), *map(str, TRAIN_KNOBS)]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "county_map.csv").exists()
+    assert "gradient checks passed" in proc.stdout
