@@ -13,8 +13,6 @@ problems), 2 numerical failure, 64 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
-import math
 import os
 import sys
 
@@ -100,30 +98,19 @@ def _read_predictions(path):
     row order. Every value must be a finite number and every event id must
     appear once: a NaN would pass through every metric and county mean, and
     a repeated row would be counted twice."""
-    with open(path, "r", newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != PREDICTION_COLUMNS:
-            raise SchemaError(
-                f"{path}: expected columns {PREDICTION_COLUMNS}, got {reader.fieldnames}"
-            )
-        ids, rows, seen = [], [], set()
-        for row in reader:
-            eid = row["event_id"]
-            try:
-                values = [float(row[c]) for c in PREDICTION_COLUMNS[1:]]
-            except (TypeError, ValueError):
-                raise SchemaError(f"{path}: non-numeric value in row for {eid!r}")
-            if not all(math.isfinite(v) for v in values):
-                raise SchemaError(f"{path}: non-finite value in row for {eid!r}")
-            if eid in seen:
-                raise SchemaError(f"{path}: duplicate row for event {eid!r}")
-            seen.add(eid)
-            ids.append(eid)
-            rows.append(values)
+    table = dataio.read_table(path, PREDICTION_COLUMNS)
+    if list(table) != PREDICTION_COLUMNS:
+        raise SchemaError(f"{path}: expected columns {PREDICTION_COLUMNS}, got {list(table)}")
+    ids = list(table["event_id"])
     if not ids:
         raise SchemaError(f"{path}: no prediction rows")
-    cols = np.array(rows, dtype=np.float64)
-    return ids, {name: cols[:, j] for j, name in enumerate(PREDICTION_COLUMNS[1:])}
+    cols = {c: dataio.float_column(table, c, path) for c in PREDICTION_COLUMNS[1:]}
+    for c, values in cols.items():
+        dataio.reject_rows(np.isnan(values),
+                           lambda r: f"{path} row {r} column {c!r}: missing value")
+    dataio.reject_rows(dataio.repeats(ids),
+                       lambda r: f"{path} row {r}: duplicate row for event {ids[r - 2]!r}")
+    return ids, cols
 
 
 def _events_for_ids(ds: dataio.Dataset, event_ids, source: str):

@@ -7,6 +7,12 @@ present), `weather.csv` carries 30 pre-fire daily rows per event,
 `enriched.csv` the static site descriptors, and optional `ndvi.csv` dated
 NDVI samples from which targets are built. Floats are written with repr()
 so a write/read cycle is bit-exact.
+
+Every CSV is read by `read_table`, which returns it as columns; numeric
+columns are converted whole by `float_column`. Text that is not UTF-8, a
+missing column, or a record with another field count than the header is a
+one-line SchemaError naming the file, as is a bad cell, with its row and
+column. Each reader then applies its own rules.
 """
 
 from __future__ import annotations
@@ -143,109 +149,119 @@ def _parse_date(text, path, row_no, col):
         raise SchemaError(f"{path} row {row_no} column {col!r}: not an ISO date: {text!r}") from None
 
 
-def _open_reader(path, required_cols):
-    f = open(path, newline="", encoding="utf-8")
-    reader = csv.DictReader(f)
-    missing = [c for c in required_cols if c not in (reader.fieldnames or [])]
+def read_table(path, required) -> dict:
+    """The CSV file at `path` as {column name: tuple of cell strings}, in
+    header order, skipping blank lines. Text that is not UTF-8, a missing
+    required column, a repeated column name, or a record whose field count
+    differs from the header's is a SchemaError naming the file."""
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            reader = csv.reader(f)
+            header, *rows = [r for r in reader if r] or [[]]
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise SchemaError(f"{path} line {reader.line_num}: {exc}") from None
+    missing = [c for c in required if c not in header]
     if missing:
-        f.close()
         raise SchemaError(f"{path}: missing column(s) {missing}")
-    return f, reader
+    if len(set(header)) != len(header):
+        raise SchemaError(f"{path}: repeated column name in header {header}")
+    fields = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    reject_rows(fields != len(header),
+                lambda r: f"{path} row {r}: {fields[r - 2]} fields, header has {len(header)}")
+    return dict(zip(header, zip(*rows) if rows else [()] * len(header)))
+
+
+def float_column(table, col, path) -> np.ndarray:
+    """A read_table column as float64, each cell read as _parse_float reads
+    it. The bulk conversion accepts the same text as float(); the per-cell
+    parse runs only where it fails or reads an infinity."""
+    cells = table[col]
+    try:
+        values = np.array(cells, dtype=np.float64)
+        if not np.isinf(values).any():
+            return values
+    except ValueError:
+        pass
+    return np.array([_parse_float(c, path, r, col) for r, c in enumerate(cells, start=2)])
+
+
+def reject_rows(mask, message) -> None:
+    """Raise SchemaError(message(row)) at the first True; row 2 is the first record."""
+    hits = np.flatnonzero(mask)
+    if hits.size:
+        raise SchemaError(message(int(hits[0]) + 2))
+
+
+def repeats(keys) -> np.ndarray:
+    """Mask of the keys equal to an earlier one."""
+    repeated = np.ones(len(keys), dtype=bool)
+    repeated[np.unique(keys, return_index=True)[1]] = False
+    return repeated
 
 
 def read_events(path) -> list:
     req = ["event_id", "county_id", "latitude", "longitude", "start_date", "fire_duration_days"]
-    f, reader = _open_reader(path, req)
-    has_conf = "detection_confidence" in reader.fieldnames
-    has_target = "target" in reader.fieldnames
-    events = []
-    with f:
-        for row_no, row in enumerate(reader, start=2):
-            ev = FireEvent(
-                event_id=row["event_id"].strip(),
-                county_id=row["county_id"].strip(),
-                latitude=_parse_float(row["latitude"], path, row_no, "latitude"),
-                longitude=_parse_float(row["longitude"], path, row_no, "longitude"),
-                start_date=_parse_date(row["start_date"], path, row_no, "start_date"),
-                fire_duration_days=_parse_float(
-                    row["fire_duration_days"], path, row_no, "fire_duration_days"
-                ),
-            )
-            # the duration is a model input that no imputation rule fills
-            if math.isnan(ev.fire_duration_days):
-                raise SchemaError(
-                    f"{path} row {row_no} column 'fire_duration_days': missing value"
-                )
-            if ev.fire_duration_days < 0:
-                raise SchemaError(f"{path} row {row_no}: negative fire_duration_days")
-            if has_conf:
-                ev.detection_confidence = _parse_float(
-                    row["detection_confidence"], path, row_no, "detection_confidence"
-                )
-            if has_target:
-                ev.target = _parse_float(row["target"], path, row_no, "target")
-            events.append(ev)
-    if not events:
+    table = read_table(path, req)
+    ids = [c.strip() for c in table["event_id"]]
+    if not ids:
         raise SchemaError(f"{path}: no event rows")
-    ids = [e.event_id for e in events]
-    if len(set(ids)) != len(ids):
-        raise SchemaError(f"{path}: duplicate event_id values")
-    return events
+    num = {c: float_column(table, c, path).tolist() if c in table else [None] * len(ids)
+           for c in ("latitude", "longitude", "fire_duration_days", "detection_confidence",
+                     "target")}
+    dates = [_parse_date(c, path, r, "start_date")
+             for r, c in enumerate(table["start_date"], start=2)]
+    duration = np.array(num["fire_duration_days"])
+    # the duration is a model input that no imputation rule fills
+    reject_rows(np.isnan(duration),
+                lambda r: f"{path} row {r} column 'fire_duration_days': missing value")
+    reject_rows(duration < 0, lambda r: f"{path} row {r}: negative fire_duration_days")
+    reject_rows(repeats(ids), lambda r: f"{path} row {r}: duplicate event_id {ids[r - 2]}")
+    return [FireEvent(*fields) for fields in zip(
+        ids, [c.strip() for c in table["county_id"]], num["latitude"], num["longitude"], dates,
+        num["fire_duration_days"], num["detection_confidence"], num["target"],
+    )]
 
 
 def read_weather(path) -> dict:
     """event_id -> 30 x 9 array (day offsets -30..-1), NaN where missing."""
-    req = ["event_id", "day_offset"] + WEATHER_COLUMNS
-    f, reader = _open_reader(path, req)
-    out: dict = {}
-    seen = set()  # (event_id, day_offset), so a repeat of an all-blank row is caught too
-    with f:
-        for row_no, row in enumerate(reader, start=2):
-            eid = row["event_id"].strip()
-            off = _parse_float(row["day_offset"], path, row_no, "day_offset")
-            if not off.is_integer() or not (-SEQ_LEN <= off <= -1):
-                raise SchemaError(
-                    f"{path} row {row_no}: day_offset must be an integer in [-30, -1], got {row['day_offset']}"
-                )
-            if (eid, off) in seen:
-                raise SchemaError(f"{path} row {row_no}: duplicate day_offset {int(off)} for event {eid}")
-            seen.add((eid, off))
-            mat = out.get(eid)
-            if mat is None:
-                mat = out[eid] = np.full((SEQ_LEN, N_CHANNELS), np.nan)
-            # -30 -> row 0 ... -1 -> row 29
-            mat[int(off) + SEQ_LEN] = [_parse_float(row[col], path, row_no, col) for col in WEATHER_COLUMNS]
-    return out
+    table = read_table(path, ["event_id", "day_offset"] + WEATHER_COLUMNS)
+    off = float_column(table, "day_offset", path)
+    reject_rows((np.floor(off) != off) | (off < -SEQ_LEN) | (off > -1), lambda r: (
+        f"{path} row {r}: day_offset must be an integer in [-30, -1], "
+        f"got {table['day_offset'][r - 2]}"))
+    ids = [c.strip() for c in table["event_id"]]
+    names, event = np.unique(ids, return_inverse=True)
+    day = off.astype(np.intp) + SEQ_LEN  # -30 -> row 0 ... -1 -> row 29
+    # keyed on (event, day), so a repeat of an all-blank row is caught too
+    reject_rows(repeats(event * SEQ_LEN + day), lambda r: (
+        f"{path} row {r}: duplicate day_offset {off[r - 2]:.0f} for event {ids[r - 2]}"))
+    blocks = np.full((len(names), SEQ_LEN, N_CHANNELS), np.nan)
+    blocks[event, day] = np.column_stack([float_column(table, c, path) for c in WEATHER_COLUMNS])
+    return dict(zip(names.tolist(), blocks))
 
 
 def read_enriched(path) -> dict:
     """event_id -> length-24 array in ENRICHED_FILE_COLUMNS order, NaN where missing."""
-    req = ["event_id"] + ENRICHED_FILE_COLUMNS
-    f, reader = _open_reader(path, req)
-    out: dict = {}
-    with f:
-        for row_no, row in enumerate(reader, start=2):
-            eid = row["event_id"].strip()
-            if eid in out:
-                raise SchemaError(f"{path} row {row_no}: duplicate enriched row for event {eid}")
-            out[eid] = np.array(
-                [_parse_float(row[c], path, row_no, c) for c in ENRICHED_FILE_COLUMNS]
-            )
-    return out
+    table = read_table(path, ["event_id"] + ENRICHED_FILE_COLUMNS)
+    ids = [c.strip() for c in table["event_id"]]
+    reject_rows(repeats(ids),
+                lambda r: f"{path} row {r}: duplicate enriched row for event {ids[r - 2]}")
+    values = np.column_stack([float_column(table, c, path) for c in ENRICHED_FILE_COLUMNS])
+    return dict(zip(ids, values))
 
 
 def read_ndvi(path) -> dict:
     """event_id -> list of (date, value) samples."""
-    f, reader = _open_reader(path, ["event_id", "date", "ndvi"])
+    table = read_table(path, ["event_id", "date", "ndvi"])
+    values = float_column(table, "ndvi", path)
+    reject_rows(~((values >= -1.0) & (values <= 1.0)),
+                lambda r: f"{path} row {r}: ndvi outside [-1, 1]: {values[r - 2]}")
     out: dict = {}
-    with f:
-        for row_no, row in enumerate(reader, start=2):
-            value = _parse_float(row["ndvi"], path, row_no, "ndvi")
-            if not -1.0 <= value <= 1.0:
-                raise SchemaError(f"{path} row {row_no}: ndvi outside [-1, 1]: {value}")
-            out.setdefault(row["event_id"].strip(), []).append(
-                (_parse_date(row["date"], path, row_no, "date"), value)
-            )
+    rows = zip(table["event_id"], table["date"], values.tolist())
+    for r, (eid, date, value) in enumerate(rows, start=2):
+        out.setdefault(eid.strip(), []).append((_parse_date(date, path, r, "date"), value))
     return out
 
 
@@ -318,6 +334,11 @@ class ValidationReport:
 
     def log(self, msg: str) -> None:
         self.messages.append(msg)
+
+
+def temporal_features(events) -> np.ndarray:
+    """The N x 3 TEMPORAL_COLUMNS block that leads the enriched matrix."""
+    return np.array([[ev.fire_duration_days, ev.fire_month, ev.fire_dayofyear] for ev in events])
 
 
 def _check_weather_ranges(eid, mat):
@@ -448,14 +469,10 @@ def validate_and_impute(events, weather_raw, enriched_raw, ndvi_raw=None):
                 )
             targets[i] = ev.target
 
-    temporal = np.array(
-        [[ev.fire_duration_days, float(ev.fire_month), float(ev.fire_dayofyear)]
-         for ev in final_events]
-    )
     ds = Dataset(
         events=final_events,
         weather=np.stack(rows_w),
-        enriched=np.hstack([temporal, enr]),
+        enriched=np.hstack([temporal_features(final_events), enr]),
         targets=targets,
     )
     report.events_out = ds.n
@@ -624,14 +641,10 @@ def synth_generate(n_events: int, n_counties: int, seed: int,
     noise_sd = noise_fraction * float(signal.std())
     targets = signal + rng.normal(0.0, noise_sd, size=n_events)
 
-    temporal = np.array(
-        [[ev.fire_duration_days, float(ev.fire_month), float(ev.fire_dayofyear)]
-         for ev in events]
-    )
     ds = Dataset(
         events=events,
         weather=np.stack(weather_blocks),
-        enriched=np.hstack([temporal, np.stack(enriched_rows)]),
+        enriched=np.hstack([temporal_features(events), np.stack(enriched_rows)]),
         targets=targets,
     )
     truth = SynthTruth(

@@ -294,7 +294,7 @@ def train_joint(data: Dataset, cfg: PipelineConfig | None = None) -> TrainedMode
     if uses_gp:
         x = _gp_inputs(z, static, cfg.gp_input)
         post = gp.posterior(gp_state, x)
-        sigma_ref = float(np.sqrt(np.maximum(post.variance, 0.0)).max())
+        sigma_ref = float(np.sqrt(post.variance).max())
         if cfg.oof_folds >= 2:
             mu = _oof_means(gp_state, x, y, cfg.oof_folds, cfg.split_seed)
         else:
@@ -348,7 +348,7 @@ def predict(model: TrainedModel, data: Dataset) -> Prediction:
     n = data.n
     if uses_gp:
         post = gp.posterior(model.gp_state, _gp_inputs(z, static, cfg.gp_input))
-        mu, var = post.mean, np.maximum(post.variance, 0.0)
+        mu, var = post.mean, post.variance
         conf = confidence_from_variance(var, model.sigma_ref)
     if uses_gp and uses_forest:
         rf_out = predict_forest(model.forest, np.hstack([z, static, mu.reshape(-1, 1)]))

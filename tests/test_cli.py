@@ -10,9 +10,12 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvelma import cli, dataio, encoder, pipeline
 
@@ -288,6 +291,39 @@ class TestExitCodes:
         assert err.startswith("validation error: ")
         assert not (tmp_path / "county.csv").exists()
 
+    @pytest.mark.parametrize("command", ["evaluate", "map"])
+    @pytest.mark.parametrize("corruption", ["short_row", "non_utf8"])
+    def test_malformed_predictions_file_is_one_validation_error(
+        self, workspace, tmp_path, command, corruption
+    ):
+        path = tmp_path / "predictions.csv"
+        header, first, rest = workspace["preds"].read_bytes().split(b"\n", 2)
+        if corruption == "short_row":
+            first = b",".join(first.split(b",")[:3])
+            expected = f"validation error: {path} row 2: 3 fields, header has 6\n"
+        else:
+            first = first.replace(b",", b"\xff,", 1)
+            expected = f"validation error: {path}: not UTF-8 text"
+        path.write_bytes(b"\n".join([header, first, rest]))
+        extra = ("--out", tmp_path / "county.csv") if command == "map" else ()
+        code, err = run_cli_stderr(command, "--pred", path, "--data", workspace["data"], *extra)
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith(expected)
+        assert not (tmp_path / "county.csv").exists()
+
+    def test_short_weather_row_under_train_is_one_validation_error(self, workspace, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        header, first, *rest = (data / "weather.csv").read_text().splitlines()
+        first = ",".join(first.split(",")[:4])
+        (data / "weather.csv").write_text("\n".join([header, first] + rest) + "\n")
+        code, err = run_cli_stderr("train", "--data", data, "--model", tmp_path / "m.json",
+                                   *TRAIN_KNOBS)
+        assert code == 1
+        assert err == f"validation error: {data / 'weather.csv'} row 2: 4 fields, header has 11\n"
+        assert not (tmp_path / "m.json").exists()
+
     def test_divergent_training_exits_2(self, workspace, tmp_path):
         with np.errstate(all="ignore"):
             code, _ = run_cli("train", "--data", workspace["data"],
@@ -321,6 +357,88 @@ class TestBadCsvValues:
         assert code == 1
         assert len(err.splitlines()) == 1
         assert err.startswith(f"validation error: {data / fname} row 2 column {column!r}: ")
+
+
+CORRUPTIONS = ("delete_line", "duplicate_line", "drop_field", "add_field", "truncate",
+               "insert_byte", "set_cell")
+CELL_VALUES = ("", "x", "inf", "1e999", "-1", "nan", "2020-13-01")
+
+
+@st.composite
+def corruptions(draw):
+    """One bounded corruption: a kind, a line and a field chosen by index
+    (reduced modulo the file's size when applied), and a cell value."""
+    return (draw(st.sampled_from(CORRUPTIONS)), draw(st.integers(0, 10_000)),
+            draw(st.integers(0, 100)), draw(st.sampled_from(CELL_VALUES)))
+
+
+def corrupt(data: bytes, corruption) -> bytes:
+    kind, line_pick, field_pick, value = corruption
+    if kind == "insert_byte":
+        at = line_pick % (len(data) + 1)
+        return data[:at] + b"\xff" + data[at:]
+    lines = data.splitlines(keepends=True)
+    i = line_pick % len(lines)
+    line = lines[i]
+    if kind == "delete_line":
+        del lines[i]
+    elif kind == "duplicate_line":
+        lines.insert(i, line)
+    elif kind == "truncate":  # cut strictly inside the line, before its newline
+        return b"".join(lines[:i]) + line[:1 + field_pick % (len(line) - 1)]
+    else:
+        fields = line.rstrip(b"\r\n").split(b",")
+        j = field_pick % len(fields)
+        if kind == "drop_field":
+            del fields[j]
+        elif kind == "add_field":
+            fields.insert(j, b"0.5")
+        else:
+            fields[j] = value.encode()
+        lines[i] = b",".join(fields) + b"\n"
+    return b"".join(lines)
+
+
+@pytest.fixture(scope="module")
+def fixture_data(tmp_path_factory):
+    """The dataset behind the committed model fixture."""
+    data = tmp_path_factory.mktemp("fixture_data")
+    code, _ = run_cli("synth", "--events", 40, "--counties", 3, "--seed", 0, "--out", data)
+    assert code == 0
+    return data
+
+
+def assert_clean_exit(code, err):
+    assert code in (0, 1, 2)
+    if code:
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith(("validation error:", "numerical failure:")), err
+
+
+class TestCorruptInputNeverRaises:
+    """A corrupted input file ends in an exit code and at most one error
+    line, never in a traceback."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(fname=st.sampled_from(["events.csv", "weather.csv", "enriched.csv"]),
+           corruption=corruptions())
+    def test_predict_on_corrupt_dataset(self, fixture_data, fname, corruption):
+        with tempfile.TemporaryDirectory() as tmp:
+            data = pathlib.Path(tmp) / "data"
+            shutil.copytree(fixture_data, data)
+            (data / fname).write_bytes(corrupt((fixture_data / fname).read_bytes(), corruption))
+            code, err = run_cli_stderr("predict", "--model", MODEL_FIXTURE / "model.json",
+                                       "--data", data, "--out", pathlib.Path(tmp) / "p.csv")
+        assert_clean_exit(code, err)
+
+    @settings(max_examples=60, deadline=None)
+    @given(corruption=corruptions())
+    def test_evaluate_on_corrupt_predictions(self, fixture_data, corruption):
+        with tempfile.TemporaryDirectory() as tmp:
+            pred = pathlib.Path(tmp) / "predictions.csv"
+            pred.write_bytes(corrupt((MODEL_FIXTURE / "predictions.csv").read_bytes(), corruption))
+            code, err = run_cli_stderr("evaluate", "--pred", pred, "--data", fixture_data)
+        assert_clean_exit(code, err)
 
 
 def _drop_gp(doc):

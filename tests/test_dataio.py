@@ -1,6 +1,7 @@
 import dataclasses
 import datetime as dt
 import math
+import re
 
 import numpy as np
 import pytest
@@ -231,6 +232,93 @@ class TestCsvRoundTrip:
         p.write_text("event_id,date,ndvi\ne0,2020-06-01,1.5\n")
         with pytest.raises(SchemaError, match="ndvi"):
             dataio.read_ndvi(p)
+
+
+READERS = {
+    "events.csv": dataio.read_events,
+    "weather.csv": dataio.read_weather,
+    "enriched.csv": dataio.read_enriched,
+    "ndvi.csv": dataio.read_ndvi,
+}
+
+
+@pytest.fixture
+def input_files(tmp_path):
+    """A valid copy of each of the four input files."""
+    ds, _ = dataio.synth_generate(12, 2, seed=3)
+    dataio.write_dataset(ds, tmp_path)
+    (tmp_path / "ndvi.csv").write_text(
+        "event_id,date,ndvi\nev00000,2020-06-01,0.5\nev00000,2020-06-20,0.25\n"
+    )
+    return tmp_path
+
+
+class TestMalformedFile:
+    @pytest.mark.parametrize("fname", sorted(READERS))
+    def test_control_reads(self, input_files, fname):
+        assert READERS[fname](input_files / fname)
+
+    @pytest.mark.parametrize("fname", sorted(READERS))
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_field_count_mismatch_names_row(self, input_files, fname, delta):
+        path = input_files / fname
+        header, first, second, *rest = path.read_text().splitlines()
+        cells = second.split(",")
+        cells = cells[:delta] if delta < 0 else cells + ["0.5"] * delta
+        path.write_text("\n".join([header, first, ",".join(cells)] + rest) + "\n")
+        m = len(header.split(","))
+        with pytest.raises(SchemaError) as exc_info:
+            READERS[fname](path)
+        assert str(exc_info.value) == f"{path} row 3: {m + delta} fields, header has {m}"
+
+    @pytest.mark.parametrize("fname", sorted(READERS))
+    def test_non_utf8_byte_names_file(self, input_files, fname):
+        path = input_files / fname
+        data = path.read_bytes()
+        path.write_bytes(data[:40] + b"\xff" + data[40:])
+        with pytest.raises(SchemaError, match=rf"^{re.escape(str(path))}: not UTF-8 text"):
+            READERS[fname](path)
+
+    def test_blank_lines_are_skipped(self, input_files):
+        path = input_files / "enriched.csv"
+        expected = dataio.read_enriched(path)
+        path.write_text(path.read_text().replace("\n", "\n\n"))
+        got = dataio.read_enriched(path)
+        assert got.keys() == expected.keys()
+        assert all(np.array_equal(got[k], expected[k], equal_nan=True) for k in got)
+
+    def test_unterminated_quote_past_field_limit_raises(self, tmp_path):
+        # the quoted field runs on to the end of the file, past csv's field size limit
+        p = tmp_path / "ndvi.csv"
+        p.write_text('event_id,date,ndvi\ne0,"2020-06-01,0.5\n' + "e0,2020-06-02,0.5\n" * 8000)
+        with pytest.raises(SchemaError, match=rf"^{re.escape(str(p))} line \d+: field larger"):
+            dataio.read_ndvi(p)
+
+    def test_repeated_column_name_raises(self, tmp_path):
+        p = tmp_path / "ndvi.csv"
+        p.write_text("event_id,date,ndvi,ndvi\ne0,2020-06-01,0.5,0.4\n")
+        with pytest.raises(SchemaError, match="repeated column name"):
+            dataio.read_ndvi(p)
+
+
+class TestColumnParse:
+    """float_column gives every cell the meaning _parse_float gives it."""
+
+    CELLS = ["1.5", " -2 ", "1_000", "+.5", "1e-3", "", " ", "nan", "NaN", "-nan", "0"]
+
+    def test_matches_per_cell_parse(self):
+        got = dataio.float_column({"c": tuple(self.CELLS)}, "c", "f.csv")
+        want = [dataio._parse_float(c, "f.csv", r, "c") for r, c in enumerate(self.CELLS, 2)]
+        assert np.array_equal(got, np.array(want), equal_nan=True)
+
+    @pytest.mark.parametrize("bad,message", [
+        ("x", "not a number: 'x'"), ("inf", "not a finite number"),
+        ("1e999", "not a finite number"), ("0x10", "not a number"),
+    ])
+    def test_bad_cell_names_its_row(self, bad, message):
+        cells = ("1.0", "", bad, "2.0")
+        with pytest.raises(SchemaError, match=rf"^f\.csv row 4 column 'c': {message}"):
+            dataio.float_column({"c": cells}, "c", "f.csv")
 
 
 class TestValidateAndImpute:
