@@ -106,10 +106,10 @@ def _read_predictions(path):
         raise SchemaError(f"{path}: no prediction rows")
     cols = {c: dataio.float_column(table, c, path) for c in PREDICTION_COLUMNS[1:]}
     for c, values in cols.items():
-        dataio.reject_rows(np.isnan(values),
-                           lambda r: f"{path} row {r} column {c!r}: missing value")
-    dataio.reject_rows(dataio.repeats(ids),
-                       lambda r: f"{path} row {r}: duplicate row for event {ids[r - 2]!r}")
+        dataio.reject_rows(table, np.isnan(values),
+                           lambda r, i: f"{path} row {r} column {c!r}: missing value")
+    dataio.reject_rows(table, dataio.repeats(ids),
+                       lambda r, i: f"{path} row {r}: duplicate row for event {ids[i]!r}")
     return ids, cols
 
 
@@ -123,11 +123,19 @@ def _events_for_ids(ds: dataio.Dataset, event_ids, source: str):
         )
 
 
+def _load_dataset(data_dir) -> dataio.Dataset:
+    """The validated dataset, after one `validation:` line per cleaning action."""
+    ds, report = dataio.load_dataset(data_dir)
+    for line in report.messages:
+        print(f"validation: {line}")
+    return ds
+
+
 def _predictions_with_events(args):
     """The predictions file's columns and the dataset's events for its rows,
     in the file's row order."""
     ids, cols = _read_predictions(args.pred)
-    ds, _ = dataio.load_dataset(args.data)
+    ds = _load_dataset(args.data)
     _events_for_ids(ds, ids, args.pred)
     return cols, pipeline.subset_by_ids(ds, ids)
 
@@ -148,9 +156,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_train(args) -> int:
     _echo("train", _training_echo_pairs(args) + [("model", args.model)])
-    ds, report = dataio.load_dataset(args.data)
-    for line in report.messages:
-        print(f"validation: {line}")
+    ds = _load_dataset(args.data)
     model = pipeline.train_joint(ds, _training_config(args))
     test = pipeline.subset_by_ids(ds, model.test_event_ids)
     pred = pipeline.predict(model, test)
@@ -171,7 +177,7 @@ def _cmd_predict(args) -> int:
         ("out", args.out),
     ])
     model = pipeline.load_model(args.model)
-    ds, _ = dataio.load_dataset(args.data)
+    ds = _load_dataset(args.data)
     if args.split == "all":
         subset = ds
     else:
@@ -194,7 +200,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_ablate(args) -> int:
     _echo("ablate", [("variant", args.variant)] + _training_echo_pairs(args))
-    ds, _ = dataio.load_dataset(args.data)
+    ds = _load_dataset(args.data)
     metrics = pipeline.run_ablation(ds, args.variant, _training_config(args))
     print(f"variant={args.variant} {_metrics_line(metrics)}")
     return 0

@@ -12,7 +12,8 @@ Every CSV is read by `read_table`, which returns it as columns; numeric
 columns are converted whole by `float_column`. Text that is not UTF-8, a
 missing column, or a record with another field count than the header is a
 one-line SchemaError naming the file, as is a bad cell, with its row and
-column. Each reader then applies its own rules.
+column; `row N` is line N of the file. Each reader then applies its own
+rules.
 """
 
 from __future__ import annotations
@@ -149,28 +150,50 @@ def _parse_date(text, path, row_no, col):
         raise SchemaError(f"{path} row {row_no} column {col!r}: not an ISO date: {text!r}") from None
 
 
-def read_table(path, required) -> dict:
-    """The CSV file at `path` as {column name: tuple of cell strings}, in
-    header order, skipping blank lines. Text that is not UTF-8, a missing
-    required column, a repeated column name, or a record whose field count
-    differs from the header's is a SchemaError naming the file."""
+class Table(dict):
+    """{column name: tuple of cell strings}, in header order; `lines` holds
+    each record's line number in the file."""
+
+    lines: np.ndarray
+
+
+def read_table(path, required) -> Table:
+    """The CSV file at `path` as a Table, skipping blank lines. Text that is
+    not UTF-8, a missing required column, a repeated column name, or a
+    record whose field count differs from the header's is a SchemaError
+    naming the file."""
+    rows, lines, line = [], [], 1
     try:
         with open(path, newline="", encoding="utf-8") as f:
             reader = csv.reader(f)
-            header, *rows = [r for r in reader if r] or [[]]
+            for record in reader:
+                if record:
+                    rows.append(record)
+                    lines.append(line)
+                line = reader.line_num + 1  # where the next record starts
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:
         raise SchemaError(f"{path} line {reader.line_num}: {exc}") from None
+    header, *rows = rows or [[]]
     missing = [c for c in required if c not in header]
     if missing:
         raise SchemaError(f"{path}: missing column(s) {missing}")
     if len(set(header)) != len(header):
         raise SchemaError(f"{path}: repeated column name in header {header}")
+    table = Table(zip(header, zip(*rows) if rows else [()] * len(header)))
+    table.lines = np.array(lines[1:], dtype=np.intp)
     fields = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    reject_rows(fields != len(header),
-                lambda r: f"{path} row {r}: {fields[r - 2]} fields, header has {len(header)}")
-    return dict(zip(header, zip(*rows) if rows else [()] * len(header)))
+    reject_rows(table, fields != len(header),
+                lambda r, i: f"{path} row {r}: {fields[i]} fields, header has {len(header)}")
+    return table
+
+
+def _lines(table) -> np.ndarray:
+    """Each record's line number; a plain dict's records sit on lines 2, 3, ..."""
+    if isinstance(table, Table):
+        return table.lines
+    return np.arange(2, len(next(iter(table.values()), ())) + 2)
 
 
 def float_column(table, col, path) -> np.ndarray:
@@ -184,14 +207,21 @@ def float_column(table, col, path) -> np.ndarray:
             return values
     except ValueError:
         pass
-    return np.array([_parse_float(c, path, r, col) for r, c in enumerate(cells, start=2)])
+    return np.array([_parse_float(c, path, r, col) for r, c in zip(_lines(table).tolist(), cells)])
 
 
-def reject_rows(mask, message) -> None:
-    """Raise SchemaError(message(row)) at the first True; row 2 is the first record."""
+def date_column(table, col, path) -> list:
+    """A read_table column as dates, each cell an ISO date."""
+    return [_parse_date(c, path, r, col) for r, c in zip(_lines(table).tolist(), table[col])]
+
+
+def reject_rows(table, mask, message) -> None:
+    """Raise SchemaError(message(line, i)) at the first True record i of the
+    table, `line` being its line number in the file."""
     hits = np.flatnonzero(mask)
     if hits.size:
-        raise SchemaError(message(int(hits[0]) + 2))
+        i = int(hits[0])
+        raise SchemaError(message(int(_lines(table)[i]), i))
 
 
 def repeats(keys) -> np.ndarray:
@@ -210,14 +240,13 @@ def read_events(path) -> list:
     num = {c: float_column(table, c, path).tolist() if c in table else [None] * len(ids)
            for c in ("latitude", "longitude", "fire_duration_days", "detection_confidence",
                      "target")}
-    dates = [_parse_date(c, path, r, "start_date")
-             for r, c in enumerate(table["start_date"], start=2)]
+    dates = date_column(table, "start_date", path)
     duration = np.array(num["fire_duration_days"])
     # the duration is a model input that no imputation rule fills
-    reject_rows(np.isnan(duration),
-                lambda r: f"{path} row {r} column 'fire_duration_days': missing value")
-    reject_rows(duration < 0, lambda r: f"{path} row {r}: negative fire_duration_days")
-    reject_rows(repeats(ids), lambda r: f"{path} row {r}: duplicate event_id {ids[r - 2]}")
+    reject_rows(table, np.isnan(duration),
+                lambda r, i: f"{path} row {r} column 'fire_duration_days': missing value")
+    reject_rows(table, duration < 0, lambda r, i: f"{path} row {r}: negative fire_duration_days")
+    reject_rows(table, repeats(ids), lambda r, i: f"{path} row {r}: duplicate event_id {ids[i]}")
     return [FireEvent(*fields) for fields in zip(
         ids, [c.strip() for c in table["county_id"]], num["latitude"], num["longitude"], dates,
         num["fire_duration_days"], num["detection_confidence"], num["target"],
@@ -228,15 +257,15 @@ def read_weather(path) -> dict:
     """event_id -> 30 x 9 array (day offsets -30..-1), NaN where missing."""
     table = read_table(path, ["event_id", "day_offset"] + WEATHER_COLUMNS)
     off = float_column(table, "day_offset", path)
-    reject_rows((np.floor(off) != off) | (off < -SEQ_LEN) | (off > -1), lambda r: (
+    reject_rows(table, (np.floor(off) != off) | (off < -SEQ_LEN) | (off > -1), lambda r, i: (
         f"{path} row {r}: day_offset must be an integer in [-30, -1], "
-        f"got {table['day_offset'][r - 2]}"))
+        f"got {table['day_offset'][i]}"))
     ids = [c.strip() for c in table["event_id"]]
     names, event = np.unique(ids, return_inverse=True)
     day = off.astype(np.intp) + SEQ_LEN  # -30 -> row 0 ... -1 -> row 29
     # keyed on (event, day), so a repeat of an all-blank row is caught too
-    reject_rows(repeats(event * SEQ_LEN + day), lambda r: (
-        f"{path} row {r}: duplicate day_offset {off[r - 2]:.0f} for event {ids[r - 2]}"))
+    reject_rows(table, repeats(event * SEQ_LEN + day), lambda r, i: (
+        f"{path} row {r}: duplicate day_offset {off[i]:.0f} for event {ids[i]}"))
     blocks = np.full((len(names), SEQ_LEN, N_CHANNELS), np.nan)
     blocks[event, day] = np.column_stack([float_column(table, c, path) for c in WEATHER_COLUMNS])
     return dict(zip(names.tolist(), blocks))
@@ -246,8 +275,8 @@ def read_enriched(path) -> dict:
     """event_id -> length-24 array in ENRICHED_FILE_COLUMNS order, NaN where missing."""
     table = read_table(path, ["event_id"] + ENRICHED_FILE_COLUMNS)
     ids = [c.strip() for c in table["event_id"]]
-    reject_rows(repeats(ids),
-                lambda r: f"{path} row {r}: duplicate enriched row for event {ids[r - 2]}")
+    reject_rows(table, repeats(ids),
+                lambda r, i: f"{path} row {r}: duplicate enriched row for event {ids[i]}")
     values = np.column_stack([float_column(table, c, path) for c in ENRICHED_FILE_COLUMNS])
     return dict(zip(ids, values))
 
@@ -256,12 +285,12 @@ def read_ndvi(path) -> dict:
     """event_id -> list of (date, value) samples."""
     table = read_table(path, ["event_id", "date", "ndvi"])
     values = float_column(table, "ndvi", path)
-    reject_rows(~((values >= -1.0) & (values <= 1.0)),
-                lambda r: f"{path} row {r}: ndvi outside [-1, 1]: {values[r - 2]}")
+    reject_rows(table, ~((values >= -1.0) & (values <= 1.0)),
+                lambda r, i: f"{path} row {r}: ndvi outside [-1, 1]: {values[i]}")
     out: dict = {}
-    rows = zip(table["event_id"], table["date"], values.tolist())
-    for r, (eid, date, value) in enumerate(rows, start=2):
-        out.setdefault(eid.strip(), []).append((_parse_date(date, path, r, "date"), value))
+    for eid, date, value in zip(table["event_id"], date_column(table, "date", path),
+                                values.tolist()):
+        out.setdefault(eid.strip(), []).append((date, value))
     return out
 
 

@@ -2,9 +2,10 @@
 
 Bootstrap-resampled trees, a uniformly sampled feature subset per node, and
 midpoint thresholds between consecutive distinct sorted values. All trees
-grow in lockstep: each step runs one batched split search over the next
-split node of every tree, and prediction walks all trees at once. Both give
-the same numbers, bit for bit, as growing and walking the trees one by one.
+grow together, one depth level at a time: each level's nodes are array rows
+and one batched split search serves the whole level. Prediction walks all
+trees at once. Both give the same numbers, bit for bit, as growing each
+tree alone level by level and walking the trees one by one.
 """
 
 from __future__ import annotations
@@ -38,7 +39,9 @@ class ForestConfig:
 @dataclass
 class RegressionTree:
     """Flat node arrays; feature == -1 marks a leaf, whose value is the mean
-    of its training targets."""
+    of its training targets. Any numbering with parents before children
+    walks the same: fit_forest numbers nodes level by level, older model
+    files depth first."""
 
     feature: np.ndarray  # int, -1 for leaves
     threshold: np.ndarray
@@ -71,71 +74,6 @@ class Forest:
 # the split search and of the all-trees traversal. 2**19 float64 cells are
 # 4 MiB per array.
 _BATCH_CELLS = 1 << 19
-
-
-class _Grower:
-    """Growth state of one tree: its rng, its node arrays and its depth-first
-    stack of (node, lo, hi, depth). A node owns rows[lo:hi] of the tree's
-    slice of the shared row array, in bootstrap order."""
-
-    __slots__ = ("rng", "rows", "stack", "feature", "threshold", "left", "right", "value")
-
-    def __init__(self, rng, rows):
-        self.rng = rng
-        self.rows = rows
-        self.stack = [(0, 0, rows.size, 0)]
-        self.feature = [-1]
-        self.threshold = [0.0]
-        self.left = [-1]
-        self.right = [-1]
-        self.value = [0.0]
-
-    def next_search(self, y, cfg, d, m):
-        """Pop nodes, setting each one's value, until one needs a split search;
-        draw its feature subset and return (node, lo, hi, depth, features).
-        None once the stack is empty."""
-        msl, max_depth = cfg.min_samples_leaf, cfg.max_depth
-        stack = self.stack
-        while stack:
-            node, lo, hi, depth = stack.pop()
-            # mean and dot product stay per node, over the node's rows in
-            # bootstrap order: their rounding depends on the length
-            yy = y[self.rows[lo:hi]]
-            n = hi - lo
-            mean = np.add.reduce(yy) / n  # what yy.mean() computes, minus its wrapper
-            self.value[node] = mean
-            if n < 2 * msl or (max_depth is not None and depth >= max_depth):
-                continue
-            sse = float(yy @ yy) - n * mean * mean
-            if sse <= n * 1e-14 * (1.0 + mean * mean):
-                continue  # numerically pure node
-            feats = np.sort(self.rng.choice(d, size=m, replace=False))
-            return node, lo, hi, depth, feats
-        return None
-
-    def split(self, node, lo, hi, depth, feat, thr, n_left):
-        left_id = len(self.feature)
-        right_id = left_id + 1
-        self.feature[node] = feat
-        self.threshold[node] = thr
-        self.left[node] = left_id
-        self.right[node] = right_id
-        self.feature += [-1, -1]
-        self.threshold += [0.0, 0.0]
-        self.left += [-1, -1]
-        self.right += [-1, -1]
-        self.value += [0.0, 0.0]
-        self.stack.append((right_id, lo + n_left, hi, depth + 1))
-        self.stack.append((left_id, lo, lo + n_left, depth + 1))
-
-    def tree(self) -> RegressionTree:
-        return RegressionTree(
-            feature=np.array(self.feature, dtype=np.int64),
-            threshold=np.array(self.threshold),
-            left=np.array(self.left, dtype=np.int64),
-            right=np.array(self.right, dtype=np.int64),
-            value=np.array(self.value),
-        )
 
 
 class _SplitSearch:
@@ -232,63 +170,86 @@ class _SplitSearch:
 
 
 def _grow_forest(x, y, cfg: ForestConfig, m: int):
-    """Grow all cfg.n_trees trees in lockstep.
+    """Grow all cfg.n_trees trees together, one depth level at a time.
 
-    Each step pops every unfinished tree's next split-search node (in the
-    tree's own depth-first order, drawing its features from the tree's own
-    rng) and searches them together: nodes are bucketed by size rounded up to
-    a power of two and each bucket is searched in chunks of at most
-    _BATCH_CELLS cells. Every tree sees the same random draws and the same
-    arithmetic as when grown alone, so the forest is the same bit for bit.
-    Returns the trees and the per-tree gain totals by feature.
+    A level holds every tree's nodes at that depth as arrays, in tree order
+    and, within a tree, in node order: the tree, the node's first row in the
+    flat row array (one slice of n rows per tree, a node's rows contiguous)
+    and its row count. A node's value and sum of squares are np.add.reduceat
+    sums over its rows. Tree t draws the features of its c nodes that pass
+    the leaf tests with one rng_t.random((c, d)) call, each node keeping the
+    m lowest keys of its row. Those nodes are searched together: bucketed by
+    size rounded up to a power of two, each bucket in chunks of at most
+    _BATCH_CELLS cells. Each tree numbers its nodes in level order, the right
+    child at left + 1. Returns the trees and the per-tree gain totals by
+    feature.
     """
     n, d = x.shape
-    rows = np.empty((cfg.n_trees, n), dtype=np.int64)
-    growers = []
-    for t in range(cfg.n_trees):
-        rng = np.random.default_rng(cfg.seed + t)
-        rows[t] = rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n)
-        growers.append(_Grower(rng, rows[t]))
-    search = _SplitSearch(x, y, rows.reshape(-1), cfg.min_samples_leaf)
-    gain_by_feature = np.zeros((cfg.n_trees, d))
+    n_trees, msl = cfg.n_trees, cfg.min_samples_leaf
+    rngs = [np.random.default_rng(cfg.seed + t) for t in range(n_trees)]
+    rows = np.concatenate(
+        [rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n) for rng in rngs])
+    search = _SplitSearch(x, y, rows, msl)
+    gain_by_feature = np.zeros((n_trees, d))
+    n_nodes = np.ones(n_trees, dtype=np.int64)
+    tree = np.arange(n_trees)
+    start, count = tree * n, np.full(n_trees, n)
+    levels = []
+    depth = 0
+    while tree.size:
+        first = np.cumsum(count) - count  # each node's offset among the level's rows
+        yy = y[rows[np.repeat(start - first, count) + np.arange(count.sum())]]
+        value = np.add.reduceat(yy, first) / count
+        sse = np.add.reduceat(yy * yy, first) - count * value * value
+        deep = cfg.max_depth is not None and depth >= cfg.max_depth
+        # the last test skips numerically pure nodes
+        searched = np.flatnonzero(
+            (count >= 2 * msl) & (not deep) & ~(sse <= count * 1e-14 * (1.0 + value * value)))
 
-    active = range(cfg.n_trees)
-    while True:
-        pending = []
-        for t in active:
-            found = growers[t].next_search(y, cfg, d, m)
-            if found is not None:
-                pending.append((t,) + found)
-        if not pending:
-            break
-        active = [p[0] for p in pending]
+        owners, lo, c = np.unique(tree[searched], return_index=True, return_counts=True)
+        keys = np.empty((searched.size, d))
+        for t, a, k in zip(owners.tolist(), lo.tolist(), c.tolist()):
+            keys[a:a + k] = rngs[t].random((k, d))  # one draw per tree per level
+        feats = np.sort(np.argsort(keys, axis=1, kind="stable")[:, :m], axis=1)
 
-        starts = np.array([t * n + lo for t, _, lo, _, _, _ in pending])
-        lens = np.array([hi - lo for _, _, lo, hi, _, _ in pending])
-        feats = np.array([p[5] for p in pending])
-        buckets: dict = {}
-        for i, size in enumerate(lens.tolist()):
-            buckets.setdefault(1 << (size - 1).bit_length(), []).append(i)
-        feat = np.empty(len(pending), dtype=np.int64)
-        thr = np.empty(len(pending))
-        gain = np.empty(len(pending))
-        n_left = np.empty(len(pending), dtype=np.int64)
-        taken = np.empty(len(pending), dtype=bool)
-        for size, members in buckets.items():
+        starts, lens = start[searched], count[searched]
+        sizes = 1 << np.frexp(lens - 1)[1]  # exact: the exponent is (lens - 1).bit_length()
+        found = [np.empty(searched.size, dt) for dt in (np.int64, float, float, np.int64, bool)]
+        for size in np.unique(sizes).tolist():
+            members = np.flatnonzero(sizes == size)
             per_chunk = max(1, _BATCH_CELLS // (m * size))
-            for c in range(0, len(members), per_chunk):
-                sel = np.array(members[c:c + per_chunk])
-                out = search(starts[sel], lens[sel], feats[sel], size)
-                feat[sel], thr[sel], gain[sel], n_left[sel], taken[sel] = out
+            for c0 in range(0, members.size, per_chunk):
+                sel = members[c0:c0 + per_chunk]
+                for out, got in zip(found, search(starts[sel], lens[sel], feats[sel], size)):
+                    out[sel] = got
+        feat, thr, gain, n_left, taken = found
+        split = searched[taken]
+        feat, thr, gain, n_left = feat[taken], thr[taken], gain[taken], n_left[taken]
 
-        for (t, node, lo, hi, depth, _), f, th, g, nl, ok in zip(
-            pending, feat.tolist(), thr.tolist(), gain.tolist(), n_left.tolist(),
-            taken.tolist(),
-        ):
-            if ok:
-                gain_by_feature[t, f] += g / n
-                growers[t].split(node, lo, hi, depth, f, th, nl)
-    return [g.tree() for g in growers], gain_by_feature
+        owner = tree[split]
+        np.add.at(gain_by_feature, (owner, feat), gain / n)  # adds in node order
+        left = n_nodes[owner] + 2 * (np.arange(split.size) - np.searchsorted(owner, owner))
+        n_nodes += 2 * np.bincount(owner, minlength=n_trees)
+        node_feature = np.full(tree.size, -1)
+        node_threshold = np.zeros(tree.size)
+        node_left = np.full(tree.size, -1)
+        node_right = np.full(tree.size, -1)
+        node_feature[split], node_threshold[split] = feat, thr
+        node_left[split], node_right[split] = left, left + 1
+        levels.append((tree, node_feature, node_threshold, node_left, node_right, value))
+
+        # the search partitioned each split node's rows, left rows first
+        tree = np.repeat(owner, 2)
+        start = np.column_stack([start[split], start[split] + n_left]).ravel()
+        count = np.column_stack([n_left, count[split] - n_left]).ravel()
+        depth += 1
+
+    tree_of, *columns = map(np.concatenate, zip(*levels))
+    order = np.argsort(tree_of, kind="stable")  # each tree's nodes in level order
+    cuts = np.cumsum(n_nodes)[:-1]
+    trees = [RegressionTree(*arrays)
+             for arrays in zip(*(np.split(col[order], cuts) for col in columns))]
+    return trees, gain_by_feature
 
 
 def fit_forest(x, y, cfg: ForestConfig | None = None) -> Forest:

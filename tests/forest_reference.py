@@ -1,9 +1,17 @@
 """The one-tree-at-a-time forest that `mvelma.forest` must reproduce.
 
-`reference_fit_forest` grows each tree alone, depth first, with one split
-search per node; `reference_predict_forest` calls `RegressionTree.predict`
-tree by tree and sums the predictions in tree order. The lockstep builder and the all-trees
-traversal in `mvelma.forest` must return the same arrays, bit for bit.
+`reference_fit_forest` grows each tree alone, level by level, with one
+split search per node; `reference_predict_forest` calls
+`RegressionTree.predict` tree by tree and sums the predictions in tree
+order. The all-trees builder and traversal in `mvelma.forest` must return
+the same arrays, bit for bit.
+
+The draw rule both builders share: tree t's rng is default_rng(seed + t),
+its first call draws the bootstrap rows, and at each depth level one
+rng.random((c, d)) call gives a key row to each of the c nodes that need a
+split search, in node order; a node searches the features of its m lowest
+keys. A node's value and sum of squares are np.add.reduceat sums over its
+own rows. Nodes are numbered in level order, the right child at left + 1.
 """
 
 import math
@@ -13,110 +21,97 @@ import numpy as np
 from mvelma.forest import Forest, RegressionTree
 
 
-class _TreeBuilder:
-    def __init__(self, x, y, cfg, m_features, rng):
-        self.x = x
-        self.y = y
-        self.cfg = cfg
-        self.m = m_features
-        self.rng = rng
-        self.feature = []
-        self.threshold = []
-        self.left = []
-        self.right = []
-        self.value = []
-        self.gain_by_feature = np.zeros(x.shape[1])
-
-    def new_node(self):
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(0.0)
-        return len(self.feature) - 1
-
-    def build(self, root_idx):
-        msl = self.cfg.min_samples_leaf
-        n_root = root_idx.size
-        stack = [(self.new_node(), root_idx, 0)]
-        while stack:
-            node, idx, depth = stack.pop()
-            yy = self.y[idx]
+def _grow_tree(x, y, cfg, m, rng, root_rows):
+    """One tree and its gain totals by feature."""
+    msl = cfg.min_samples_leaf
+    d = x.shape[1]
+    feature, threshold, left, right, value = [-1], [0.0], [-1], [-1], [0.0]
+    gain_by_feature = np.zeros(d)
+    level = [(0, root_rows)]
+    depth = 0
+    while level:
+        searched = []
+        for node, idx in level:
+            yy = y[idx]
             n = idx.size
-            mean = yy.mean()
-            self.value[node] = mean
-
-            if n < 2 * msl or (self.cfg.max_depth is not None and depth >= self.cfg.max_depth):
+            mean = np.add.reduceat(yy, [0])[0] / n
+            value[node] = mean
+            if n < 2 * msl or (cfg.max_depth is not None and depth >= cfg.max_depth):
                 continue
-            sse = float(yy @ yy) - n * mean * mean
+            sse = np.add.reduceat(yy * yy, [0])[0] - n * mean * mean
             if sse <= n * 1e-14 * (1.0 + mean * mean):
                 continue  # numerically pure node
+            searched.append((node, idx))
 
-            split = self._best_split(idx, yy)
+        children = []
+        for (node, idx), keys in zip(searched, rng.random((len(searched), d))):
+            feats = np.sort(np.argsort(keys, kind="stable")[:m])
+            split = _best_split(x, y, idx, feats, msl)
             if split is None:
                 continue
             feat, thr, gain = split
-            mask = self.x[idx, feat] <= thr
+            mask = x[idx, feat] <= thr
             n_left = int(mask.sum())
-            if n_left < msl or n - n_left < msl:
+            if n_left < msl or idx.size - n_left < msl:
                 continue  # midpoint rounding collapsed one side
 
-            self.gain_by_feature[feat] += gain / n_root
-            self.feature[node] = feat
-            self.threshold[node] = thr
-            left_id = self.new_node()
-            right_id = self.new_node()
-            self.left[node] = left_id
-            self.right[node] = right_id
-            stack.append((right_id, idx[~mask], depth + 1))
-            stack.append((left_id, idx[mask], depth + 1))
-        return RegressionTree(
-            feature=np.array(self.feature, dtype=np.int64),
-            threshold=np.array(self.threshold),
-            left=np.array(self.left, dtype=np.int64),
-            right=np.array(self.right, dtype=np.int64),
-            value=np.array(self.value),
-        )
+            gain_by_feature[feat] += gain / root_rows.size
+            feature[node] = feat
+            threshold[node] = thr
+            left[node], right[node] = len(feature), len(feature) + 1
+            feature += [-1, -1]
+            threshold += [0.0, 0.0]
+            left += [-1, -1]
+            right += [-1, -1]
+            value += [0.0, 0.0]
+            children += [(left[node], idx[mask]), (right[node], idx[~mask])]
+        level = children
+        depth += 1
+    tree = RegressionTree(
+        feature=np.array(feature, dtype=np.int64),
+        threshold=np.array(threshold),
+        left=np.array(left, dtype=np.int64),
+        right=np.array(right, dtype=np.int64),
+        value=np.array(value),
+    )
+    return tree, gain_by_feature
 
-    def _best_split(self, idx, yy):
-        """Maximize SSE reduction over candidate features and positions.
 
-        Ties break toward the lowest feature index, then the lowest
-        threshold: the gain grid is scanned feature-major over ascending
-        feature indices and ascending thresholds, and argmax takes the
-        first maximum.
-        """
-        n = idx.size
-        msl = self.cfg.min_samples_leaf
-        d = self.x.shape[1]
-        feats = np.sort(self.rng.choice(d, size=self.m, replace=False))
-        sub = self.x[np.ix_(idx, feats)]
-        order = np.argsort(sub, axis=0, kind="stable")
-        svals = np.take_along_axis(sub, order, axis=0)
-        sy = yy[order]
+def _best_split(x, y, idx, feats, msl):
+    """Maximize SSE reduction over the features `feats` and positions.
 
-        cum = np.cumsum(sy, axis=0)
-        total = cum[-1, 0]
-        n_l = np.arange(1, n, dtype=np.float64)[:, None]
-        n_r = n - n_l
-        cum_l = cum[:-1, :]
-        with np.errstate(invalid="ignore"):
-            gains = cum_l**2 / n_l + (total - cum_l) ** 2 / n_r - total * total / n
+    Ties break toward the lowest feature index, then the lowest threshold:
+    the gain grid is scanned feature-major over ascending feature indices
+    and ascending thresholds, and argmax takes the first maximum.
+    """
+    n = idx.size
+    sub = x[np.ix_(idx, feats)]
+    order = np.argsort(sub, axis=0, kind="stable")
+    svals = np.take_along_axis(sub, order, axis=0)
+    sy = y[idx][order]
 
-        valid = svals[1:, :] > svals[:-1, :]
-        if msl > 1:
-            pos = np.arange(1, n)[:, None]
-            valid &= (pos >= msl) & (n - pos >= msl)
-        gains = np.where(valid, gains, -np.inf)
+    cum = np.cumsum(sy, axis=0)
+    total = cum[-1, 0]
+    n_l = np.arange(1, n, dtype=np.float64)[:, None]
+    n_r = n - n_l
+    cum_l = cum[:-1, :]
+    with np.errstate(invalid="ignore"):
+        gains = cum_l**2 / n_l + (total - cum_l) ** 2 / n_r - total * total / n
 
-        flat = gains.T.ravel()  # feature-major: lowest feature, then lowest threshold
-        best = int(np.argmax(flat))
-        best_gain = flat[best]
-        if not (best_gain > 0.0) or not np.isfinite(best_gain):
-            return None
-        col, row = divmod(best, n - 1)
-        thr = 0.5 * (svals[row, col] + svals[row + 1, col])
-        return int(feats[col]), float(thr), float(best_gain)
+    valid = svals[1:, :] > svals[:-1, :]
+    if msl > 1:
+        pos = np.arange(1, n)[:, None]
+        valid &= (pos >= msl) & (n - pos >= msl)
+    gains = np.where(valid, gains, -np.inf)
+
+    flat = gains.T.ravel()  # feature-major: lowest feature, then lowest threshold
+    best = int(np.argmax(flat))
+    best_gain = flat[best]
+    if not (best_gain > 0.0) or not np.isfinite(best_gain):
+        return None
+    col, row = divmod(best, n - 1)
+    thr = 0.5 * (svals[row, col] + svals[row + 1, col])
+    return int(feats[col]), float(thr), float(best_gain)
 
 
 def reference_fit_forest(x, y, cfg) -> Forest:
@@ -132,9 +127,9 @@ def reference_fit_forest(x, y, cfg) -> Forest:
     for t in range(cfg.n_trees):
         rng = np.random.default_rng(cfg.seed + t)
         idx = rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n)
-        builder = _TreeBuilder(x, y, cfg, m, rng)
-        trees.append(builder.build(idx))
-        gain_totals += builder.gain_by_feature
+        tree, gain_by_feature = _grow_tree(x, y, cfg, m, rng, idx)
+        trees.append(tree)
+        gain_totals += gain_by_feature
 
     s = gain_totals.sum()
     importances = gain_totals / s if s > 0 else gain_totals

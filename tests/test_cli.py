@@ -415,6 +415,39 @@ def assert_clean_exit(code, err):
         assert err.startswith(("validation error:", "numerical failure:")), err
 
 
+def _blank_cell(path, column):
+    """Blank `column` in the first record of a CSV file."""
+    header, first, *rest = path.read_text().splitlines()
+    cells = first.split(",")
+    cells[header.split(",").index(column)] = ""
+    path.write_text("\n".join([header, ",".join(cells)] + rest) + "\n")
+
+
+def test_every_data_command_prints_the_validation_report(fixture_data, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(fixture_data, data)
+    _blank_cell(data / "weather.csv", "wind_ms")
+    _blank_cell(data / "enriched.csv", "elevation")
+    model, preds = tmp_path / "model.json", tmp_path / "predictions.csv"
+    commands = {
+        "train": ("train", "--data", data, "--model", model, *TRAIN_KNOBS),
+        "predict": ("predict", "--model", model, "--data", data, "--out", preds),
+        "evaluate": ("evaluate", "--pred", preds, "--data", data),
+        "map": ("map", "--pred", preds, "--data", data, "--out", tmp_path / "map.csv"),
+        "ablate": ("ablate", "--data", data, "--variant", "no-bilstm-gpr", *TRAIN_KNOBS),
+    }
+    reports = {}
+    for name, argv in commands.items():
+        code, out = run_cli(*argv)
+        assert code == 0, name
+        assert out.startswith(f"config: subcommand={name} "), name
+        reports[name] = [line for line in out.splitlines() if line.startswith("validation: ")]
+    assert len(reports["train"]) == 2
+    assert "filled 1 missing wind_ms values" in reports["train"][0]
+    assert "filled missing elevation" in reports["train"][1]
+    assert all(lines == reports["train"] for lines in reports.values()), reports
+
+
 class TestCorruptInputNeverRaises:
     """A corrupted input file ends in an exit code and at most one error
     line, never in a traceback."""

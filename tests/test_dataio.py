@@ -272,6 +272,42 @@ class TestMalformedFile:
         assert str(exc_info.value) == f"{path} row 3: {m + delta} fields, header has {m}"
 
     @pytest.mark.parametrize("fname", sorted(READERS))
+    def test_short_row_after_blank_lines_names_its_line(self, input_files, fname):
+        path = input_files / fname
+        header, first, second, *rest = path.read_text().splitlines()
+        path.write_text("\n".join([header, "", first, "", "", second.rsplit(",", 1)[0]] + rest))
+        m = len(header.split(","))
+        with pytest.raises(SchemaError) as exc_info:
+            READERS[fname](path)
+        assert str(exc_info.value) == f"{path} row 6: {m - 1} fields, header has {m}"
+
+    def test_bad_cell_after_blank_lines_names_its_line(self, tmp_path):
+        p = tmp_path / "ndvi.csv"
+        p.write_text("event_id,date,ndvi\n\ne0,2020-06-01,0.5\n\ne0,2020-06-20,x\n")
+        with pytest.raises(SchemaError) as exc_info:
+            dataio.read_ndvi(p)
+        assert str(exc_info.value) == f"{p} row 5 column 'ndvi': not a number: 'x'"
+
+    def test_bad_date_after_blank_lines_names_its_line(self, tmp_path):
+        p = tmp_path / "ndvi.csv"
+        p.write_text("event_id,date,ndvi\n\n\ne0,2020-06-01,0.5\ne0,June 20,0.5\n")
+        with pytest.raises(SchemaError) as exc_info:
+            dataio.read_ndvi(p)
+        assert str(exc_info.value) == f"{p} row 5 column 'date': not an ISO date: 'June 20'"
+
+    @pytest.mark.parametrize("fname,message", [
+        ("events.csv", "duplicate event_id ev00000"),
+        ("enriched.csv", "duplicate enriched row for event ev00000"),
+    ])
+    def test_duplicate_id_after_blank_lines_names_its_line(self, input_files, fname, message):
+        path = input_files / fname
+        header, first, *rest = path.read_text().splitlines()
+        path.write_text("\n".join([header, first, "", "", first] + rest) + "\n")
+        with pytest.raises(SchemaError) as exc_info:
+            READERS[fname](path)
+        assert str(exc_info.value) == f"{path} row 5: {message}"
+
+    @pytest.mark.parametrize("fname", sorted(READERS))
     def test_non_utf8_byte_names_file(self, input_files, fname):
         path = input_files / fname
         data = path.read_bytes()

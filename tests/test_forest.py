@@ -1,6 +1,10 @@
 """Forest checks: degenerate targets, perfect separability, importance
-attribution, ensemble averaging, determinism, and equality with the
-one-tree-at-a-time reference builder in forest_reference.py."""
+attribution, ensemble averaging, determinism, equality with the
+one-tree-at-a-time reference builder in forest_reference.py, and
+prediction and model loading under any parent-before-child node order."""
+
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import strategies as st
 
 from forest_reference import reference_fit_forest, reference_predict_forest
 from mvelma import forest as rf
+from mvelma import pipeline
 from mvelma.errors import DegenerateInput, DimensionMismatch, NonFiniteInput
 
 SEED = 31415
@@ -315,3 +320,59 @@ class TestPredictAllTrees:
         query[2, 1] = bad
         with pytest.raises(NonFiniteInput):
             rf.predict_forest(f, query)
+
+
+def _renumbered(tree, rng):
+    """The tree with its nodes renumbered in a random order that puts every
+    parent before its children: the root, then at each step any node whose
+    parent is already numbered."""
+    order, ready = [], [0]
+    while ready:
+        node = ready.pop(int(rng.integers(len(ready))))
+        order.append(node)
+        if tree.feature[node] >= 0:
+            ready += [int(tree.left[node]), int(tree.right[node])]
+    order = np.array(order)
+    new_id = np.empty_like(order)
+    new_id[order] = np.arange(order.size)
+    leaf = tree.feature[order] < 0
+    return rf.RegressionTree(
+        feature=tree.feature[order], threshold=tree.threshold[order],
+        left=np.where(leaf, -1, new_id[tree.left[order]]),
+        right=np.where(leaf, -1, new_id[tree.right[order]]),
+        value=tree.value[order],
+    )
+
+
+# trees numbered depth first, as every model file written before the forest
+# grew level by level numbers them
+MODEL_FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "model_v1" / "model.json"
+
+
+class TestNodeNumbering:
+    """Walking and loading a tree depend on its links, not on its numbering."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_any_parent_first_order_predicts_and_loads_the_same(self, seed):
+        rng = np.random.default_rng(seed)
+        model = pipeline.load_model(MODEL_FIXTURE)
+        x = rng.standard_normal((40, 4))
+        forests = [
+            model.forest,
+            rf.fit_forest(x, x[:, 0] + x[:, 1] ** 2,
+                          rf.ForestConfig(n_trees=5, min_samples_leaf=1, seed=seed)),
+        ]
+        for f in forests:
+            renumbered = rf.Forest(trees=[_renumbered(t, rng) for t in f.trees],
+                                   importances=f.importances, n_features=f.n_features)
+            query = rng.standard_normal((60, f.n_features)) * 2.0
+            assert rf.predict_forest(renumbered, query).tobytes() == \
+                rf.predict_forest(f, query).tobytes()
+
+        model.forest.trees = [_renumbered(t, rng) for t in model.forest.trees]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "model.json"
+            pipeline.save_model(model, path)
+            loaded = pipeline.load_model(path)
+        assert_same_forest(loaded.forest, model.forest)
