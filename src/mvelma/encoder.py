@@ -26,20 +26,29 @@ state is one product with the recurrent weights, and the weight and bias
 gradient is one product over all T*N columns.
 
 The two directions are independent. When a step is large, N * H at least
-_THREAD_MIN_STATE, and this process may run on more than one CPU, the
-reverse direction runs on a worker thread created for the call, in the
-forward pass and again in the reverse pass, while the calling thread runs
-the forward direction; numpy releases the GIL inside each of their array
-operations. Both paths do the same arithmetic on separate buffers, so their
-results are bit-identical. The threshold is the measured crossover of one
-forward plus reverse pass at T=30, W=9 (2-vCPU Xeon, OpenBLAS 0.3.31 at
-OPENBLAS_NUM_THREADS=1). At N=400 two threads were 20% slower at H=8
-(N*H = 3,200), even at H=12 (4,800) and 18-20% faster at H=16 (6,400). At
-N*H = 6,400 they also won at N=800, H=8 (8%) and at N=100, H=64 (32%).
+_THREAD_MIN_STATE, this process may run on more than one CPU, and numpy's
+OpenBLAS runs each product on one thread, the reverse direction runs on a
+worker thread created for the call, in the forward pass and again in the
+reverse pass, while the calling thread runs the forward direction; numpy
+releases the GIL inside each of their array operations. With a larger BLAS
+pool, or one whose size cannot be read, the directions run in sequence:
+each thread's products would start BLAS threads of their own and
+oversubscribe the cores. With OPENBLAS_NUM_THREADS unset on 2 vCPUs, one
+forward plus reverse pass at N=400, H=64 took 184 ms threaded against
+127 ms in sequence. Both paths do the same arithmetic on separate buffers,
+so their results are bit-identical. The threshold is the measured
+crossover of one forward plus reverse pass at T=30, W=9 (2-vCPU Xeon,
+OpenBLAS 0.3.31 at OPENBLAS_NUM_THREADS=1). At N=400 two threads were 20%
+slower at H=8 (N*H = 3,200), even at H=12 (4,800) and 18-20% faster at
+H=16 (6,400). At N*H = 6,400 they also won at N=800, H=8 (8%) and at N=100,
+H=64 (32%).
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -300,10 +309,27 @@ def _weight_grads(x1, states, d_pre, out, reverse):
     np.matmul(xh.reshape(width1 + d_h, -1), d_pre.reshape(d_pre.shape[0], -1).T, out=out)
 
 
+@functools.cache
+def _blas_threads() -> int | None:
+    """The thread count of the OpenBLAS bundled with numpy, read once; None
+    when there is no such library or it has no such function."""
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                           "libscipy_openblas64_*.so")
+    for lib in glob.glob(pattern):
+        try:
+            get = ctypes.CDLL(lib).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        return get()
+    return None
+
+
 def _thread_directions(n: int, d_h: int) -> bool:
     """Whether to run the two directions on two threads: only when each step
-    is large enough and more than one CPU is available to this process."""
-    if n * d_h < _THREAD_MIN_STATE:
+    is large enough, numpy's BLAS runs on one thread, and more than one CPU
+    is available to this process."""
+    if n * d_h < _THREAD_MIN_STATE or _blas_threads() != 1:
         return False
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return (cpus or 1) > 1

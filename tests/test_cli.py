@@ -169,8 +169,10 @@ class TestTrainPredictEvaluate:
 
     def test_train_is_deterministic_with_threaded_encoder(self, workspace, tmp_path, monkeypatch):
         """At this width the encoder runs its two directions on two threads
-        wherever more than one CPU is available. Two runs, and a run forced
-        onto the sequential path, write the same model bytes."""
+        wherever more than one CPU is available; the BLAS pool is taken as one
+        thread, so the threaded path runs at any real pool size. Two runs, and
+        a run forced onto the sequential path, write the same model bytes."""
+        monkeypatch.setattr(encoder, "_blas_threads", lambda: 1)
         hidden = 140
         knobs = ("--epochs", 3, "--trees", 5, "--hidden", hidden, "--latent", 4)
         outs = []

@@ -1,5 +1,6 @@
 import dataclasses
 import datetime as dt
+import hashlib
 import math
 import re
 
@@ -481,7 +482,86 @@ class TestValidateAndImpute:
             dataio.validate_and_impute(events, weather, enriched)
 
 
+def _sha256(*parts) -> str:
+    """Digest of arrays (shape, dtype and bytes) and of other values' repr."""
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            h.update(repr((part.shape, part.dtype.str)).encode())
+            h.update(part.tobytes())
+        else:
+            h.update(repr(part).encode())
+    return h.hexdigest()
+
+
+def synth_digests(n_events, n_counties, seed, noise_fraction=None) -> dict:
+    kwargs = {} if noise_fraction is None else {"noise_fraction": noise_fraction}
+    ds, truth = dataio.synth_generate(n_events, n_counties, seed, **kwargs)
+    events = [(e.event_id, e.county_id, e.latitude, e.longitude, e.start_date.isoformat(),
+               e.fire_duration_days, e.detection_confidence, e.target) for e in ds.events]
+    return {
+        "weather": _sha256(ds.weather),
+        "enriched": _sha256(ds.enriched),
+        "targets": _sha256(ds.targets),
+        "events": _sha256(events),
+        "truth": _sha256(truth.noise_free, truth.static_part, truth.temporal_part,
+                         truth.noise_sd, truth.seed),
+    }
+
+
+# The generator's outputs, pinned byte for byte: (n_events, n_counties, seed,
+# noise_fraction, None for the default) -> synth_digests. A change to the
+# random stream or to the arithmetic that turns draws into data changes them.
+SYNTH_DIGESTS = {
+    (40, 3, 0, None): {
+        "weather": "22ec71f4f0523566966b089e51e23f75954c85585a55296464f478420ac6a72d",
+        "enriched": "aff288077c94eabc21b9dfb71664c821780ba515b8c220344b86ee81b43b4f8d",
+        "targets": "5073f6f379aa29b91491e0d88a2fa81bab9f9fd6a950028e75f99037ffcd7062",
+        "events": "d7aa362722929e75bb8719afc67a557cb2ac0a9c9fe6c3848bc762eac84ad65a",
+        "truth": "fa35c5435ca689a7a415c500d48a7eeeff370a55ae118c3513a75e8fd621a875",
+    },
+    (500, 10, 42, None): {
+        "weather": "83a70ed0b08c6a15b399657234cd5301ef6418d24aa1f99d13f7952e561a93ce",
+        "enriched": "8769ce7e0c2948f02501747459d4718baf7136f5c95e0312a7ba08ca12b97ce7",
+        "targets": "67a3be60e242e2459608c3abe18bf6ae1d9e51e206b10274b4ce3b740eccd509",
+        "events": "290df2996b45730cb0b2f74974cfcdda453781139142bf7f9770286e42c0ff83",
+        "truth": "451101383c4f5354803edeaf75a81282382e53c82f1a0e4dac2d41ed76bf4877",
+    },
+    (5000, 10, 7, None): {
+        "weather": "5e33b72a10da0d4007f7f1fcfe07b57ad28b346408d030a2b7925ffe43cf3048",
+        "enriched": "d36233f844bb5dc199a1d9026d473f94a2fe695cca27407f246d05582cac9f47",
+        "targets": "d389be14579fb615b926f44daf39df637592949f4e7933ed46bb48ffc0ab6971",
+        "events": "7625c472504c745c351d665636c80b815f191bc486cf32d0fa7fe8b1f60ef288",
+        "truth": "446f1fe079052fd78fa6bc8978e400c149dadc1c81e73d54a96d06c8863e510e",
+    },
+    (500, 5, 9, 0.0): {
+        "weather": "ea1fca797bba9b001900b352c94d33a143170f97d1817296afa68d06e44016f4",
+        "enriched": "def8aa1549f2f1b1d40bd0a0009f7fd712cdb123567739ff9e9f3cebeef23581",
+        "targets": "8a4496e53d2ba7a8eed8451527132433cca6cfd0f6dba10149b986ff197c6252",
+        "events": "1499fcac962ce2c1a213ee991c33dbaca4b60aaf7dabece595ade2c4eb7135f5",
+        "truth": "1de1c53e19a73c41c939a255807eb08162b78ad3bcb02645df8fc210c7634b53",
+    },
+}
+# write_dataset's three files for synth_generate(500, 10, seed=1)
+DATASET_FILE_DIGESTS = {
+    "events.csv": "16d3541ad22ed384039b7452a62ce89d0419fc3f6f380e64b6c2b4577dd62cc1",
+    "weather.csv": "f325b77327f8fdc4024d4ff351015c31b5108202c04cf7554affc154423d67ee",
+    "enriched.csv": "22bd48959a1aff529aceeb31e09c3f85a70f4494d6b6d6ec0535c99f97f22d46",
+}
+
+
 class TestSynthGenerate:
+    @pytest.mark.parametrize("config", list(SYNTH_DIGESTS), ids=str)
+    def test_outputs_pinned_byte_for_byte(self, config):
+        assert synth_digests(*config) == SYNTH_DIGESTS[config]
+
+    def test_written_files_pinned_byte_for_byte(self, tmp_path):
+        ds, _ = dataio.synth_generate(500, 10, seed=1)
+        dataio.write_dataset(ds, tmp_path)
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in DATASET_FILE_DIGESTS}
+        assert digests == DATASET_FILE_DIGESTS
+
     def test_same_seed_bit_identical(self):
         a, ta = dataio.synth_generate(60, 5, seed=3)
         b, tb = dataio.synth_generate(60, 5, seed=3)

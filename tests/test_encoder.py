@@ -2,6 +2,8 @@
 symmetry, gradients against finite differences, and the fused block against
 the per-gate oracle in encoder_reference.py on both of its thread paths."""
 
+import os
+
 import numpy as np
 import pytest
 import tape_reference as tr
@@ -253,6 +255,7 @@ class TestReferenceOracle:
             sequential = _encode(params, batch, w)
             assert not pools
             mp.setattr(enc, "_THREAD_MIN_STATE", 0)
+            mp.setattr(enc, "_blas_threads", lambda: 1)
             threaded = _encode(params, batch, w)
             if enc._thread_directions(1, 1):  # more than one CPU available
                 assert len(pools) == 2  # forward pass and reverse pass
@@ -266,6 +269,21 @@ class TestReferenceOracle:
 
     def test_thread_rule_separates_the_benchmark_shapes(self):
         # the criterion-7 shape (400 x 12) stays on one thread; the CLI
-        # default (400 x 64) uses two wherever two CPUs are available
+        # default (400 x 64) uses two wherever two CPUs are available and
+        # BLAS runs on one thread
         assert not enc._thread_directions(400, 12)
         assert enc._thread_directions(400, 64) == enc._thread_directions(10**6, 10**6)
+
+    @pytest.mark.parametrize("pool", [1, 2, 8, None])
+    def test_threads_only_beside_a_one_thread_blas_pool(self, monkeypatch, pool):
+        # two encoder threads each driving a multi-threaded BLAS pool would
+        # oversubscribe the cores, and an unknown pool size counts as larger
+        monkeypatch.setattr(enc, "_blas_threads", lambda: pool)
+        monkeypatch.setattr(enc.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert enc._thread_directions(400, 64) == (pool == 1)
+
+    def test_reads_the_blas_pool_size(self):
+        pool = enc._blas_threads()
+        assert pool is None or pool >= 1
+        if pool is not None and os.environ.get("OPENBLAS_NUM_THREADS") == "1":
+            assert pool == 1

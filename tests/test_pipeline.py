@@ -412,6 +412,7 @@ class TestTapeLifetime:
     def test_epoch_tapes_freed_with_threaded_encoder(self, monkeypatch):
         # both encoder directions on two threads, wherever two CPUs are available
         monkeypatch.setattr(encoder, "_THREAD_MIN_STATE", 0)
+        monkeypatch.setattr(encoder, "_blas_threads", lambda: 1)
         self.check_tapes_freed(monkeypatch, "full")
 
     @staticmethod
