@@ -3,9 +3,10 @@
 Each event's T x W weather window is encoded to a D-dimensional latent
 vector: two LSTM passes (forward and reversed time), per-step state
 concatenation, a linear attention score per step, softmax over time, and a
-tanh projection of the attention-weighted context. The whole computation is
-one fused block on a numcore tape whose only parent is a leaf holding the
-flat parameter vector, so gradients flow to every parameter.
+tanh projection of the attention-weighted context. For training, the whole
+computation is one fused block on a numcore tape whose only parent is a leaf
+holding the flat parameter vector, so gradients flow to every parameter. To
+encode for prediction, forward runs without a tape.
 
 The parameters are stored in the layout the kernels use (EncoderParams):
 each direction's four gates share one (W+1+H) x 4H matrix, rows being the
@@ -17,13 +18,17 @@ order; one permutation (_file_order) maps between the two at save and load,
 and init_params draws in file order so a seed gives the same parameters.
 
 Arrays are feature-major, with the batch as the last, contiguous axis: the
-inputs are (W+1) x T x N, each step's gates a contiguous 4H x N block of a
-T x 4H x N array, and every gate's slice an H x N block whose rows are N
-values long, so the elementwise work of a step runs on long contiguous
-rows at any hidden size. One product gives the input projection and bias of
-all steps, each step adds one recurrent product, the adjoint of a step's
-state is one product with the recurrent weights, and the weight and bias
-gradient is one product over all T*N columns.
+inputs are (W+1) x T x N, each step's gates one 4H x N block and every
+gate's slice an H x N block whose rows are N values long, so the elementwise
+work of a step runs on long contiguous rows at any hidden size. Each step
+writes its input projection and bias, one product, into its gate block and
+adds one recurrent product. Backpropagation through time keeps only one
+step's adjoints: each step's pre-activation adjoint goes to one reused
+4H x N buffer, and while it is in cache two products add the step's share
+of the weight and bias gradient and one more gives the adjoint of the state
+the step read. Only the taped forward stores the gates and cells of every
+step for that; without a tape each direction reuses one step's gate and
+cell buffers and keeps only the hidden states the attention reads.
 
 The two directions are independent. When a step is large, N * H at least
 _THREAD_MIN_STATE, this process may run on more than one CPU, and numpy's
@@ -34,14 +39,14 @@ releases the GIL inside each of their array operations. With a larger BLAS
 pool, or one whose size cannot be read, the directions run in sequence:
 each thread's products would start BLAS threads of their own and
 oversubscribe the cores. With OPENBLAS_NUM_THREADS unset on 2 vCPUs, one
-forward plus reverse pass at N=400, H=64 took 184 ms threaded against
-127 ms in sequence. Both paths do the same arithmetic on separate buffers,
-so their results are bit-identical. The threshold is the measured
+forward plus reverse pass at N=400, H=64 took 174-203 ms threaded against
+117-128 ms in sequence. Both paths do the same arithmetic on separate
+buffers, so their results are bit-identical. The threshold is the measured
 crossover of one forward plus reverse pass at T=30, W=9 (2-vCPU Xeon,
-OpenBLAS 0.3.31 at OPENBLAS_NUM_THREADS=1). At N=400 two threads were 20%
-slower at H=8 (N*H = 3,200), even at H=12 (4,800) and 18-20% faster at
-H=16 (6,400). At N*H = 6,400 they also won at N=800, H=8 (8%) and at N=100,
-H=64 (32%).
+OpenBLAS 0.3.31 at OPENBLAS_NUM_THREADS=1, three runs of 60 calls per
+path). At N=400 two threads were 17-20% slower at H=8 (N*H = 3,200), 1-4%
+slower at H=12 (4,800) and 11-16% faster at H=16 (6,400). At N*H = 6,400
+they also won at N=800, H=8 (4-7%) and at N=100, H=64 (24-32%).
 """
 
 from __future__ import annotations
@@ -175,13 +180,10 @@ def init_params(cfg: EncoderConfig) -> EncoderParams:
 
 @dataclass
 class EncoderOutput:
-    latent: nc.Node  # N x D, the encoder block
+    Z: np.ndarray  # N x D latents
     alpha: np.ndarray  # N x T attention weights, rows sum to 1
-    params: nc.Node  # leaf holding params.flat; its grad after backward()
-
-    @property
-    def Z(self) -> np.ndarray:
-        return self.latent.value
+    latent: nc.Node | None = None  # the encoder block, on a tape
+    params: nc.Node | None = None  # leaf holding params.flat; its grad after backward()
 
 
 # Halving the sigmoid gates' pre-activations lets one tanh evaluate all four:
@@ -193,29 +195,33 @@ _GATE_SCALE = (0.5, 0.5, 0.5, 1.0)
 _THREAD_MIN_STATE = 6_400
 
 
-def _lstm_pass(x1, w, states, reverse):
+def _lstm_pass(x1, w, states, reverse, keep):
     """Run one LSTM direction; write its hidden states into ``states``.
 
-    ``x1`` is (W+1) x T x N, the inputs with a row of ones, and ``w`` the
-    direction's fused (W+1+H) x 4H weights, so one batched product with its
-    first W+1 rows gives every step's input projection plus bias straight
-    into the T x 4H x N gate array; each step then adds w_h^T h, w_h being
-    the last H rows, to its 4H x N block. ``states`` is H x T x N. Returns
-    the gate activations and the cell states and their tanh (T x H x N), all
-    indexed by original time whichever way the pass runs.
+    ``x1`` is (W+1) x T x N, the inputs with a row of ones, ``w`` the
+    direction's fused (W+1+H) x 4H weights and ``states`` H x T x N. Each
+    step writes its input projection plus bias, one product with the first
+    W+1 rows of ``w``, into its 4H x N gate block and adds w_h^T h, w_h
+    being the last H rows. With ``keep`` it returns the gate activations and
+    the cell states and their tanh (T x 4H x N and T x H x N), indexed by
+    original time whichever way the pass runs; without, every step reuses
+    one gate block and two cell blocks, and it returns None.
     """
     width1, t_len, n = x1.shape
     d_h = w.shape[1] // 4
     scale = np.repeat(_GATE_SCALE, d_h)[:, None]
-    gates = np.matmul(w[:width1].T * scale, x1.transpose(1, 0, 2))  # T x 4H x N
+    w_x = w[:width1].T * scale  # 4H x (W+1)
     w_h = w[width1:].T * scale  # 4H x H
-    cells = np.empty((t_len, d_h, n))
-    tanh_cells = np.empty((t_len, d_h, n))
+    slots = t_len if keep else 1
+    gates = np.empty((slots, 4 * d_h, n))
+    cells = np.empty((slots, d_h, n))
+    tanh_cells = np.empty((slots, d_h, n))
     recur = np.empty((4 * d_h, n))
     c = np.zeros((d_h, n))
     h = None
     for t in range(t_len - 1, -1, -1) if reverse else range(t_len):
-        g = gates[t]
+        s = t if keep else 0
+        g = np.matmul(w_x, x1[:, t], out=gates[s])
         if h is not None:
             g += np.matmul(w_h, h, out=recur)
         np.tanh(g, out=g)
@@ -223,41 +229,46 @@ def _lstm_pass(x1, w, states, reverse):
         sig *= 0.5
         sig += 0.5
         o, i, f, cand = (g[k * d_h:(k + 1) * d_h] for k in range(4))
-        np.multiply(f, c, out=cells[t])
-        cells[t] += i * cand
-        c = cells[t]
-        np.tanh(c, out=tanh_cells[t])
-        h = states[:, t]
-        np.multiply(o, tanh_cells[t], out=h)
-    return gates, cells, tanh_cells
+        c = np.multiply(f, c, out=cells[s])
+        c += i * cand
+        np.tanh(c, out=tanh_cells[s])
+        h = np.multiply(o, tanh_cells[s], out=states[:, t])
+    return (gates, cells, tanh_cells) if keep else None
 
 
-def _lstm_backprop(d_ctx, att, w_att, d_scores, gates, cells, tanh_cells, w_h, reverse):
-    """Backpropagation through time for one _lstm_pass direction.
+def _lstm_backprop(d_ctx, att, w_att, d_scores, x1, states, run, w, out, reverse):
+    """Backpropagation through time for one _lstm_pass direction; writes the
+    gradient of its fused weights ``w`` into ``out``.
 
     The hidden state at step t reaches the output through the context, with
     adjoint ``d_ctx * att[t]``, and through its score, with adjoint
     ``w_att * d_scores[t]`` (``d_ctx`` and ``w_att`` are this direction's
-    H x N and H x 1 halves; ``att`` and ``d_scores`` are T x N). Returns the
-    adjoint of the gate pre-activations (4H x T x N). ``w_h`` holds the
-    unscaled H x 4H recurrent weights, so each step's state adjoint is one
-    product w_h @ d_pre[:, t]. Each step computes its gate slopes from the
-    stored gates into one reused 4 x H x N buffer.
+    H x N and H x 1 halves; ``att`` and ``d_scores`` are T x N). ``run`` is
+    what _lstm_pass kept. Each step computes its gate slopes and then the
+    adjoint of its gate pre-activations into reused 4H x N buffers; while
+    that adjoint is in cache, the step's inputs and ones row times it go to
+    the input and bias rows of ``out``, the state it read times it to the
+    recurrent rows, and the unscaled recurrent weights times it give the
+    adjoint of that state.
     """
+    gates, cells, tanh_cells = run
     t_len, four_h, n = gates.shape
-    d_h = four_h // 4
+    width1, d_h = x1.shape[0], four_h // 4
+    w_h = w[width1:]  # H x 4H
     g4 = gates.reshape(t_len, 4, d_h, n)
-    d_pre = np.empty((four_h, t_len, n))
-    dp4 = d_pre.reshape(4, d_h, t_len, n)
+    dp = np.empty((four_h, n))
+    dp4 = dp.reshape(4, d_h, n)
     slope = np.empty((4, d_h, n))
+    step = np.empty_like(out)
     buf = np.empty((d_h, n))
     no_cell = np.zeros((d_h, n))
     dh = np.zeros((d_h, n))
     dc = np.zeros((d_h, n))
     for t in range(t_len) if reverse else range(t_len - 1, -1, -1):
         prev = t + 1 if reverse else t - 1
-        c_prev = cells[prev] if 0 <= prev < t_len else no_cell
-        g, dp = g4[t], dp4[:, :, t]
+        first = not 0 <= prev < t_len  # the direction's first step read no state
+        c_prev = no_cell if first else cells[prev]
+        g = g4[t]
         o, i, f, cand = g
         tc = tanh_cells[t]
         np.multiply(d_ctx, att[t], out=buf)
@@ -280,33 +291,13 @@ def _lstm_backprop(d_ctx, att, w_att, d_scores, gates, cells, tanh_cells, w_h, r
         slope[1] *= cand
         slope[2] *= c_prev
         slope[3] *= i
-        np.multiply(slope[0], dh, out=dp[0])
-        np.multiply(slope[1:], dc, out=dp[1:])
+        np.multiply(slope[0], dh, out=dp4[0])
+        np.multiply(slope[1:], dc, out=dp4[1:])
         dc *= f
-        np.matmul(w_h, d_pre[:, t], out=dh)
-    return d_pre
-
-
-def _weight_grads(x1, states, d_pre, out, reverse):
-    """Write the gradient of one direction's fused weights into ``out``.
-
-    One (W+1+H) x T*N by T*N x 4H product: the left factor stacks each
-    step's inputs and ones row (``x1``) on the hidden state the step read,
-    which is zero before the first step, so rows of the result follow the
-    inputs, the bias, then the recurrent weights, as in the stored matrix.
-    """
-    width1, t_len, n = x1.shape
-    d_h = states.shape[0]
-    xh = np.empty((width1 + d_h, t_len, n))
-    xh[:width1] = x1
-    h_prev = xh[width1:]
-    if reverse:
-        h_prev[:, :-1] = states[:, 1:]
-        h_prev[:, -1] = 0.0
-    else:
-        h_prev[:, 1:] = states[:, :-1]
-        h_prev[:, 0] = 0.0
-    np.matmul(xh.reshape(width1 + d_h, -1), d_pre.reshape(d_pre.shape[0], -1).T, out=out)
+        out[:width1] += np.matmul(x1[:, t], dp.T, out=step[:width1])
+        if not first:
+            out[width1:] += np.matmul(states[:, prev], dp.T, out=step[width1:])
+            np.matmul(w_h, dp, out=dh)
 
 
 @functools.cache
@@ -345,20 +336,21 @@ def _both_directions(threaded: bool, run):
         return run(0), reverse.result()
 
 
-def forward(params: EncoderParams, batch: np.ndarray, tape: nc.Tape) -> EncoderOutput:
-    """Encode an N x T x W batch to an N x D latent matrix on the tape.
+def forward(params: EncoderParams, batch: np.ndarray, tape: nc.Tape | None = None) -> EncoderOutput:
+    """Encode an N x T x W batch to an N x D latent matrix, on ``tape`` if
+    one is given.
 
     Per step t the bidirectional state concatenates the forward pass state at
     t with the backward pass (reversed-sequence) state at the same original
     index. Attention scores are a single linear layer over that state.
 
-    The whole encoder is one fused tape block: the input projection and bias
-    of all steps is one matmul per direction, each step adds one recurrent
-    matmul into its gate block, and the block's adjoint is hand-written
-    backpropagation through time (gate equations of Hochreiter & Schmidhuber
-    1997) behind the attention and projection layers. Its reverse pass writes
-    the gradient of every parameter into one vector laid out like
-    ``params.flat``, the value of the block's one leaf.
+    On a tape the whole encoder is one fused block whose adjoint is
+    hand-written backpropagation through time (gate equations of Hochreiter
+    & Schmidhuber 1997) behind the attention and projection layers. Its
+    reverse pass writes the gradient of every parameter into one vector laid
+    out like ``params.flat``, the value of the block's one leaf. Without a
+    tape the same arithmetic gives the same latents and attention, and no
+    gate or cell array outlives its step.
     """
     cfg = params.config
     batch = np.asarray(batch, dtype=np.float64)
@@ -370,16 +362,14 @@ def forward(params: EncoderParams, batch: np.ndarray, tape: nc.Tape) -> EncoderO
         raise NonFiniteInput("encoder batch contains NaN or Inf")
     n, width, d_h = batch.shape[0], cfg.input_width, cfg.hidden
 
-    leaf = tape.leaf(params.flat)
     x1 = np.empty((width + 1, cfg.seq_len, n))  # the inputs and a row of ones
     x1[:width] = batch.transpose(2, 1, 0)
     x1[width] = 1.0
     hs = np.empty((2 * d_h, cfg.seq_len, n))  # both directions' states
     halves = (hs[:d_h], hs[d_h:])
     threaded = _thread_directions(n, d_h)
-    runs = _both_directions(
-        threaded, lambda k: _lstm_pass(x1, params.directions[k], halves[k], reverse=k == 1)
-    )
+    runs = _both_directions(threaded, lambda k: _lstm_pass(
+        x1, params.directions[k], halves[k], reverse=k == 1, keep=tape is not None))
 
     # The score bias attn_b shifts every logit of an event by the same amount,
     # which the softmax cancels exactly; leaving it out of the sum keeps the
@@ -391,6 +381,8 @@ def forward(params: EncoderParams, batch: np.ndarray, tape: nc.Tape) -> EncoderO
         raise NonFiniteInput("attention weights are not a distribution over time steps")
     context = np.einsum("ktn,tn->nk", hs, att)
     latent = np.tanh(context @ params.proj_w + params.proj_b)
+    if tape is None:
+        return EncoderOutput(latent, att.T)
 
     def vjp(g):
         grad = EncoderParams(cfg, np.zeros(params.flat.size))
@@ -401,11 +393,8 @@ def forward(params: EncoderParams, batch: np.ndarray, tape: nc.Tape) -> EncoderO
 
         def direction_grads(k):
             half = slice(k * d_h, (k + 1) * d_h)
-            w_h = params.directions[k][width + 1:]
-            d_pre = _lstm_backprop(
-                d_ctx[half], att, params.attn_w[half], d_scores, *runs[k], w_h, reverse=k == 1
-            )
-            _weight_grads(x1, halves[k], d_pre, grad.directions[k], reverse=k == 1)
+            _lstm_backprop(d_ctx[half], att, params.attn_w[half], d_scores, x1, halves[k],
+                           runs[k], params.directions[k], grad.directions[k], reverse=k == 1)
 
         _both_directions(threaded, direction_grads)
         grad.attn_w[:, 0] = np.einsum("ktn,tn->k", hs, d_scores)
@@ -413,5 +402,5 @@ def forward(params: EncoderParams, batch: np.ndarray, tape: nc.Tape) -> EncoderO
         grad.proj_b[0] = d_u.sum(axis=0)
         return (grad.flat.reshape(-1, 1),)
 
-    block = nc.custom(tape, latent, (leaf,), vjp)
-    return EncoderOutput(latent=block, alpha=att.T, params=leaf)
+    leaf = tape.leaf(params.flat)
+    return EncoderOutput(latent, att.T, nc.custom(tape, latent, (leaf,), vjp), leaf)

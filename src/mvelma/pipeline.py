@@ -202,7 +202,7 @@ def _gp_inputs(z: np.ndarray, static: np.ndarray, mode: str) -> np.ndarray:
 
 
 def _encode(params: enc.EncoderParams, weather3: np.ndarray) -> np.ndarray:
-    return enc.forward(params, weather3, nc.Tape()).Z
+    return enc.forward(params, weather3).Z
 
 
 def _train_encoder(weather3, params0: enc.EncoderParams, loss_block, block0, opt: OptimizerConfig):

@@ -1,8 +1,10 @@
 """Encoder checks: shapes, determinism, attention behavior, architecture
-symmetry, gradients against finite differences, and the fused block against
-the per-gate oracle in encoder_reference.py on both of its thread paths."""
+symmetry, gradients against finite differences, the fused block against
+the per-gate oracle in encoder_reference.py on both of its thread paths,
+the tapeless forward against the taped one, and the memory each keeps."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from mvelma import encoder as enc
 from mvelma import numcore as nc
+from mvelma import pipeline
 from mvelma.errors import NonFiniteInput, ShapeMismatch
 
 SEED = 7151
@@ -287,3 +290,64 @@ class TestReferenceOracle:
         assert pool is None or pool >= 1
         if pool is not None and os.environ.get("OPENBLAS_NUM_THREADS") == "1":
             assert pool == 1
+
+
+class TestTapelessForward:
+    """Without a tape the encoder does the taped forward's arithmetic step by
+    step into buffers of one step, so its latents and attention are the same
+    bits, and it keeps nothing for backpropagation."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(encoder_problems())
+    def test_matches_the_taped_forward_on_both_paths(self, problem):
+        params, batch, _ = problem
+        for threaded in (False, True):
+            with pytest.MonkeyPatch.context() as mp:
+                limit = 0 if threaded else batch.shape[0] * params.config.hidden + 1
+                mp.setattr(enc, "_THREAD_MIN_STATE", limit)
+                mp.setattr(enc, "_blas_threads", lambda: 1)
+                taped = enc.forward(params, batch, nc.Tape())
+                bare = enc.forward(params, batch)
+            assert bare.latent is None and bare.params is None
+            assert np.array_equal(bare.Z, taped.Z)
+            assert np.array_equal(bare.alpha, taped.alpha)
+            assert np.array_equal(pipeline._encode(params, batch), taped.Z)
+
+
+def _peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """Beyond the states the attention reads (2H x T x N), the tapeless
+    forward keeps one step per direction, and the taped block keeps the
+    activations of every step but no adjoint of more than one step."""
+
+    @staticmethod
+    def problem(n):
+        cfg = enc.EncoderConfig(input_width=9, seq_len=30, hidden=64, latent=20, seed=SEED)
+        rng = np.random.default_rng(SEED + 8)
+        return enc.init_params(cfg), rng.standard_normal((n, 30, 9)), rng.standard_normal((n, 20))
+
+    def test_tapeless_forward_keeps_no_time_long_gate_array(self):
+        # at N=1,500 the states take 46 MB and one direction's T x 4H x N
+        # gates alone 92 MB; one direction's T x H x N cells 23 MB
+        params, batch, _ = self.problem(1_500)
+        assert _peak_mb(lambda: enc.forward(params, batch)) < 80.0
+
+    def test_taped_block_keeps_no_time_long_adjoint(self):
+        # at N=400 the stored gates, cells and states take 86 MB; a
+        # T x 4H x N adjoint per direction would add 25 MB each
+        params, batch, w = self.problem(400)
+
+        def forward_and_backward():
+            tape = nc.Tape()
+            out = enc.forward(params, batch, tape)
+            nc.backward(tape, tr.sum_all(tr.mul(out.latent, w)))
+
+        assert _peak_mb(forward_and_backward) < 110.0
