@@ -31,22 +31,23 @@ step for that; without a tape each direction reuses one step's gate and
 cell buffers and keeps only the hidden states the attention reads.
 
 The two directions are independent. When a step is large, N * H at least
-_THREAD_MIN_STATE, this process may run on more than one CPU, and numpy's
-OpenBLAS runs each product on one thread, the reverse direction runs on a
-worker thread created for the call, in the forward pass and again in the
-reverse pass, while the calling thread runs the forward direction; numpy
-releases the GIL inside each of their array operations. With a larger BLAS
-pool, or one whose size cannot be read, the directions run in sequence:
-each thread's products would start BLAS threads of their own and
-oversubscribe the cores. With OPENBLAS_NUM_THREADS unset on 2 vCPUs, one
-forward plus reverse pass at N=400, H=64 took 174-203 ms threaded against
-117-128 ms in sequence. Both paths do the same arithmetic on separate
-buffers, so their results are bit-identical. The threshold is the measured
-crossover of one forward plus reverse pass at T=30, W=9 (2-vCPU Xeon,
-OpenBLAS 0.3.31 at OPENBLAS_NUM_THREADS=1, three runs of 60 calls per
-path). At N=400 two threads were 17-20% slower at H=8 (N*H = 3,200), 1-4%
-slower at H=12 (4,800) and 11-16% faster at H=16 (6,400). At N*H = 6,400
-they also won at N=800, H=8 (4-7%) and at N=100, H=64 (24-32%).
+_THREAD_MIN_STATE, this process may run on more than one CPU
+(numcore.cpu_count), and numpy's OpenBLAS runs each product on one thread,
+the two directions are the two parts of numcore.run_parts: the reverse
+direction runs on a worker thread created for the call, in the forward pass
+and again in the reverse pass, while the calling thread runs the forward
+direction; numpy releases the GIL inside each of their array operations.
+With a larger BLAS pool, or one whose size cannot be read, the directions
+run in sequence: each thread's products would start BLAS threads of their
+own and oversubscribe the cores. With OPENBLAS_NUM_THREADS unset on 2
+vCPUs, one forward plus reverse pass at N=400, H=64 took 174-203 ms
+threaded against 117-128 ms in sequence. Both paths do the same arithmetic
+on separate buffers, so their results are bit-identical. The threshold is
+the measured crossover of one forward plus reverse pass at T=30, W=9
+(2-vCPU Xeon, OpenBLAS 0.3.31 at OPENBLAS_NUM_THREADS=1, three runs of 60
+calls per path). At N=400 two threads were 17-20% slower at H=8 (N*H =
+3,200), 1-4% slower at H=12 (4,800) and 11-16% faster at H=16 (6,400). At
+N*H = 6,400 they also won at N=800, H=8 (4-7%) and at N=100, H=64 (24-32%).
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ import ctypes
 import functools
 import glob
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -322,18 +322,13 @@ def _thread_directions(n: int, d_h: int) -> bool:
     is available to this process."""
     if n * d_h < _THREAD_MIN_STATE or _blas_threads() != 1:
         return False
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return (cpus or 1) > 1
+    return nc.cpu_count() > 1
 
 
 def _both_directions(threaded: bool, run):
-    """(run(0), run(1)): the reverse direction on a worker thread created for
-    this call when ``threaded``, else one after the other."""
-    if not threaded:
-        return run(0), run(1)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        reverse = pool.submit(run, 1)
-        return run(0), reverse.result()
+    """[run(0), run(1)]: the reverse direction on a worker thread when
+    ``threaded``, else one after the other."""
+    return nc.run_parts(run, 2) if threaded else [run(0), run(1)]
 
 
 def forward(params: EncoderParams, batch: np.ndarray, tape: nc.Tape | None = None) -> EncoderOutput:

@@ -1,11 +1,16 @@
 """Random-forest regression with variance-reduction feature importance.
 
 Bootstrap-resampled trees, a uniformly sampled feature subset per node, and
-midpoint thresholds between consecutive distinct sorted values. All trees
-grow together, one depth level at a time: each level's nodes are array rows
-and one batched split search serves the whole level. Prediction walks all
-trees at once. Both give the same numbers, bit for bit, as growing each
-tree alone level by level and walking the trees one by one.
+midpoint thresholds between consecutive distinct sorted values. The tree ids
+are split into contiguous ranges, one per CPU this process may use, and each
+range grows on its own thread, the calling thread growing the first. The
+trees of a range grow together, one depth level at a time: each level's
+nodes are array rows and one batched split search serves the whole level.
+The ranges share the search's cell budget, and their threads overlap inside
+numpy's sorts, gathers and prefix sums, which release the GIL. Prediction
+walks all trees at once. Both give the same numbers, bit for bit, as growing
+each tree alone level by level and walking the trees one by one, whatever
+the number of ranges.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import numcore as nc
 from .errors import DegenerateInput, DimensionMismatch, NonFiniteInput
 
 
@@ -72,7 +78,7 @@ class Forest:
 # Cell budget of one batched array: a chunk of same-size nodes is padded to
 # at most this many (node, feature, row) cells, which bounds the memory of
 # the split search and of the all-trees traversal. 2**19 float64 cells are
-# 4 MiB per array.
+# 4 MiB per array. fit_forest's workers split it evenly.
 _BATCH_CELLS = 1 << 19
 
 
@@ -82,7 +88,9 @@ class _SplitSearch:
     Node b owns rows[starts[b] : starts[b] + lens[b]] of the flat row array
     (one slice of n rows per tree) and searches the features feats[b]. A
     batch holds nodes of at most `size` rows, a power of two; each node is
-    padded to `size` with the pad row n (features +inf, target 0).
+    padded to `size` with the pad row n (features +inf, target 0). The
+    node x feature x row arrays of a batch live in work buffers that the
+    next batch reuses, until the owner clears ``work``.
     """
 
     def __init__(self, x, y, rows, min_samples_leaf):
@@ -98,6 +106,19 @@ class _SplitSearch:
             self.rank[:n, j] = np.unique(x[:, j], return_inverse=True)[1]
         self.rows = rows
         self.msl = min_samples_leaf
+        self.work = {}
+
+    def _buffer(self, k, shape, dtype):
+        """An array of ``shape`` and ``dtype`` in work buffer k, a byte buffer
+        kept from batch to batch and grown when a batch needs more. With its
+        largest arrays in a few reused buffers, a search allocates little per
+        batch, so two searches on two threads do not fragment the one heap
+        they share (numcore._retain_freed_heap) with a stream of large
+        blocks freed out of order."""
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        if k not in self.work or self.work[k].size < nbytes:
+            self.work[k] = np.empty(nbytes, np.uint8)
+        return self.work[k][:nbytes].view(dtype).reshape(shape)
 
     def __call__(self, starts, lens, feats, size):
         """Search every node of the batch as if alone: pads sort last and get
@@ -116,15 +137,28 @@ class _SplitSearch:
         r = np.full((b, size), self.x.shape[0] - 1)
         r[real] = self.rows[(starts[:, None] + pos)[real]]
 
-        # gathers index flattened arrays: one take, not a multi-array index
-        keys = self.rank.take(r[:, None, :] * d + feats[:, :, None])  # node x feature x row
+        # Gathers index flattened arrays: one take, not a multi-array index.
+        # Buffer 0 holds the gather indices, then the sorted targets, then the
+        # gains; 1 the sort keys, then the right-hand terms; 2 the sorted
+        # rows, 3 the valid cuts and 4 the prefix sums. A take into a given
+        # array is unbuffered only in "clip" mode; no index is clipped.
+        cells = (b, m, size)  # node x feature x row
+        idx = self._buffer(0, cells, np.int64)
+        np.multiply(r[:, None, :], d, out=idx)
+        idx += feats[:, :, None]
+        keys = self.rank.take(idx, out=self._buffer(1, cells, np.int64), mode="clip")
         shift = size.bit_length() - 1
         keys <<= shift
         keys += pos
         keys.sort(axis=2)
-        sorted_rows = r.take((keys & (size - 1)) + (np.arange(b) * size)[:, None, None])
+        np.bitwise_and(keys, size - 1, out=idx)
+        idx += (np.arange(b) * size)[:, None, None]
+        sorted_rows = r.take(idx, out=self._buffer(2, cells, np.int64), mode="clip")
         keys >>= shift  # ranks in sorted order
-        cum = np.cumsum(self.y.take(sorted_rows), axis=2)
+        cuts = (b, m, size - 1)
+        valid = np.greater(keys[:, :, 1:], keys[:, :, :-1], out=self._buffer(3, cuts, bool))
+        ys = self.y.take(sorted_rows, out=self._buffer(0, cells, np.float64), mode="clip")
+        cum = np.cumsum(ys, axis=2, out=self._buffer(4, cells, np.float64))
 
         nodes = np.arange(b)
         n = lens.astype(np.float64)[:, None, None]
@@ -134,15 +168,14 @@ class _SplitSearch:
         with np.errstate(divide="ignore", invalid="ignore"):
             # cum_l**2 / n_l + (total - cum_l)**2 / n_r - total**2 / n: the
             # same operations in the same order, in place
-            gains = np.square(cum_l)
+            gains = np.square(cum_l, out=self._buffer(0, cuts, np.float64))
             gains /= n_l
-            right = total - cum_l
+            right = np.subtract(total, cum_l, out=self._buffer(1, cuts, np.float64))
             np.square(right, out=right)
             right /= n - n_l
             gains += right
             gains -= total * total / n
 
-        valid = keys[:, :, 1:] > keys[:, :, :-1]
         cut = np.arange(1, size)
         valid &= (cut >= msl) & (lens[:, None, None] - cut >= msl)
         gains[~valid] = -np.inf
@@ -169,8 +202,8 @@ class _SplitSearch:
         return feat, thr, best_gain, n_left, taken
 
 
-def _grow_forest(x, y, cfg: ForestConfig, m: int):
-    """Grow all cfg.n_trees trees together, one depth level at a time.
+def _grow_forest(x, y, cfg: ForestConfig, m: int, trees: range, cells: int):
+    """Grow the trees with ids in ``trees`` together, one depth level at a time.
 
     A level holds every tree's nodes at that depth as arrays, in tree order
     and, within a tree, in node order: the tree, the node's first row in the
@@ -180,13 +213,13 @@ def _grow_forest(x, y, cfg: ForestConfig, m: int):
     the leaf tests with one rng_t.random((c, d)) call, each node keeping the
     m lowest keys of its row. Those nodes are searched together: bucketed by
     size rounded up to a power of two, each bucket in chunks of at most
-    _BATCH_CELLS cells. Each tree numbers its nodes in level order, the right
+    ``cells`` cells. Each tree numbers its nodes in level order, the right
     child at left + 1. Returns the trees and the per-tree gain totals by
     feature.
     """
     n, d = x.shape
-    n_trees, msl = cfg.n_trees, cfg.min_samples_leaf
-    rngs = [np.random.default_rng(cfg.seed + t) for t in range(n_trees)]
+    n_trees, msl = len(trees), cfg.min_samples_leaf
+    rngs = [np.random.default_rng(cfg.seed + t) for t in trees]
     rows = np.concatenate(
         [rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n) for rng in rngs])
     search = _SplitSearch(x, y, rows, msl)
@@ -217,11 +250,12 @@ def _grow_forest(x, y, cfg: ForestConfig, m: int):
         found = [np.empty(searched.size, dt) for dt in (np.int64, float, float, np.int64, bool)]
         for size in np.unique(sizes).tolist():
             members = np.flatnonzero(sizes == size)
-            per_chunk = max(1, _BATCH_CELLS // (m * size))
+            per_chunk = max(1, cells // (m * size))
             for c0 in range(0, members.size, per_chunk):
                 sel = members[c0:c0 + per_chunk]
                 for out, got in zip(found, search(starts[sel], lens[sel], feats[sel], size)):
                     out[sel] = got
+        search.work.clear()  # before the next level draws its features
         feat, thr, gain, n_left, taken = found
         split = searched[taken]
         feat, thr, gain, n_left = feat[taken], thr[taken], gain[taken], n_left[taken]
@@ -254,7 +288,13 @@ def _grow_forest(x, y, cfg: ForestConfig, m: int):
 
 def fit_forest(x, y, cfg: ForestConfig | None = None) -> Forest:
     """Grow cfg.n_trees trees; tree t draws its own rng from seed + t, so the
-    forest is reproducible and trees stay independent."""
+    forest is reproducible and trees stay independent.
+
+    The tree ids are split into contiguous ranges, one per CPU this process
+    may use but no more than the trees, and each range grows on its own
+    thread (numcore.run_parts) in an equal share of _BATCH_CELLS. Every node
+    is searched as if alone, so the forest is the same bits for any split.
+    """
     cfg = cfg or ForestConfig()
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
@@ -271,7 +311,12 @@ def fit_forest(x, y, cfg: ForestConfig | None = None) -> Forest:
     if not 1 <= m <= d:
         raise DegenerateInput(f"features_per_split {m} outside [1, {d}]")
 
-    trees, gain_by_feature = _grow_forest(x, y, cfg, m)
+    workers = min(nc.cpu_count(), cfg.n_trees)
+    cuts = [cfg.n_trees * k // workers for k in range(workers + 1)]
+    parts = nc.run_parts(lambda k: _grow_forest(
+        x, y, cfg, m, range(cuts[k], cuts[k + 1]), _BATCH_CELLS // workers), workers)
+    trees = [tree for part, _ in parts for tree in part]
+    gain_by_feature = np.vstack([gains for _, gains in parts])
     gain_totals = np.zeros(d)
     for row in gain_by_feature:  # tree order, as the totals have always summed
         gain_totals += row

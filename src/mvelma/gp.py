@@ -93,22 +93,25 @@ def _periodic(r, lengthscale, period, grad):
     return unit, slope * (-np.pi / period), [d_log_l, slope * phase]
 
 
-def kernel_from_sqdist(spec: KernelSpec, d2: np.ndarray, grad: bool = False):
+def kernel_from_sqdist(spec: KernelSpec, d2: np.ndarray, grad: bool = False,
+                       inputs: bool = True):
     """The kernel of `spec` from pairwise squared distances: the one formula
     per family.
 
     Returns K, or with ``grad`` the triple (K, dK/dd2, [dK/dtheta for theta
-    in spec.hyper_names()]), all elementwise over d2. The Matern and periodic
-    parts depend on r = sqrt(d2). Where r = 0, dK/dd2 is taken as exactly 0,
-    which keeps dr/dd2 = 1/(2r) from reaching infinity; both parts are
-    smooth and even in r, so the true gradient of a coincident pair in its
-    inputs is 0 as well.
+    in spec.hyper_names()]), all elementwise over d2; dK/dd2 is None
+    without ``inputs``. The Matern and periodic parts depend on r = sqrt(d2).
+    Where r = 0, dK/dd2 is taken as exactly 0, which keeps dr/dd2 = 1/(2r)
+    from reaching infinity; both parts are smooth and even in r, so the true
+    gradient of a coincident pair in its inputs is 0 as well.
     """
     os_ = math.exp(spec.log_outputscale)
     ls = math.exp(spec.log_lengthscale)
     if spec.family == "rbf":
         k = os_ * np.exp(-d2 / (2.0 * ls * ls))
-        return (k, k * (-0.5 / (ls * ls)), [k, k * d2 / (ls * ls)]) if grad else k
+        if not grad:
+            return k
+        return k, k * (-0.5 / (ls * ls)) if inputs else None, [k, k * d2 / (ls * ls)]
     r = np.sqrt(d2)
     if spec.family == "matern25":
         unit, d_r, d_log = _matern25(r, ls, grad)
@@ -126,8 +129,11 @@ def kernel_from_sqdist(spec: KernelSpec, d2: np.ndarray, grad: bool = False):
     k = os_ * unit
     if not grad:
         return k
+    d_log = [k] + [os_ * d for d in d_log]
+    if not inputs:
+        return k, None, d_log
     half_inv_r = np.divide(0.5, r, out=np.zeros_like(r), where=r > 0.0)
-    return k, (os_ * d_r) * half_inv_r, [k] + [os_ * d for d in d_log]
+    return k, (os_ * d_r) * half_inv_r, d_log
 
 
 def kernel_value_at_zero(spec: KernelSpec) -> float:
@@ -186,21 +192,24 @@ def kernel_matrix(spec: KernelSpec, x, y) -> np.ndarray:
     return k
 
 
-def kernel_block(spec: KernelSpec, x: np.ndarray):
+def kernel_block(spec: KernelSpec, x: np.ndarray, inputs: bool = True):
     """K(x, x) and its vector-Jacobian product.
 
     ``vjp(G)`` maps an adjoint G of K to the gradient of sum(G * K) over the
-    spec's log-hyperparameters (in hyper_names() order) and over x. Through
-    d2_ij = |x_i|^2 + |x_j|^2 - 2 x_i.x_j, an adjoint W of d2 gives
-    dx = 2 (rowsum(S) x - S x) with S = W + W^T.
+    spec's log-hyperparameters (in hyper_names() order) and over x, or to
+    (hyperparameter gradient, None) without ``inputs``, which then forms no
+    dK/dd2 either. Through d2_ij = |x_i|^2 + |x_j|^2 - 2 x_i.x_j, an adjoint
+    W of d2 gives dx = 2 (rowsum(S) x - S x) with S = W + W^T.
     """
-    k, dk_dd2, dk_dlog = kernel_from_sqdist(spec, _sqdist(x), grad=True)
+    k, dk_dd2, dk_dlog = kernel_from_sqdist(spec, _sqdist(x), grad=True, inputs=inputs)
 
     def vjp(g):
+        d_hypers = np.array([np.vdot(g, d) for d in dk_dlog])
+        if not inputs:
+            return d_hypers, None
         w = g * dk_dd2
         s = w + w.T
-        d_x = 2.0 * (s.sum(axis=1, keepdims=True) * x - s @ x)
-        return np.array([np.vdot(g, d) for d in dk_dlog]), d_x
+        return d_hypers, 2.0 * (s.sum(axis=1, keepdims=True) * x - s @ x)
 
     return k, vjp
 
@@ -221,6 +230,7 @@ def nmll_node(tape: nc.Tape, state: "GPState", latent, y, fixed=None):
     ``(loss, leaf)``. The loss node's parents are that leaf and the latent
     node, so backward() leaves the hyperparameter gradient in the leaf and
     hands dL/dX on to the latents (the encoder block in joint training).
+    Without a latent node no input gradient is formed.
 
     One Cholesky factor A = L L^T serves both terms, and alpha = A^-1 (y-m)
     and A^-1 = L^-T L^-1 both come from the inverse it carries. The adjoint
@@ -237,7 +247,7 @@ def nmll_node(tape: nc.Tape, state: "GPState", latent, y, fixed=None):
     n = resid.shape[0]
     if x.shape[0] != n:
         raise DimensionMismatch(f"{x.shape[0]} inputs vs {n} targets")
-    k, kernel_vjp = kernel_block(state.kernel, x)
+    k, kernel_vjp = kernel_block(state.kernel, x, inputs=latent is not None)
     noise = math.exp(state.log_noise)
     factor = nc.cholesky(k + noise * np.eye(n))
     l_inv = factor.inverse
@@ -253,6 +263,10 @@ def nmll_node(tape: nc.Tape, state: "GPState", latent, y, fixed=None):
         d_hypers = np.concatenate(
             [d_kernel, [noise * np.trace(adj), -g[0, 0] * alpha.sum()]]
         )
+        if d_x is None:
+            return (d_hypers.reshape(-1, 1),)
+        # all columns in one product: s @ x[:, :n_latent] takes another BLAS
+        # kernel at some shapes, and rounds differently
         return d_hypers.reshape(-1, 1), d_x[:, :n_latent]
 
     return nc.Node(tape, np.array([[value]]), parents, vjp), hypers

@@ -247,13 +247,13 @@ class TestReferenceOracle:
         latent, attention, vjp = reference_forward(params, batch)
         pools = []
 
-        class CountingPool(enc.ThreadPoolExecutor):
+        class CountingPool(nc.ThreadPoolExecutor):
             def __init__(self, *args, **kwargs):
                 pools.append(self)
                 super().__init__(*args, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(enc, "ThreadPoolExecutor", CountingPool)
+            mp.setattr(nc, "ThreadPoolExecutor", CountingPool)
             mp.setattr(enc, "_THREAD_MIN_STATE", batch.shape[0] * params.config.hidden + 1)
             sequential = _encode(params, batch, w)
             assert not pools
@@ -280,10 +280,12 @@ class TestReferenceOracle:
     @pytest.mark.parametrize("pool", [1, 2, 8, None])
     def test_threads_only_beside_a_one_thread_blas_pool(self, monkeypatch, pool):
         # two encoder threads each driving a multi-threaded BLAS pool would
-        # oversubscribe the cores, and an unknown pool size counts as larger
+        # oversubscribe the cores, and an unknown pool size counts as larger;
+        # on one CPU the directions always run in sequence
         monkeypatch.setattr(enc, "_blas_threads", lambda: pool)
-        monkeypatch.setattr(enc.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        assert enc._thread_directions(400, 64) == (pool == 1)
+        for cpus in (1, 2):
+            monkeypatch.setattr(nc, "cpu_count", lambda: cpus)
+            assert enc._thread_directions(400, 64) == (pool == 1 and cpus == 2)
 
     def test_reads_the_blas_pool_size(self):
         pool = enc._blas_threads()

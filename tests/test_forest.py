@@ -4,7 +4,9 @@ one-tree-at-a-time reference builder in forest_reference.py, and
 prediction and model loading under any parent-before-child node order."""
 
 import pathlib
+import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from forest_reference import reference_fit_forest, reference_predict_forest
 from mvelma import forest as rf
+from mvelma import numcore as nc
 from mvelma import pipeline
 from mvelma.errors import DegenerateInput, DimensionMismatch, NonFiniteInput
 
@@ -285,6 +288,71 @@ class TestLockstepEqualsReference:
         y = np.tanh(x[:, 0]) + 0.5 * x[:, 47] + 0.1 * rng.standard_normal(400)
         cfg = rf.ForestConfig(n_trees=12, seed=5)
         assert_same_forest(rf.fit_forest(x, y, cfg), reference_fit_forest(x, y, cfg))
+
+
+def _fit_on(x, y, cfg, cpus):
+    """fit_forest as on a machine of ``cpus`` CPUs, checking that it grows
+    one range of trees per CPU, no more ranges than trees."""
+    parts = []
+    run_parts = nc.run_parts
+
+    def counted(run, k):
+        parts.append(k)
+        return run_parts(run, k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nc, "cpu_count", lambda: cpus)
+        mp.setattr(nc, "run_parts", counted)
+        f = rf.fit_forest(x, y, cfg)
+    assert parts == [min(cpus, cfg.n_trees)]
+    return f
+
+
+class TestWorkers:
+    """fit_forest grows one contiguous range of trees per CPU, each on its
+    own thread, and every array comes out the same bits for any count."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(forest_problems())
+    def test_same_forest_for_any_worker_count(self, problem):
+        x, y, cfg = problem
+        query = np.vstack([x, 2.0 * np.random.default_rng(cfg.seed).standard_normal(x.shape)])
+        one = _fit_on(x, y, cfg, 1)
+        for cpus in (2, 3, cfg.n_trees + 2):
+            f = _fit_on(x, y, cfg, cpus)
+            assert_same_forest(f, one)
+            assert rf.predict_forest(f, query).tobytes() == rf.predict_forest(one, query).tobytes()
+
+    def test_more_workers_than_cores_under_frequent_thread_switches(self):
+        rng = np.random.default_rng(SEED + 24)
+        x = rng.integers(0, 6, size=(150, 6)).astype(float)
+        y = x[:, 0] - x[:, 3] + rng.standard_normal(150)
+        cfg = rf.ForestConfig(n_trees=24, min_samples_leaf=1, seed=7)
+        one = _fit_on(x, y, cfg, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = _fit_on(x, y, cfg, 12)
+        finally:
+            sys.setswitchinterval(interval)
+        assert_same_forest(many, one)
+
+    def test_two_workers_share_the_cell_budget(self):
+        # the cli-default forest: the workers split _BATCH_CELLS between them,
+        # so the split search's working set keeps its one-thread bound
+        rng = np.random.default_rng(SEED + 23)
+        x = rng.standard_normal((400, 48))
+        y = np.tanh(x[:, 0]) + 0.5 * x[:, 47] + 0.1 * rng.standard_normal(400)
+        cfg = rf.ForestConfig(n_trees=500, seed=5)
+        peaks = []
+        for cpus in (1, 2):
+            tracemalloc.start()
+            try:
+                _fit_on(x, y, cfg, cpus)
+                peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 1.0, peaks
 
 
 class TestPredictAllTrees:

@@ -293,6 +293,57 @@ class TestNmll:
         assert np.max(np.abs(k - gp.kernel_matrix(spec, x, x))) < 1e-15
 
 
+class TestHyperOnlyGradient:
+    """Without a latent node the likelihood forms neither dK/dd2 nor the
+    input adjoint. The hyperparameter gradient, and with it a whole gp.fit,
+    must be the same bits as when both are formed and then dropped."""
+
+    @pytest.mark.parametrize("family", gp.FAMILIES)
+    def test_kernel_derivatives_are_the_same_bits(self, family):
+        rng = np.random.default_rng(SEED + 23)
+        x = rng.standard_normal((30, 3))
+        x[5] = x[2]
+        spec = gp.init_state(x, rng.standard_normal(30), family).kernel
+        d2 = gp._sqdist(x)
+        k, _, d_log = gp.kernel_from_sqdist(spec, d2, grad=True)
+        k_h, none, d_log_h = gp.kernel_from_sqdist(spec, d2, grad=True, inputs=False)
+        assert none is None and k_h.tobytes() == k.tobytes()
+        assert [a.tobytes() for a in d_log_h] == [a.tobytes() for a in d_log]
+        g = rng.standard_normal((30, 30))
+        d_hypers, d_x = gp.kernel_block(spec, x, inputs=False)[1](g)
+        assert d_x is None
+        assert d_hypers.tobytes() == gp.kernel_block(spec, x)[1](g)[0].tobytes()
+
+    @pytest.mark.parametrize("family", gp.FAMILIES)
+    def test_gradient_and_trained_state_are_the_same_bits(self, family, monkeypatch):
+        rng = np.random.default_rng(SEED + 24)
+        x = rng.standard_normal((60, dims_for(family)))
+        y = np.sin(x[:, 0]) + 0.1 * rng.standard_normal(60)
+        state = gp.init_state(x, y, family)
+        opt = OptimizerConfig(max_epochs=12, patience=12)
+
+        def outputs():
+            tape = nc.Tape()
+            node, hypers = gp.nmll_node(tape, state, None, y, fixed=x)
+            nc.backward(tape, node)
+            fitted, trace = gp.fit(state, x, y, opt)
+            return [hypers.grad, fitted.hypers_flat(), fitted.chol.lower,
+                    fitted.chol.inverse, fitted.alpha, np.array(trace)]
+
+        skipped = outputs()
+        block = gp.kernel_block
+        formed = []
+
+        def with_input_gradient(spec, x, inputs=True):
+            formed.append(inputs)
+            return block(spec, x)
+
+        monkeypatch.setattr(gp, "kernel_block", with_input_gradient)
+        dropped = outputs()
+        assert formed and not any(formed)  # nmll_node asked for no input gradient
+        assert [a.tobytes() for a in skipped] == [a.tobytes() for a in dropped]
+
+
 class TestPosterior:
     def test_interpolates_single_observation(self):
         state = gp.GPState(

@@ -1,7 +1,8 @@
 """Linear algebra and reverse-mode differentiation checks.
 
 Factorization, solve and triangular-inverse routines are verified by
-reconstruction and against hand-worked small cases. The tape mechanics are
+reconstruction and against hand-worked small cases, and the parts runner
+by the threads it uses and the order of its results. The tape mechanics are
 exercised through the elementwise primitives of the test-only reference in
 `tape_reference`, each of which is verified against central finite
 differences at randomly drawn points; those primitives are the oracle that
@@ -9,6 +10,7 @@ the fused blocks are checked against in `test_gp` and `test_pipeline`.
 """
 
 import gc
+import threading
 import weakref
 
 import numpy as np
@@ -515,3 +517,59 @@ class TestFiniteDiffCheck:
         for _ in range(25):
             x0 = rng.standard_normal(4)
             assert nc.finite_diff_check(f, x0, 1e-6) < 1e-6
+
+
+class TestCpuCount:
+    def test_reads_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(nc.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert nc.cpu_count() == 3
+
+    @pytest.mark.parametrize("count, expected", [(6, 6), (None, 1)])
+    def test_without_a_mask_falls_back_to_the_cpu_count(self, monkeypatch, count, expected):
+        monkeypatch.delattr(nc.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(nc.os, "cpu_count", lambda: count)
+        assert nc.cpu_count() == expected
+
+    def test_this_process(self):
+        assert nc.cpu_count() >= 1
+
+
+class TestRunParts:
+    @staticmethod
+    def _threads(k):
+        # every part waits for all k: they can only pass if they run at once
+        barrier = threading.Barrier(k, timeout=30)
+
+        def run(i):
+            barrier.wait()
+            return i, threading.get_ident()
+
+        return nc.run_parts(run, k)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_part_zero_on_the_caller_the_rest_on_their_own_threads(self, k):
+        out = self._threads(k)
+        assert [i for i, _ in out] == list(range(k))
+        idents = [ident for _, ident in out]
+        assert idents[0] == threading.get_ident()
+        assert len(set(idents)) == k
+
+    def test_one_part_starts_no_thread(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool for one part")
+
+        monkeypatch.setattr(nc, "ThreadPoolExecutor", no_pool)
+        assert self._threads(1) == [(0, threading.get_ident())]
+
+    @pytest.mark.parametrize("failing", [0, 2])
+    def test_a_failing_part_raises_after_all_parts_end(self, failing):
+        done = []
+
+        def run(i):
+            if i == failing:
+                raise ValueError(i)
+            done.append(i)
+
+        with pytest.raises(ValueError):
+            nc.run_parts(run, 3)
+        assert sorted(done) == sorted({0, 1, 2} - {failing})
