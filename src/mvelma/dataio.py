@@ -40,8 +40,6 @@ ENRICHED_FILE_COLUMNS = [
 TEMPORAL_COLUMNS = ["fire_duration_days", "fire_month", "fire_dayofyear"]
 # model-order feature names for the N x 27 enriched matrix
 ENRICHED_COLUMNS = TEMPORAL_COLUMNS + ENRICHED_FILE_COLUMNS
-ELEVATION_INDEX = ENRICHED_COLUMNS.index("elevation")
-LC_INDICES = [ENRICHED_COLUMNS.index(c) for c in LC_COLUMNS]
 
 SEQ_LEN = 30
 N_CHANNELS = len(WEATHER_COLUMNS)
@@ -189,13 +187,6 @@ def read_table(path, required) -> Table:
     return table
 
 
-def _lines(table) -> np.ndarray:
-    """Each record's line number; a plain dict's records sit on lines 2, 3, ..."""
-    if isinstance(table, Table):
-        return table.lines
-    return np.arange(2, len(next(iter(table.values()), ())) + 2)
-
-
 def float_column(table, col, path) -> np.ndarray:
     """A read_table column as float64, each cell read as _parse_float reads
     it. The bulk conversion accepts the same text as float(); the per-cell
@@ -207,12 +198,12 @@ def float_column(table, col, path) -> np.ndarray:
             return values
     except ValueError:
         pass
-    return np.array([_parse_float(c, path, r, col) for r, c in zip(_lines(table).tolist(), cells)])
+    return np.array([_parse_float(c, path, r, col) for r, c in zip(table.lines.tolist(), cells)])
 
 
 def date_column(table, col, path) -> list:
     """A read_table column as dates, each cell an ISO date."""
-    return [_parse_date(c, path, r, col) for r, c in zip(_lines(table).tolist(), table[col])]
+    return [_parse_date(c, path, r, col) for r, c in zip(table.lines.tolist(), table[col])]
 
 
 def reject_rows(table, mask, message) -> None:
@@ -221,7 +212,7 @@ def reject_rows(table, mask, message) -> None:
     hits = np.flatnonzero(mask)
     if hits.size:
         i = int(hits[0])
-        raise SchemaError(message(int(_lines(table)[i]), i))
+        raise SchemaError(message(int(table.lines[i]), i))
 
 
 def repeats(keys) -> np.ndarray:

@@ -353,8 +353,7 @@ def forward(params: EncoderParams, batch: np.ndarray, tape: nc.Tape | None = Non
         raise ShapeMismatch(
             f"batch shape {batch.shape} does not match (N, {cfg.seq_len}, {cfg.input_width})"
         )
-    if not np.all(np.isfinite(batch)):
-        raise NonFiniteInput("encoder batch contains NaN or Inf")
+    nc.require_finite(batch, "encoder batch")
     n, width, d_h = batch.shape[0], cfg.input_width, cfg.hidden
 
     x1 = np.empty((width + 1, cfg.seq_len, n))  # the inputs and a row of ones

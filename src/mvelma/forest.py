@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numcore as nc
-from .errors import DegenerateInput, DimensionMismatch, NonFiniteInput
+from .errors import DegenerateInput, DimensionMismatch
 
 
 @dataclass
@@ -296,17 +296,15 @@ def fit_forest(x, y, cfg: ForestConfig | None = None) -> Forest:
     is searched as if alone, so the forest is the same bits for any split.
     """
     cfg = cfg or ForestConfig()
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x.reshape(-1, 1)
+    x = nc.as_matrix(x)
     y = np.asarray(y, dtype=np.float64).ravel()
     n, d = x.shape
     if n != y.size:
         raise DimensionMismatch(f"{n} rows vs {y.size} targets")
     if n < 2:
         raise DegenerateInput("forest fitting needs at least 2 samples")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise NonFiniteInput("forest inputs contain NaN or Inf")
+    nc.require_finite(x, "forest inputs")
+    nc.require_finite(y, "forest targets")
     m = cfg.features_per_split if cfg.features_per_split is not None else math.ceil(d / 3)
     if not 1 <= m <= d:
         raise DegenerateInput(f"features_per_split {m} outside [1, {d}]")
@@ -362,13 +360,10 @@ def _leaf_values(table, x) -> np.ndarray:
 
 def predict_forest(f: Forest, x) -> np.ndarray:
     """Arithmetic mean of the per-tree predictions."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x.reshape(-1, 1)
+    x = nc.as_matrix(x)
     if x.shape[1] != f.n_features:
         raise DimensionMismatch(f"expected {f.n_features} features, got {x.shape[1]}")
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteInput("forest query rows contain NaN or Inf")
+    nc.require_finite(x, "forest query rows")
     table = _node_table(f.trees)
     out = np.zeros(x.shape[0])
     step = max(1, _BATCH_CELLS // len(f.trees))
@@ -377,9 +372,3 @@ def predict_forest(f: Forest, x) -> np.ndarray:
         for leaf in _leaf_values(table, x[start:start + step]):
             acc += leaf  # in tree order, as when summing tree by tree
     return out / len(f.trees)
-
-
-def feature_importance(f: Forest) -> np.ndarray:
-    """Normalized total variance reduction per feature (all zeros when no
-    split anywhere had positive gain)."""
-    return f.importances.copy()

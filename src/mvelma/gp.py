@@ -8,11 +8,14 @@ log space so positivity is structural.
 Each family's formula is written once, in `kernel_from_sqdist`, which gives
 K from the pairwise squared distances together with its closed-form
 derivatives in the squared distance and in each log-hyperparameter.
-`kernel_matrix` (posterior, refresh) takes the value; `kernel_block` turns
-the derivatives into a vector-Jacobian product. `nmll_node` is the negative
-log marginal likelihood as one fused tape block on a single Cholesky
-factor; its gradient reaches both the hyperparameters and the training
-inputs, which is what lets the encoder train jointly against it.
+`kernel_matrix` (posterior, refresh) takes the value, the posterior's prior
+variance k(x, x) is that value at distance 0, and `kernel_block` turns the
+derivatives into a vector-Jacobian product. The distances within one point
+set are symmetric to the last bit, and so is every Gram matrix built from
+them. `nmll_node` is the one computation of the negative log marginal
+likelihood: a fused tape block on a single Cholesky factor whose gradient
+reaches both the hyperparameters and the training inputs, which is what
+lets the encoder train jointly against it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from . import numcore as nc
 from . import optim
-from .errors import DegenerateInput, DimensionMismatch, NonFiniteInput
+from .errors import DegenerateInput, DimensionMismatch
 from .optim import OptimizerConfig
 
 FAMILIES = ("rbf", "matern25", "periodic", "composite")
@@ -136,12 +139,6 @@ def kernel_from_sqdist(spec: KernelSpec, d2: np.ndarray, grad: bool = False,
     return k, (os_ * d_r) * half_inv_r, d_log
 
 
-def kernel_value_at_zero(spec: KernelSpec) -> float:
-    """Prior variance k(x, x); 2*outputscale for the composite, outputscale otherwise."""
-    os_ = math.exp(spec.log_outputscale)
-    return 2.0 * os_ if spec.family == "composite" else os_
-
-
 def kernel_eval(spec: KernelSpec, a, b) -> float:
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()
@@ -151,22 +148,13 @@ def kernel_eval(spec: KernelSpec, a, b) -> float:
     return float(kernel_from_sqdist(spec, np.array(d2)))
 
 
-def _as_points(x) -> np.ndarray:
-    """N x d float64 point set; a 1-D array is N points in one dimension."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        return x.reshape(-1, 1)
-    if x.ndim != 2:
-        raise DimensionMismatch(f"point set must be 2-D, got shape {x.shape}")
-    return x
-
-
 def _sqdist(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
     """Pairwise squared distances between the rows of x and of y.
 
     Computed as |x|^2 + |y|^2 - 2 x y^T and clamped at 0 so cancellation can
     never produce a negative distance. Without y they are the distances
-    within x, with the diagonal exactly 0 rather than rounding dust.
+    within x, with the diagonal exactly 0 rather than rounding dust, and
+    exactly symmetric: so are x @ x.T and sq + sq.T.
     """
     sq = (x * x).sum(axis=1, keepdims=True)
     if y is None:
@@ -181,15 +169,12 @@ def _sqdist(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
 
 def kernel_matrix(spec: KernelSpec, x, y) -> np.ndarray:
     """Gram matrix between rows of x (N x d) and y (M x d)."""
-    x = _as_points(x)
-    y = _as_points(y)
+    x = nc.as_matrix(x)
+    y = nc.as_matrix(y)
     if x.shape[1] != y.shape[1]:
         raise DimensionMismatch(f"kernel_matrix feature dims differ: {x.shape} vs {y.shape}")
     gram = x is y or (x.shape == y.shape and np.array_equal(x, y))
-    k = kernel_from_sqdist(spec, _sqdist(x, None if gram else y))
-    if gram:
-        k = 0.5 * (k + k.T)  # exact symmetry against matmul rounding
-    return k
+    return kernel_from_sqdist(spec, _sqdist(x, None if gram else y))
 
 
 def kernel_block(spec: KernelSpec, x: np.ndarray, inputs: bool = True):
@@ -308,7 +293,7 @@ class GPState:
 
     def refresh(self, inputs=None, targets=None) -> "GPState":
         """Recompute the Cholesky factor and alpha for the current hyperparameters."""
-        x = self.train_inputs if inputs is None else _as_points(inputs)
+        x = self.train_inputs if inputs is None else nc.as_matrix(inputs)
         y = self.train_targets if targets is None else np.asarray(targets, float).ravel()
         if x.shape[0] != y.size:
             raise DimensionMismatch(f"{x.shape[0]} inputs vs {y.size} targets")
@@ -323,10 +308,10 @@ def init_state(inputs, targets, family: str = "matern25") -> GPState:
     """Heuristic starting point: median-distance lengthscale, variance-scaled
     outputscale and noise, mean at the target mean. Degenerate statistics
     (single point, constant targets) fall back to safe floors."""
-    x = _as_points(inputs)
+    x = nc.as_matrix(inputs)
     y = np.asarray(targets, dtype=np.float64).ravel()
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise NonFiniteInput("GP init saw NaN or Inf")
+    nc.require_finite(x, "GP init inputs")
+    nc.require_finite(y, "GP init targets")
     if x.shape[0] != y.size:
         raise DimensionMismatch(f"{x.shape[0]} inputs vs {y.size} targets")
 
@@ -359,15 +344,6 @@ def init_state(inputs, targets, family: str = "matern25") -> GPState:
     )
 
 
-def nmll(state: GPState, inputs=None, targets=None) -> float:
-    """Plain-number marginal likelihood for traces and tests."""
-    st = state.refresh(inputs, targets)
-    y = st.train_targets
-    resid = (y - st.mean_const).reshape(-1, 1)
-    quad = (resid.T @ st.alpha).item()
-    return 0.5 * quad + 0.5 * st.chol.logdet() + 0.5 * y.size * LOG_2PI
-
-
 def fit(
     state: GPState, inputs, targets, opt: OptimizerConfig | None = None
 ) -> tuple[GPState, list]:
@@ -375,12 +351,12 @@ def fit(
     optim.adam_descent, which early-stops and restores the best state; the
     returned trace ends with that state's loss, so trace[-1] <= trace[0]."""
     opt = opt or OptimizerConfig()
-    x = _as_points(inputs)
+    x = nc.as_matrix(inputs)
     y = np.asarray(targets, dtype=np.float64).ravel()
     if x.shape[0] < 2:
         raise DegenerateInput("GP fit needs at least 2 training points")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise NonFiniteInput("GP fit saw NaN or Inf")
+    nc.require_finite(x, "GP fit inputs")
+    nc.require_finite(y, "GP fit targets")
 
     st = replace(state, train_inputs=x, train_targets=y)
 
@@ -408,7 +384,7 @@ def posterior(state: GPState, test) -> GPPosterior:
     """
     if state.chol is None or state.alpha is None:
         state = state.refresh()
-    test = _as_points(test)
+    test = nc.as_matrix(test)
     if test.shape[1] != state.train_inputs.shape[1]:
         raise DimensionMismatch(
             f"test dim {test.shape[1]} != train dim {state.train_inputs.shape[1]}"
@@ -416,6 +392,6 @@ def posterior(state: GPState, test) -> GPPosterior:
     k_star = kernel_matrix(state.kernel, state.train_inputs, test)  # N x M
     mean = state.mean_const + (k_star.T @ state.alpha).ravel()
     w = state.chol.inverse @ k_star  # L^-1 K_*
-    prior = kernel_value_at_zero(state.kernel)
+    prior = kernel_from_sqdist(state.kernel, 0.0)  # k(x, x)
     variance = np.maximum(prior - np.einsum("ij,ij->j", w, w), 0.0)
     return GPPosterior(mean=mean, variance=variance)

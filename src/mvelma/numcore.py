@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonScalarOutput, NotPositiveDefinite
+from .errors import DimensionMismatch, NonFiniteInput, NonScalarOutput, NotPositiveDefinite
 
 # Diagonal jitter ladder tried before giving up on a factorization.
 JITTER_LADDER = (0.0, 1e-8, 1e-6, 1e-4)
@@ -114,8 +114,7 @@ def as_matrix(x) -> np.ndarray:
 
 
 def require_finite(arr: np.ndarray, what: str = "input") -> np.ndarray:
-    from .errors import NonFiniteInput
-
+    """arr itself, or NonFiniteInput "<what> contains NaN or Inf"."""
     if not np.all(np.isfinite(arr)):
         raise NonFiniteInput(f"{what} contains NaN or Inf")
     return arr

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Divergence, NonFiniteInput
+from .errors import DegenerateInput, Divergence, NonFiniteInput
 
 
 @dataclass
@@ -19,6 +19,10 @@ class OptimizerConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+
+    def __post_init__(self):
+        if self.max_epochs < 1:
+            raise DegenerateInput("max_epochs must be >= 1")
 
 
 class Adam:
@@ -78,6 +82,6 @@ def adam_descent(step_fn, x0, opt: OptimizerConfig):
         if stale >= opt.patience:
             break
         vec = adam.step(vec, grad)
-    if not trace or trace[-1] != best[0]:
+    if trace[-1] != best[0]:
         trace.append(best[0])
     return best[1], trace

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -475,23 +475,6 @@ def save_model(model: TrainedModel, path) -> None:
         f.write(json.dumps(doc))
 
 
-def _config_from_doc(d) -> PipelineConfig:
-    return PipelineConfig(
-        encoder=enc.EncoderConfig(**d["encoder"]),
-        kernel_family=d["kernel_family"],
-        gp_opt=OptimizerConfig(**d["gp_opt"]),
-        forest=ForestConfig(**d["forest"]),
-        gp_input=d["gp_input"],
-        rf_target=d["rf_target"],
-        ablation=d["ablation"],
-        train_fraction=d["train_fraction"],
-        split_seed=d["split_seed"],
-        standardize_weather=d["standardize_weather"],
-        standardize_enriched=d["standardize_enriched"],
-        oof_folds=d["oof_folds"],
-    )
-
-
 def _tree_from_doc(t, n_features: int) -> RegressionTree:
     """A forest tree whose node arrays agree in length, whose features are
     -1 (leaf) or a column index, and whose internal nodes point at children
@@ -524,8 +507,23 @@ def _typed(value, types, what: str):
     return value
 
 
+def _record(cls, d, what: str, **inner):
+    """cls(**d) for a dict d that holds exactly cls's field names, so that a
+    missing key never takes the field's default; `inner` maps a field to the
+    dataclass its value is read as, in the same way."""
+    names = [f.name for f in fields(cls)]
+    d = _typed(d, dict, what)
+    problems = ([f"missing key {k!r}" for k in names if k not in d]
+                + [f"unknown key {k!r}" for k in d if k not in names])
+    if problems:
+        raise SchemaError(f"{what} record: {', '.join(problems)}")
+    return cls(**{k: _record(inner[k], v, f"{what}.{k}") if k in inner else v
+                  for k, v in d.items()})
+
+
 def _model_from_doc(doc) -> TrainedModel:
-    cfg = _config_from_doc(doc["config"])
+    cfg = _record(PipelineConfig, doc["config"], "config", encoder=enc.EncoderConfig,
+                  gp_opt=OptimizerConfig, forest=ForestConfig)
     uses_encoder, uses_gp, uses_forest = variant_components(cfg.ablation)
     # train_joint writes a head exactly when the encoder trains without the GP
     parts = {"encoder_params": uses_encoder, "gp": uses_gp, "forest": uses_forest,
@@ -550,7 +548,7 @@ def _model_from_doc(doc) -> TrainedModel:
             raise DimensionMismatch(f"gp train_inputs need {width} columns, got shape {x.shape}")
         # refresh rejects a train_targets count other than the input rows
         gp_state = gp.GPState(
-            kernel=gp.KernelSpec(**d["kernel"]),
+            kernel=_record(gp.KernelSpec, d["kernel"], "gp.kernel"),
             log_noise=_typed(d["log_noise"], (int, float), "gp log_noise"),
             mean_const=_typed(d["mean_const"], (int, float), "gp mean_const"),
         ).refresh(x, np.asarray(d["train_targets"], dtype=np.float64))
@@ -569,7 +567,7 @@ def _model_from_doc(doc) -> TrainedModel:
             trees=trees,
             importances=np.asarray(d["importances"], dtype=np.float64),
             n_features=n_features,
-            config=ForestConfig(**d["config"]),
+            config=_record(ForestConfig, d["config"], "forest.config"),
         )
 
     return TrainedModel(
@@ -601,7 +599,8 @@ def load_model(path) -> TrainedModel:
     """Read a model written by save_model.
 
     A file that is not such a model (truncated JSON, another format tag, a
-    missing key, a value of the wrong type or a non-finite number, a
+    missing key, an unknown key in a dataclass record, a value of the wrong
+    type or a non-finite number, a
     malformed forest tree, a wrong-length encoder or head, model parts that
     do not match the configured ablation, GP inputs or forest features of
     another width than predict builds, or a GP target count other than its

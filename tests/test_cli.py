@@ -2,6 +2,7 @@
 and the train -> predict -> evaluate round-trip fidelity."""
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -334,6 +335,17 @@ class TestExitCodes:
                               "--trees", 5, "--hidden", 6, "--latent", 4)
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_zero_epochs_is_one_validation_error(self, workspace, tmp_path, command):
+        out = tmp_path / "out"
+        out.mkdir()
+        model = ("--model", out / "m.json") if command == "train" else ()
+        code, err = run_cli_stderr(command, "--data", workspace["data"], *model,
+                                   "--epochs", 0, "--trees", 5, "--hidden", 6, "--latent", 4)
+        assert code == 1
+        assert err == "validation error: max_epochs must be >= 1\n"
+        assert not any(out.iterdir())
+
 
 class TestBadCsvValues:
     @pytest.mark.parametrize("command", ["train", "predict"])
@@ -612,6 +624,38 @@ class TestCorruptModel:
         assert code == 1
         assert len(err.splitlines()) == 1
         assert err.startswith("validation error: ")
+
+
+class TestModelRecords:
+    """Each dataclass record of the model file holds exactly its class's
+    fields. A missing key would otherwise take the field's default without a
+    word, and the model would predict other numbers than it was trained to."""
+
+    @pytest.mark.parametrize("record", [
+        "config", "config.encoder", "config.gp_opt", "config.forest",
+        "gp.kernel", "forest.config",
+    ])
+    def test_missing_or_unknown_key_is_one_validation_error(self, fixture_data, tmp_path,
+                                                            record):
+        text = (MODEL_FIXTURE / "model.json").read_text()
+
+        def fields_of(doc):
+            return functools.reduce(lambda d, k: d[k], record.split("."), doc)
+
+        path = tmp_path / "model.json"
+        edits = [("missing", k) for k in fields_of(json.loads(text))] + [("unknown", "extra")]
+        for kind, key in edits:
+            doc = json.loads(text)
+            if kind == "missing":
+                del fields_of(doc)[key]
+            else:
+                fields_of(doc)[key] = 1
+            path.write_text(json.dumps(doc))
+            code, err = run_cli_stderr("predict", "--model", path, "--data", fixture_data,
+                                       "--out", tmp_path / "p.csv")
+            assert code == 1
+            assert err == f"validation error: {path}: {record} record: {kind} key {key!r}\n"
+        assert not (tmp_path / "p.csv").exists()
 
 
 class TestCheckGrads:

@@ -343,8 +343,15 @@ class TestColumnParse:
 
     CELLS = ["1.5", " -2 ", "1_000", "+.5", "1e-3", "", " ", "nan", "NaN", "-nan", "0"]
 
+    @staticmethod
+    def table(cells):
+        """Column c of a file whose records sit on lines 2, 3, ..."""
+        t = dataio.Table(c=tuple(cells))
+        t.lines = np.arange(2, len(cells) + 2)
+        return t
+
     def test_matches_per_cell_parse(self):
-        got = dataio.float_column({"c": tuple(self.CELLS)}, "c", "f.csv")
+        got = dataio.float_column(self.table(self.CELLS), "c", "f.csv")
         want = [dataio._parse_float(c, "f.csv", r, "c") for r, c in enumerate(self.CELLS, 2)]
         assert np.array_equal(got, np.array(want), equal_nan=True)
 
@@ -355,7 +362,7 @@ class TestColumnParse:
     def test_bad_cell_names_its_row(self, bad, message):
         cells = ("1.0", "", bad, "2.0")
         with pytest.raises(SchemaError, match=rf"^f\.csv row 4 column 'c': {message}"):
-            dataio.float_column({"c": cells}, "c", "f.csv")
+            dataio.float_column(self.table(cells), "c", "f.csv")
 
 
 class TestValidateAndImpute:
@@ -385,7 +392,7 @@ class TestValidateAndImpute:
         enriched["e1"][6] = np.nan
         enriched["e3"][6] = np.nan
         ds, report = dataio.validate_and_impute(events, weather, enriched)
-        col = dataio.ELEVATION_INDEX
+        col = dataio.ENRICHED_COLUMNS.index("elevation")
         ids = [ev.event_id for ev in ds.events]
         assert ds.enriched[ids.index("e1"), col] == 300.0
         assert ds.enriched[ids.index("e3"), col] == 300.0
@@ -612,7 +619,7 @@ class TestSynthGenerate:
         assert ds.weather[:, :, 1].min() >= 0.0  # precip
         assert ds.weather[:, :, 8].min() >= 0.0  # wind
         assert np.all(ds.weather[:, :, 5] <= ds.weather[:, :, 6])  # tmin <= tmax
-        lc = ds.enriched[:, dataio.LC_INDICES]
+        lc = ds.enriched[:, [dataio.ENRICHED_COLUMNS.index(c) for c in dataio.LC_COLUMNS]]
         assert lc.min() >= 0.0 and np.all(lc.sum(axis=1) <= 1.0 + 1e-6)
 
     def test_every_county_gets_an_event(self):

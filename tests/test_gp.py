@@ -43,6 +43,12 @@ def dims_for(family):
     return 1 if family in ("periodic", "composite") else 3
 
 
+def nmll_value(state, x, y):
+    """The negative log marginal likelihood at (x, y) as nmll_node computes it."""
+    node, _ = gp.nmll_node(nc.Tape(), state, None, y, fixed=nc.as_matrix(x))
+    return node.value.item()
+
+
 def matern_bessel(r, nu, lengthscale, outputscale):
     """General Matern form via the modified Bessel function; reference only."""
     r = np.asarray(r, dtype=np.float64)
@@ -93,7 +99,7 @@ class TestKernelEval:
         )
         # unit matern + unit periodic both equal 1 at r=0
         assert abs(gp.kernel_eval(spec, [2.0, 3.0], [2.0, 3.0]) - 2.6) < 1e-14
-        assert abs(gp.kernel_value_at_zero(spec) - 2.6) < 1e-14
+        assert abs(gp.kernel_from_sqdist(spec, 0.0) - 2.6) < 1e-14
 
     def test_symmetry_exact(self):
         rng = np.random.default_rng(SEED + 1)
@@ -140,6 +146,18 @@ class TestKernelMatrix:
             k = gp.kernel_matrix(spec, x, x)
             assert np.max(np.abs(k - k.T)) < 1e-12
 
+    @pytest.mark.parametrize("family", gp.FAMILIES)
+    def test_gram_exactly_symmetric(self, family):
+        """The pairwise squared distances within x are symmetric to the last
+        bit, so K(x, x) is as well, for any memory layout of x."""
+        rng = np.random.default_rng(SEED + 15)
+        spec = next(s for s in all_family_specs() if s.family == family)
+        for n, d in ((1, 1), (2, 3), (7, 1), (33, 5), (160, 33), (400, 47)):
+            x = rng.standard_normal((n, d)) * rng.uniform(0.2, 3.0)
+            for layout in (x, np.asfortranarray(x), np.hstack([x, x])[:, ::2]):
+                k = gp.kernel_matrix(spec, layout, layout)
+                assert np.array_equal(k, k.T), (n, d)
+
     def test_psd_after_noise_all_families(self):
         rng = np.random.default_rng(SEED + 4)
         for spec in all_family_specs():
@@ -171,7 +189,7 @@ class TestNmll:
             log_noise=math.log(0.5),
             mean_const=3.0,
         )
-        val = gp.nmll(state, [[0.0]], [3.0])
+        val = nmll_value(state, [[0.0]], [3.0])
         assert abs(val - 0.5 * math.log(2.0 * math.pi)) < 1e-12
 
     def test_single_point_residual_two(self):
@@ -180,7 +198,7 @@ class TestNmll:
             log_noise=math.log(0.5),
             mean_const=0.0,
         )
-        val = gp.nmll(state, [[0.0]], [2.0])
+        val = nmll_value(state, [[0.0]], [2.0])
         assert abs(val - (2.0 + 0.5 * math.log(2.0 * math.pi))) < 1e-12
 
     def test_matches_dense_inverse_oracle(self):
@@ -196,9 +214,11 @@ class TestNmll:
                 + 0.5 * math.log(np.linalg.det(a))
                 + 2.5 * math.log(2.0 * math.pi)
             )
-            assert abs(gp.nmll(state, x, y) - direct) < 1e-8
+            assert abs(nmll_value(state, x, y) - direct) < 1e-8
 
     def test_node_agrees_with_plain(self):
+        """The fused block's value against the one that the factor and alpha
+        of GPState.refresh, which the posterior uses, give."""
         rng = np.random.default_rng(SEED + 6)
         x = rng.standard_normal((6, 1))
         y = rng.standard_normal(6)
@@ -209,7 +229,10 @@ class TestNmll:
         )
         tape = nc.Tape()
         node, _ = gp.nmll_node(tape, state, None, y, fixed=x)
-        assert abs(node.value.item() - gp.nmll(state, x, y)) < 1e-10
+        st = state.refresh(x, y)
+        plain = (0.5 * ((y - st.mean_const) @ st.alpha).item() + 0.5 * st.chol.logdet()
+                 + 0.5 * y.size * math.log(2.0 * math.pi))
+        assert abs(node.value.item() - plain) < 1e-10
 
     def test_gradients_wrt_hypers_and_inputs(self):
         """The joint-training pathway: d nmll / d (hypers, X) by finite differences."""
@@ -290,7 +313,7 @@ class TestNmll:
         x = rng.standard_normal((9, 3))
         spec = gp.init_state(x, rng.standard_normal(9), family).kernel
         k, _ = gp.kernel_block(spec, x)
-        assert np.max(np.abs(k - gp.kernel_matrix(spec, x, x))) < 1e-15
+        assert np.array_equal(k, gp.kernel_matrix(spec, x, x))
 
 
 class TestHyperOnlyGradient:
@@ -377,7 +400,7 @@ class TestPosterior:
             a_inv = np.linalg.inv(gp.kernel_matrix(spec, x, x) + 0.15 * np.eye(10))
             ks = gp.kernel_matrix(spec, x, xs)
             mean = 0.2 + ks.T @ a_inv @ (y - 0.2)
-            var = gp.kernel_value_at_zero(spec) - np.einsum(
+            var = np.diag(gp.kernel_matrix(spec, xs, xs)) - np.einsum(
                 "ij,ij->j", ks, a_inv @ ks
             )
             assert np.max(np.abs(post.mean - mean)) < 1e-8
@@ -393,7 +416,7 @@ class TestPosterior:
             state = state.refresh(x, y)
             post = gp.posterior(state, rng.standard_normal((30, d)) * 2)
             assert np.all(post.variance >= 0.0)
-            assert np.all(post.variance <= gp.kernel_value_at_zero(spec) + 1e-8)
+            assert np.all(post.variance <= gp.kernel_from_sqdist(spec, 0.0) + 1e-8)
 
     def test_dimension_mismatch(self):
         state = gp.GPState(kernel=spec_for("rbf"), log_noise=0.0, mean_const=0.0)
