@@ -15,10 +15,11 @@ direction; one permutation maps it to the per-gate order of the model file
 at save and load. `pipeline._train_encoder` is its one training routine,
 taking either the likelihood or the head as the loss block. The command
 line in `cli` covers synthesis, training, prediction, evaluation, ablation,
-and county aggregation.
+and county aggregation; the package does not import it, so that
+`python -m mvelma.cli` runs it only once.
 """
 
-from . import cli, dataio, encoder, errors, forest, gp, gradcheck, numcore, optim, pipeline
+from . import dataio, encoder, errors, forest, gp, gradcheck, numcore, optim, pipeline
 from .dataio import Dataset, FireEvent, load_dataset, synth_generate, write_dataset
 from .pipeline import (
     Metrics,
@@ -36,7 +37,6 @@ from .pipeline import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "cli",
     "dataio",
     "encoder",
     "errors",

@@ -113,16 +113,6 @@ def _read_predictions(path):
     return ids, cols
 
 
-def _events_for_ids(ds: dataio.Dataset, event_ids, source: str):
-    known = {ev.event_id for ev in ds.events}
-    missing = [eid for eid in event_ids if eid not in known]
-    if missing:
-        raise SchemaError(
-            f"{source}: {len(missing)} event id(s) not present in the dataset, "
-            f"first missing {missing[0]!r}"
-        )
-
-
 def _load_dataset(data_dir) -> dataio.Dataset:
     """The validated dataset, after one `validation:` line per cleaning action."""
     ds, report = dataio.load_dataset(data_dir)
@@ -135,9 +125,7 @@ def _predictions_with_events(args):
     """The predictions file's columns and the dataset's events for its rows,
     in the file's row order."""
     ids, cols = _read_predictions(args.pred)
-    ds = _load_dataset(args.data)
-    _events_for_ids(ds, ids, args.pred)
-    return cols, pipeline.subset_by_ids(ds, ids)
+    return cols, pipeline.subset_by_ids(_load_dataset(args.data), ids, args.pred)
 
 
 def _cmd_synth(args) -> int:
@@ -158,7 +146,7 @@ def _cmd_train(args) -> int:
     _echo("train", _training_echo_pairs(args) + [("model", args.model)])
     ds = _load_dataset(args.data)
     model = pipeline.train_joint(ds, _training_config(args))
-    test = pipeline.subset_by_ids(ds, model.test_event_ids)
+    test = pipeline.subset_by_ids(ds, model.test_event_ids, "model test split")
     pred = pipeline.predict(model, test)
     metrics = pipeline.evaluate(_quantize(pred.yhat), test.targets)
     pipeline.save_model(model, args.model)
@@ -182,8 +170,7 @@ def _cmd_predict(args) -> int:
         subset = ds
     else:
         wanted = model.test_event_ids if args.split == "test" else model.train_event_ids
-        _events_for_ids(ds, wanted, f"model {args.split} split")
-        subset = pipeline.subset_by_ids(ds, wanted)
+        subset = pipeline.subset_by_ids(ds, wanted, f"model {args.split} split")
     pred = pipeline.predict(model, subset)
     _write_predictions(args.out, pred.event_ids, subset.targets, pred)
     print(f"wrote {subset.n} predictions to {args.out}")

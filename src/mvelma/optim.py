@@ -21,8 +21,12 @@ class OptimizerConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
+        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            raise DegenerateInput("learning_rate must be finite and > 0")
         if self.max_epochs < 1:
             raise DegenerateInput("max_epochs must be >= 1")
+        if self.patience < 1:
+            raise DegenerateInput("patience must be >= 1")
 
 
 class Adam:

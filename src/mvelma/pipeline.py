@@ -2,17 +2,17 @@
 likelihood, posterior-mean feature stacking, forest fitting, metrics, the
 seven ablation variants, and county-level aggregation.
 
-Training runs in three phases. Phase 1 optimizes the sequence encoder
-parameters and the GP hyperparameters together with one Adam loop on the
-negative marginal log likelihood over [z ; static]. Phase 2 computes the
-GP's in-sample posterior means (optionally out-of-fold). Phase 3 fits the
-forest on [z ; static ; posterior mean]. Ablation variants drop components:
-without the encoder, z becomes the 9 per-channel 30-day weather means;
-without the GP, the encoder trains against a linear head by mean squared
-error and the posterior-mean column disappears; without the forest, the
-prediction is the GP posterior mean itself. Both ways of training the
-encoder go through _train_encoder, which takes the loss block and its
-initial vector.
+train_joint runs in phases. First the representation: the encoder and the
+GP hyperparameters descend the negative marginal log likelihood over
+[z ; static] together; without the GP the encoder trains against a linear
+head by mean squared error; without the encoder nothing trains and z is the
+9 per-channel 30-day weather means. Then, alike for all seven variants: z,
+the GP inputs, the GP state (a hyperparameter-only fit when there is no
+encoder), the in-sample posterior means (optionally out-of-fold), and the
+forest on [z ; static ; posterior mean], or [z ; static] without the GP.
+Without the forest the prediction is the GP mean. predict builds its
+inputs with the same helpers (_standardized, _latent, _gp_inputs, _stack),
+and subset_by_ids is the one map from event ids to dataset rows.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from . import gp, optim
 from . import numcore as nc
 from .dataio import ENRICHED_COLUMNS, CountySummary, Dataset, split_dataset
 from .errors import (
+    DegenerateInput,
     DimensionMismatch,
     EmptySplit,
     LengthMismatch,
@@ -193,16 +194,24 @@ def mse_head_node(tape: nc.Tape, latent: nc.Node, head: np.ndarray, y: np.ndarra
     return nc.Node(tape, np.array([[value]]), (leaf, latent), vjp), leaf
 
 
-def _channel_means(weather3: np.ndarray) -> np.ndarray:
-    return weather3.mean(axis=1)
+def _standardized(weather_std, enriched_std, data: Dataset):
+    """The weather block and the static descriptors as the model reads them."""
+    w3 = weather_std.transform(data.weather) if weather_std else data.weather
+    return w3, enriched_std.transform(data.enriched) if enriched_std else data.enriched
+
+
+def _latent(params: enc.EncoderParams | None, weather3: np.ndarray) -> np.ndarray:
+    """z: the encoder's latents, or the per-channel means without an encoder."""
+    return weather3.mean(axis=1) if params is None else enc.forward(params, weather3).Z
 
 
 def _gp_inputs(z: np.ndarray, static: np.ndarray, mode: str) -> np.ndarray:
     return z if mode == "latent" else np.hstack([z, static])
 
 
-def _encode(params: enc.EncoderParams, weather3: np.ndarray) -> np.ndarray:
-    return enc.forward(params, weather3).Z
+def _stack(z: np.ndarray, static: np.ndarray, mu: np.ndarray | None) -> np.ndarray:
+    """The forest's input: [z ; static], and the GP mean last when there is a GP."""
+    return np.hstack([z, static] if mu is None else [z, static, mu.reshape(-1, 1)])
 
 
 def _train_encoder(weather3, params0: enc.EncoderParams, loss_block, block0, opt: OptimizerConfig):
@@ -239,8 +248,8 @@ def _oof_means(state: gp.GPState, x: np.ndarray, y: np.ndarray, folds: int, seed
 
 
 def train_joint(data: Dataset, cfg: PipelineConfig | None = None) -> TrainedModel:
-    """Split the dataset, run the three training phases on the train part,
-    and return a model that remembers both split id sets."""
+    """Split the dataset, train the stack on the train part, and return a
+    model that remembers both split id sets."""
     cfg = cfg or PipelineConfig()
     if data.n < 2:
         raise EmptySplit("need at least 2 events to hold out a test split")
@@ -251,16 +260,16 @@ def train_joint(data: Dataset, cfg: PipelineConfig | None = None) -> TrainedMode
 
     weather_std = Standardizer.fit(train.weather) if cfg.standardize_weather else None
     enriched_std = Standardizer.fit(train.enriched) if cfg.standardize_enriched else None
-    w3 = weather_std.transform(train.weather) if weather_std else train.weather
-    static = enriched_std.transform(train.enriched) if enriched_std else train.enriched
+    w3, static = _standardized(weather_std, enriched_std, train)
     y = train.targets
 
+    # representation: the encoder descends the NMLL together with the GP
+    # hyperparameters, or without the GP a linear head's MSE
     encoder_params, gp_state, head, trace = None, None, None, []
     if uses_encoder and uses_gp:
-        # the encoder and the GP hyperparameters descend the NMLL together
         params0 = enc.init_params(cfg.encoder)
-        x0 = _gp_inputs(_encode(params0, w3), static, cfg.gp_input)
-        gp0 = gp.init_state(x0, y, cfg.kernel_family)
+        gp0 = gp.init_state(_gp_inputs(_latent(params0, w3), static, cfg.gp_input), y,
+                            cfg.kernel_family)
         fixed = static if cfg.gp_input == "stacked" else None
         encoder_params, hypers, trace = _train_encoder(
             w3, params0,
@@ -269,10 +278,8 @@ def train_joint(data: Dataset, cfg: PipelineConfig | None = None) -> TrainedMode
             ),
             gp0.hypers_flat(), cfg.gp_opt,
         )
-        z = _encode(encoder_params, w3)
-        gp_state = gp0.with_hypers_flat(hypers).refresh(_gp_inputs(z, static, cfg.gp_input), y)
+        gp_state = gp0.with_hypers_flat(hypers)
     elif uses_encoder:
-        # without the GP the encoder trains against a linear head by MSE
         d = cfg.encoder.latent
         rng = np.random.default_rng(cfg.encoder.seed + 1)
         head0 = np.concatenate([rng.uniform(-1.0, 1.0, d) / math.sqrt(d), [0.0]])
@@ -280,31 +287,25 @@ def train_joint(data: Dataset, cfg: PipelineConfig | None = None) -> TrainedMode
             w3, enc.init_params(cfg.encoder),
             lambda tape, vec, latent: mse_head_node(tape, latent, vec, y), head0, cfg.gp_opt,
         )
-        z = _encode(encoder_params, w3)
-    else:
-        z = _channel_means(w3)
-        if uses_gp:
-            x = _gp_inputs(z, static, cfg.gp_input)
-            gp_state, trace = gp.fit(
-                gp.init_state(x, y, cfg.kernel_family), x, y, cfg.gp_opt
-            )
 
-    sigma_ref = 0.0
-    forest = None
+    # the GP state, its in-sample posterior and the forest, on the final z
+    z = _latent(encoder_params, w3)
+    sigma_ref, mu = 0.0, None
     if uses_gp:
         x = _gp_inputs(z, static, cfg.gp_input)
+        if uses_encoder:
+            gp_state = gp_state.refresh(x, y)
+        else:
+            gp_state, trace = gp.fit(gp.init_state(x, y, cfg.kernel_family), x, y, cfg.gp_opt)
         post = gp.posterior(gp_state, x)
         sigma_ref = float(np.sqrt(post.variance).max())
+        mu = post.mean
         if cfg.oof_folds >= 2:
             mu = _oof_means(gp_state, x, y, cfg.oof_folds, cfg.split_seed)
-        else:
-            mu = post.mean
-        if uses_forest:
-            stack = np.hstack([z, static, mu.reshape(-1, 1)])
-            rf_y = y - mu if cfg.rf_target == "residual" else y
-            forest = fit_forest(stack, rf_y, cfg.forest)
-    elif uses_forest:
-        forest = fit_forest(np.hstack([z, static]), y, cfg.forest)
+    forest = None
+    if uses_forest:
+        rf_y = y - mu if uses_gp and cfg.rf_target == "residual" else y
+        forest = fit_forest(_stack(z, static, mu), rf_y, cfg.forest)
 
     return TrainedModel(
         config=cfg,
@@ -330,37 +331,30 @@ def predict(model: TrainedModel, data: Dataset) -> Prediction:
     """Run the trained stack on a dataset. Variants without the GP report
     zero predictive variance (confidence 1)."""
     cfg = model.config
-    uses_encoder, uses_gp, uses_forest = variant_components(cfg.ablation)
+    _, uses_gp, uses_forest = variant_components(cfg.ablation)
     if data.weather.shape[1:] != (cfg.encoder.seq_len, cfg.encoder.input_width):
         raise DimensionMismatch(
             f"weather block {data.weather.shape[1:]} does not match "
             f"({cfg.encoder.seq_len}, {cfg.encoder.input_width})"
         )
-    w3 = model.weather_std.transform(data.weather) if model.weather_std else data.weather
-    static = (
-        model.enriched_std.transform(data.enriched) if model.enriched_std else data.enriched
-    )
-    if uses_encoder:
-        z = _encode(model.encoder_params, w3)
-    else:
-        z = _channel_means(w3)
+    w3, static = _standardized(model.weather_std, model.enriched_std, data)
+    z = _latent(model.encoder_params, w3)
 
-    n = data.n
+    mu, var, conf = None, np.zeros(data.n), np.ones(data.n)
     if uses_gp:
         post = gp.posterior(model.gp_state, _gp_inputs(z, static, cfg.gp_input))
         mu, var = post.mean, post.variance
         conf = confidence_from_variance(var, model.sigma_ref)
-    if uses_gp and uses_forest:
-        rf_out = predict_forest(model.forest, np.hstack([z, static, mu.reshape(-1, 1)]))
-        yhat = mu + rf_out if cfg.rf_target == "residual" else rf_out
+    if uses_forest:
+        yhat = predict_forest(model.forest, _stack(z, static, mu))
+        if uses_gp and cfg.rf_target == "residual":
+            yhat = mu + yhat
     elif uses_gp:
         yhat = mu.copy()
-    elif uses_forest:
-        yhat = predict_forest(model.forest, np.hstack([z, static]))
     else:
         yhat = z @ model.head[:-1] + model.head[-1]
-    if not uses_gp:
-        mu, var, conf = yhat.copy(), np.zeros(n), np.ones(n)
+    if mu is None:
+        mu = yhat.copy()
 
     return Prediction(
         event_ids=[e.event_id for e in data.events],
@@ -371,8 +365,14 @@ def predict(model: TrainedModel, data: Dataset) -> Prediction:
     )
 
 
-def subset_by_ids(data: Dataset, event_ids) -> Dataset:
+def subset_by_ids(data: Dataset, event_ids, source: str) -> Dataset:
+    """The dataset's rows for `event_ids`, in their order. Ids the dataset
+    lacks raise one SchemaError naming `source`, where the ids came from."""
     lookup = {e.event_id: i for i, e in enumerate(data.events)}
+    missing = [eid for eid in event_ids if eid not in lookup]
+    if missing:
+        raise SchemaError(f"{source}: {len(missing)} event id(s) not present in the dataset, "
+                          f"first missing {missing[0]!r}")
     return data.subset([lookup[eid] for eid in event_ids])
 
 
@@ -380,7 +380,7 @@ def run_ablation(data: Dataset, variant: str, cfg: PipelineConfig | None = None)
     """Train one variant on the configured split and return test metrics."""
     cfg = replace(cfg, ablation=variant) if cfg else PipelineConfig(ablation=variant)
     model = train_joint(data, cfg)
-    test = subset_by_ids(data, model.test_event_ids)
+    test = subset_by_ids(data, model.test_event_ids, "model test split")
     pred = predict(model, test)
     return evaluate(pred.yhat, test.targets)
 
@@ -617,7 +617,8 @@ def load_model(path) -> TrainedModel:
         raise SchemaError(f"{path}: not a JSON document ({exc})") from None
     except KeyError as exc:
         raise SchemaError(f"{path}: model has no key {exc}") from None
-    except (SchemaError, ShapeMismatch, UnknownVariant, DimensionMismatch) as exc:
+    except (SchemaError, ShapeMismatch, UnknownVariant, DimensionMismatch,
+            DegenerateInput) as exc:
         raise SchemaError(f"{path}: {exc}") from None
     except (TypeError, ValueError) as exc:
         message = " ".join(str(exc).split())

@@ -164,7 +164,7 @@ def test_criterion_06_degenerate_correctness():
         forest=ForestConfig(n_trees=15, min_samples_leaf=5, seed=0),
     )
     model = pipeline.train_joint(ds, cfg)
-    test = pipeline.subset_by_ids(ds, model.test_event_ids)
+    test = pipeline.subset_by_ids(ds, model.test_event_ids, "model test split")
     mae = float(np.abs(pipeline.predict(model, test).yhat - 0.37).mean())
     assert mae < 1e-3
 

@@ -115,7 +115,7 @@ class TestTrainPredictEvaluate:
     def test_file_roundtrip_matches_in_process_metrics(self, workspace):
         model = pipeline.load_model(workspace["model"])
         ds, _ = dataio.load_dataset(workspace["data"])
-        test = pipeline.subset_by_ids(ds, model.test_event_ids)
+        test = pipeline.subset_by_ids(ds, model.test_event_ids, "model test split")
         pred = pipeline.predict(model, test)
         quantized = cli._quantize(pred.yhat)
         in_process = pipeline.evaluate(quantized, test.targets)
@@ -345,6 +345,51 @@ class TestExitCodes:
         assert code == 1
         assert err == "validation error: max_epochs must be >= 1\n"
         assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("lr", ["0", "-0.1", "nan"])
+    def test_learning_rate_not_finite_and_positive_is_one_validation_error(
+        self, workspace, tmp_path, command, lr
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        model = ("--model", out / "m.json") if command == "train" else ()
+        code, err = run_cli_stderr(command, "--data", workspace["data"], *model, "--lr", lr,
+                                   "--epochs", 3, "--trees", 5, "--hidden", 6, "--latent", 4)
+        assert code == 1
+        assert err == "validation error: learning_rate must be finite and > 0\n"
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", [
+        ("predict", "--split", "test"), ("predict", "--split", "train"), ("evaluate",), ("map",),
+    ])
+    def test_ids_absent_from_the_dataset_are_one_validation_error(self, workspace, tmp_path,
+                                                                  command):
+        """The model's split ids, or a predictions file's ids, that the
+        dataset lacks end in one line naming where the ids came from, the
+        count and the first one missing."""
+        model = pipeline.load_model(workspace["model"])
+        gone = model.test_event_ids[1:4] + model.train_event_ids[2:4]
+        ds, _ = dataio.load_dataset(workspace["data"])
+        data = tmp_path / "data"
+        data.mkdir()
+        dataio.write_dataset(
+            ds.subset([i for i, ev in enumerate(ds.events) if ev.event_id not in gone]), data
+        )
+        out = tmp_path / "out.csv"
+        if command[0] == "predict":
+            argv = ("predict", "--model", workspace["model"], *command[1:], "--out", out)
+            source, wanted = f"model {command[2]} split", getattr(model, f"{command[2]}_event_ids")
+        else:
+            extra = ("--out", out) if command[0] == "map" else ()
+            argv = (command[0], "--pred", workspace["preds"], *extra)
+            source, wanted = workspace["preds"], model.test_event_ids
+        missing = [eid for eid in wanted if eid in gone]
+        code, err = run_cli_stderr(*argv, "--data", data)
+        assert code == 1
+        assert err == (f"validation error: {source}: {len(missing)} event id(s) not present "
+                       f"in the dataset, first missing {missing[0]!r}\n")
+        assert not out.exists()
 
 
 class TestBadCsvValues:
@@ -657,6 +702,24 @@ class TestModelRecords:
             assert err == f"validation error: {path}: {record} record: {kind} key {key!r}\n"
         assert not (tmp_path / "p.csv").exists()
 
+    @pytest.mark.parametrize("record,key", [
+        ("config.forest", "n_trees"), ("forest.config", "n_trees"),
+        ("config.gp_opt", "max_epochs"), ("config.gp_opt", "patience"),
+        ("config.gp_opt", "learning_rate"),
+    ])
+    def test_config_value_out_of_range_is_one_validation_error(self, fixture_data, tmp_path,
+                                                               record, key):
+        doc = json.loads((MODEL_FIXTURE / "model.json").read_text())
+        functools.reduce(lambda d, k: d[k], record.split("."), doc)[key] = 0
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code, err = run_cli_stderr("predict", "--model", path, "--data", fixture_data,
+                                   "--out", tmp_path / "p.csv")
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"validation error: {path}: ")
+        assert not (tmp_path / "p.csv").exists()
+
 
 class TestCheckGrads:
     def test_reports_all_cases_under_tolerance(self):
@@ -703,3 +766,16 @@ def test_workflow_runs_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "county_map.csv").exists()
     assert "gradient checks passed" in proc.stdout
+
+
+def test_module_entry_point_runs_without_warnings():
+    """`python -m mvelma.cli` runs the module once: the package does not
+    import it first, which makes runpy warn."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "mvelma.cli", "--help"]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("usage: mvelma")

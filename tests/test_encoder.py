@@ -313,7 +313,7 @@ class TestTapelessForward:
             assert bare.latent is None and bare.params is None
             assert np.array_equal(bare.Z, taped.Z)
             assert np.array_equal(bare.alpha, taped.alpha)
-            assert np.array_equal(pipeline._encode(params, batch), taped.Z)
+            assert np.array_equal(pipeline._latent(params, batch), taped.Z)
 
 
 def _peak_mb(fn):

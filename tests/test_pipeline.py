@@ -196,7 +196,7 @@ class TestTrainJoint:
         ds = tiny_data()
         ds.targets = np.full(ds.n, 0.37)
         model = pipeline.train_joint(ds, tiny_cfg())
-        test = pipeline.subset_by_ids(ds, model.test_event_ids)
+        test = pipeline.subset_by_ids(ds, model.test_event_ids, "model test split")
         pred = pipeline.predict(model, test)
         assert np.abs(pred.yhat - 0.37).max() < 1e-3
 
@@ -223,11 +223,37 @@ class TestTrainJoint:
         assert (model.forest is not None) == has_rf
         assert (model.head is not None) == has_head
 
+    @pytest.mark.parametrize("with_rf,without_rf", [
+        ("full", "no-rf"), ("no-bilstm", "no-bilstm-rf"), ("no-gpr", "no-gpr-rf"),
+    ])
+    def test_forest_changes_no_earlier_phase(self, with_rf, without_rf):
+        """Dropping the forest leaves the encoder, the GP and the head as they
+        were, bit for bit: the forest only reads what the phases before it
+        computed."""
+        ds = tiny_data()
+        a = pipeline.train_joint(ds, tiny_cfg(ablation=with_rf))
+        b = pipeline.train_joint(ds, tiny_cfg(ablation=without_rf))
+        for part in ("encoder_params", "gp_state", "head"):
+            assert (getattr(a, part) is None) == (getattr(b, part) is None)
+        if a.encoder_params is not None:
+            assert np.array_equal(a.encoder_params.flat, b.encoder_params.flat)
+        if a.gp_state is not None:
+            assert np.array_equal(a.gp_state.hypers_flat(), b.gp_state.hypers_flat())
+            assert np.array_equal(a.gp_state.train_inputs, b.gp_state.train_inputs)
+        if a.head is not None:
+            assert np.array_equal(a.head, b.head)
+        assert a.sigma_ref == b.sigma_ref
+        assert a.loss_trace == b.loss_trace
+        if with_rf == "full":
+            test = pipeline.subset_by_ids(ds, a.test_event_ids, "model test split")
+            assert np.array_equal(pipeline.predict(b, test).yhat,
+                                  pipeline.predict(a, test).gp_mean)
+
     def test_oof_folds_changes_stack_but_trains(self):
         ds = tiny_data(n=50)
         m_in = pipeline.train_joint(ds, tiny_cfg())
         m_oof = pipeline.train_joint(ds, tiny_cfg(oof_folds=3))
-        test = pipeline.subset_by_ids(ds, m_in.test_event_ids)
+        test = pipeline.subset_by_ids(ds, m_in.test_event_ids, "model test split")
         p_in = pipeline.predict(m_in, test)
         p_oof = pipeline.predict(m_oof, test)
         assert np.all(np.isfinite(p_oof.yhat))
@@ -281,12 +307,12 @@ class TestPredict:
     def test_public_predict_matches_internal_calls_bitwise(self):
         ds = tiny_data()
         model = pipeline.train_joint(ds, tiny_cfg())
-        train = pipeline.subset_by_ids(ds, model.train_event_ids)
+        train = pipeline.subset_by_ids(ds, model.train_event_ids, "model train split")
         p = pipeline.predict(model, train)
 
         w3 = model.weather_std.transform(train.weather)
         static = model.enriched_std.transform(train.enriched)
-        z = pipeline._encode(model.encoder_params, w3)
+        z = pipeline._latent(model.encoder_params, w3)
         post = gp.posterior(model.gp_state, np.hstack([z, static]))
         from mvelma.forest import predict_forest
 
@@ -299,8 +325,8 @@ class TestPredict:
         for seed in range(6):
             ds = tiny_data(n=50, seed=seed)
             model = pipeline.train_joint(ds, tiny_cfg())
-            tr = pipeline.subset_by_ids(ds, model.train_event_ids)
-            te = pipeline.subset_by_ids(ds, model.test_event_ids)
+            tr = pipeline.subset_by_ids(ds, model.train_event_ids, "model train split")
+            te = pipeline.subset_by_ids(ds, model.test_event_ids, "model test split")
             train_mae.append(np.abs(pipeline.predict(model, tr).yhat - tr.targets).mean())
             test_mae.append(np.abs(pipeline.predict(model, te).yhat - te.targets).mean())
         assert np.median(train_mae) <= np.median(test_mae)
