@@ -20,6 +20,8 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from collections import Counter
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -33,6 +35,8 @@ from .errors import (
     DimensionMismatch,
     EmptySplit,
     LengthMismatch,
+    MvelmaError,
+    NonFiniteInput,
     SchemaError,
     ShapeMismatch,
     UnknownVariant,
@@ -408,15 +412,15 @@ def aggregate_county(events, observed, predicted, confidence):
 
 
 def _std_doc(s: Standardizer | None):
-    return None if s is None else {"mean": s.mean.tolist(), "std": s.std.tolist()}
+    return None if s is None else {"mean": s.mean, "std": s.std}
 
 
 def _std_from(doc, width: int, what: str):
     if doc is None:
         return None
     s = Standardizer(
-        mean=np.asarray(doc["mean"], dtype=np.float64),
-        std=np.asarray(doc["std"], dtype=np.float64),
+        mean=_floats(doc["mean"], f"{what} standardizer mean"),
+        std=_floats(doc["std"], f"{what} standardizer std"),
     )
     if s.mean.shape != (width,) or s.std.shape != (width,):
         raise SchemaError(f"{what} standardizer needs {width} means and {width} stds")
@@ -425,7 +429,9 @@ def _std_from(doc, width: int, what: str):
 
 def save_model(model: TrainedModel, path) -> None:
     """Write the model as self-describing JSON. Floats round-trip exactly;
-    the GP's Cholesky factor is recomputed on load."""
+    the GP's Cholesky factor is recomputed on load. The bytes are those of
+    json.dumps(document), written part by part and the forest one tree at a
+    time, so the whole document never sits in memory as lists and text."""
     gp_doc = None
     if model.gp_state is not None:
         st = model.gp_state
@@ -433,25 +439,20 @@ def save_model(model: TrainedModel, path) -> None:
             "kernel": asdict(st.kernel),
             "log_noise": st.log_noise,
             "mean_const": st.mean_const,
-            "train_inputs": st.train_inputs.tolist(),
-            "train_targets": st.train_targets.tolist(),
+            "train_inputs": st.train_inputs,
+            "train_targets": st.train_targets,
         }
     forest_doc = None
     if model.forest is not None:
         forest_doc = {
             "config": asdict(model.forest.config),
-            "importances": model.forest.importances.tolist(),
+            "importances": model.forest.importances,
             "n_features": model.forest.n_features,
-            "trees": [
-                {
-                    "feature": t.feature.tolist(),
-                    "threshold": t.threshold.tolist(),
-                    "left": t.left.tolist(),
-                    "right": t.right.tolist(),
-                    "value": t.value.tolist(),
-                }
+            "trees": (
+                {"feature": t.feature, "threshold": t.threshold, "left": t.left,
+                 "right": t.right, "value": t.value}
                 for t in model.forest.trees
-            ],
+            ),
         }
     doc = {
         "format": MODEL_FORMAT,
@@ -460,19 +461,38 @@ def save_model(model: TrainedModel, path) -> None:
         "enriched_std": _std_doc(model.enriched_std),
         "encoder_params": None
         if model.encoder_params is None
-        else model.encoder_params.in_file_order().tolist(),
+        else model.encoder_params.in_file_order(),
         "gp": gp_doc,
         "forest": forest_doc,
-        "head": None if model.head is None else model.head.tolist(),
+        "head": model.head,
         "sigma_ref": model.sigma_ref,
         "train_event_ids": model.train_event_ids,
         "test_event_ids": model.test_event_ids,
         "loss_trace": model.loss_trace,
     }
-    # json.dumps takes the C encoder; json.dump streams through the pure
-    # Python one and writes the same bytes about twice as slowly
     with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps(doc))
+        _dump(doc, f)
+
+
+def _dump(value, f) -> None:
+    """Write json.dumps(value)'s text to f part by part: a dict member by
+    member, a generator item by item, an array as its list. Each leaf goes
+    through json.dumps, whose C encoder is about twice as fast as json.dump's
+    pure Python one."""
+    if isinstance(value, dict):
+        f.write("{")
+        for i, (key, item) in enumerate(value.items()):
+            f.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+            _dump(item, f)
+        f.write("}")
+    elif isinstance(value, Iterator):
+        f.write("[")
+        for i, item in enumerate(value):
+            f.write(", " if i else "")
+            _dump(item, f)
+        f.write("]")
+    else:
+        f.write(json.dumps(value.tolist() if isinstance(value, np.ndarray) else value))
 
 
 def _tree_from_doc(t, n_features: int) -> RegressionTree:
@@ -482,10 +502,10 @@ def _tree_from_doc(t, n_features: int) -> RegressionTree:
     leaf."""
     tree = RegressionTree(
         feature=np.asarray(t["feature"], dtype=np.int64),
-        threshold=np.asarray(t["threshold"], dtype=np.float64),
+        threshold=_floats(t["threshold"], "forest tree threshold"),
         left=np.asarray(t["left"], dtype=np.int64),
         right=np.asarray(t["right"], dtype=np.int64),
-        value=np.asarray(t["value"], dtype=np.float64),
+        value=_floats(t["value"], "forest tree value"),
     )
     size = tree.feature.size
     arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
@@ -501,10 +521,34 @@ def _tree_from_doc(t, n_features: int) -> RegressionTree:
 
 
 def _typed(value, types, what: str):
-    """value itself when it is one of `types` (bool never counts as a number)."""
+    """value itself when it is one of `types` (bool never counts as a number)
+    and not a NaN or infinite float."""
     if isinstance(value, bool) or not isinstance(value, types):
         raise SchemaError(f"{what} has type {type(value).__name__}")
+    return _finite(value, what)
+
+
+def _finite(value, what: str):
+    """value itself unless it is a NaN or infinite float."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise SchemaError(f"{what} is not finite")
     return value
+
+
+def _floats(values, what: str) -> np.ndarray:
+    """values as a float64 array whose every entry is finite."""
+    return nc.require_finite(np.asarray(values, dtype=np.float64), what)
+
+
+def _event_ids(value, what: str) -> list:
+    """value itself when it is a list of distinct event id strings."""
+    ids = _typed(value, list, what)
+    for eid in ids:
+        _typed(eid, str, f"{what} entry")
+    repeated = [eid for eid, n in Counter(ids).items() if n > 1]
+    if repeated:
+        raise SchemaError(f"{what} repeats event id {repeated[0]!r}")
+    return ids
 
 
 def _record(cls, d, what: str, **inner):
@@ -517,8 +561,8 @@ def _record(cls, d, what: str, **inner):
                 + [f"unknown key {k!r}" for k in d if k not in names])
     if problems:
         raise SchemaError(f"{what} record: {', '.join(problems)}")
-    return cls(**{k: _record(inner[k], v, f"{what}.{k}") if k in inner else v
-                  for k, v in d.items()})
+    return cls(**{k: _record(inner[k], v, f"{what}.{k}") if k in inner
+                  else _finite(v, f"{what}.{k}") for k, v in d.items()})
 
 
 def _model_from_doc(doc) -> TrainedModel:
@@ -532,7 +576,7 @@ def _model_from_doc(doc) -> TrainedModel:
         if (doc[key] is not None) != used:
             need = "present" if used else "null"
             raise SchemaError(f"{key} must be {need} under ablation {cfg.ablation!r}")
-    head = None if doc["head"] is None else np.asarray(doc["head"], dtype=np.float64)
+    head = None if doc["head"] is None else _floats(doc["head"], "head")
     if head is not None and head.shape != (cfg.encoder.latent + 1,):
         raise SchemaError(f"head needs {cfg.encoder.latent + 1} weights, got shape {head.shape}")
 
@@ -542,7 +586,7 @@ def _model_from_doc(doc) -> TrainedModel:
     gp_state = None
     if doc["gp"] is not None:
         d = doc["gp"]
-        x = np.asarray(d["train_inputs"], dtype=np.float64)
+        x = _floats(d["train_inputs"], "gp train_inputs")
         width = stack_width if cfg.gp_input == "stacked" else z_width
         if x.ndim != 2 or x.shape[1] != width:
             raise DimensionMismatch(f"gp train_inputs need {width} columns, got shape {x.shape}")
@@ -551,7 +595,7 @@ def _model_from_doc(doc) -> TrainedModel:
             kernel=_record(gp.KernelSpec, d["kernel"], "gp.kernel"),
             log_noise=_typed(d["log_noise"], (int, float), "gp log_noise"),
             mean_const=_typed(d["mean_const"], (int, float), "gp mean_const"),
-        ).refresh(x, np.asarray(d["train_targets"], dtype=np.float64))
+        ).refresh(x, _floats(d["train_targets"], "gp train_targets"))
 
     forest = None
     if doc["forest"] is not None:
@@ -565,25 +609,28 @@ def _model_from_doc(doc) -> TrainedModel:
             raise SchemaError("forest has no trees")
         forest = Forest(
             trees=trees,
-            importances=np.asarray(d["importances"], dtype=np.float64),
+            importances=_floats(d["importances"], "forest importances"),
             n_features=n_features,
             config=_record(ForestConfig, d["config"], "forest.config"),
         )
 
+    loss_trace = _typed(doc["loss_trace"], list, "loss_trace")
+    _floats(loss_trace, "loss_trace")
     return TrainedModel(
         config=cfg,
         weather_std=_std_from(doc["weather_std"], cfg.encoder.input_width, "weather"),
         enriched_std=_std_from(doc["enriched_std"], len(ENRICHED_COLUMNS), "enriched"),
         encoder_params=None
         if doc["encoder_params"] is None
-        else enc.EncoderParams.from_file_order(cfg.encoder, doc["encoder_params"]),
+        else enc.EncoderParams.from_file_order(
+            cfg.encoder, _floats(doc["encoder_params"], "encoder_params")),
         gp_state=gp_state,
         forest=forest,
         head=head,
         sigma_ref=_typed(doc["sigma_ref"], (int, float), "sigma_ref"),
-        train_event_ids=_typed(doc["train_event_ids"], list, "train_event_ids"),
-        test_event_ids=_typed(doc["test_event_ids"], list, "test_event_ids"),
-        loss_trace=_typed(doc["loss_trace"], list, "loss_trace"),
+        train_event_ids=_event_ids(doc["train_event_ids"], "train_event_ids"),
+        test_event_ids=_event_ids(doc["test_event_ids"], "test_event_ids"),
+        loss_trace=loss_trace,
     )
 
 
@@ -595,6 +642,11 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _read_json(path, **hooks):
+    with open(path, encoding="utf-8") as f:
+        return json.load(f, parse_constant=_finite_float, **hooks)
+
+
 def load_model(path) -> TrainedModel:
     """Read a model written by save_model.
 
@@ -603,23 +655,32 @@ def load_model(path) -> TrainedModel:
     type or a non-finite number, a
     malformed forest tree, a wrong-length encoder or head, model parts that
     do not match the configured ablation, GP inputs or forest features of
-    another width than predict builds, or a GP target count other than its
-    input rows) raises a one-line SchemaError naming the file.
+    another width than predict builds, a GP target count other than its
+    input rows, or a repeated event id) raises a one-line SchemaError naming
+    the file.
+
+    json parses numbers with its own float. A literal that overflows, such
+    as 1e999, reads as inf and fails a finiteness check as the model is
+    built; on any failure the file is parsed once more with a hook on every
+    number, so that such a literal is named first, as at parse time.
     """
     try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f, parse_float=_finite_float, parse_constant=_finite_float)
-        if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
-            found = doc.get("format") if isinstance(doc, dict) else None
-            raise SchemaError(f"unsupported model format {found!r}")
-        return _model_from_doc(doc)
+        try:
+            doc = _read_json(path)
+            if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
+                found = doc.get("format") if isinstance(doc, dict) else None
+                raise SchemaError(f"unsupported model format {found!r}")
+            return _model_from_doc(doc)
+        except (MvelmaError, KeyError, TypeError, ValueError, OverflowError):
+            _read_json(path, parse_float=_finite_float)
+            raise
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{path}: not a JSON document ({exc})") from None
     except KeyError as exc:
         raise SchemaError(f"{path}: model has no key {exc}") from None
     except (SchemaError, ShapeMismatch, UnknownVariant, DimensionMismatch,
-            DegenerateInput) as exc:
+            DegenerateInput, NonFiniteInput) as exc:
         raise SchemaError(f"{path}: {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         message = " ".join(str(exc).split())
         raise SchemaError(f"{path}: malformed model ({type(exc).__name__}: {message})") from None

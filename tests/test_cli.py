@@ -559,6 +559,10 @@ def _feature_out_of_range(doc):
     _internal_tree(doc)["feature"][0] = doc["forest"]["n_features"]
 
 
+def _huge_feature(doc):
+    _internal_tree(doc)["feature"][0] = 1e300  # finite, but no int64
+
+
 def _ragged_tree(doc):
     _internal_tree(doc)["value"].pop()
 
@@ -595,6 +599,10 @@ def _head_under_full(doc):
     doc["head"] = [0.0] * (doc["config"]["encoder"]["latent"] + 1)
 
 
+def _null_gp_input(doc):
+    doc["gp"]["train_inputs"][0][0] = None  # numpy would read it as NaN
+
+
 def _gp_input_column_dropped(doc):
     for row in doc["gp"]["train_inputs"]:
         row.pop()
@@ -625,7 +633,8 @@ class TestCorruptModel:
         _feature_out_of_range, _ragged_tree, _short_standardizer,
         _nan_encoder_param, _nan_forest_threshold, _infinite_gp_input, _short_encoder,
         _null_gp, _null_encoder, _head_under_full, _one_entry_head,
-        _gp_input_column_dropped, _gp_target_dropped, _forest_too_wide,
+        _gp_input_column_dropped, _gp_target_dropped, _forest_too_wide, _null_gp_input,
+        _huge_feature,
     ])
     def test_corrupt_document_is_one_validation_error(self, workspace, tmp_path, corrupt):
         doc = json.loads(workspace["model"].read_text())
@@ -659,6 +668,53 @@ class TestCorruptModel:
                                    "--out", tmp_path / "p.csv")
         assert code == 1
         assert err == f"validation error: {path}: non-finite number 1e999\n"
+
+    @pytest.mark.parametrize("place", [
+        "config.gp_opt.learning_rate", "gp.kernel.log_lengthscale", "gp.train_inputs",
+        "forest.trees.feature", "forest.trees.threshold", "loss_trace", "test_event_ids",
+        "loss_trace after a bad forest width",
+    ])
+    def test_overflowing_number_is_named_wherever_it_stands(self, workspace, tmp_path, place):
+        """json reads 1e999 as inf, so the error must come from the literal,
+        ahead of any check that the inf or another corruption would fail."""
+        doc = json.loads(workspace["model"].read_text())
+        edits = {
+            "config.gp_opt.learning_rate": lambda: doc["config"]["gp_opt"].update(
+                learning_rate=1e308),
+            "gp.kernel.log_lengthscale": lambda: doc["gp"]["kernel"].update(
+                log_lengthscale=1e308),
+            "gp.train_inputs": lambda: doc["gp"]["train_inputs"][0].__setitem__(0, 1e308),
+            "forest.trees.feature": lambda: _internal_tree(doc)["feature"].__setitem__(0, 1e308),
+            "forest.trees.threshold": lambda: _internal_tree(doc)["threshold"].__setitem__(
+                0, 1e308),
+            "loss_trace": lambda: doc["loss_trace"].__setitem__(-1, 1e308),
+            "test_event_ids": lambda: doc["test_event_ids"].append(1e308),
+            "loss_trace after a bad forest width": lambda: (
+                _forest_too_wide(doc), doc["loss_trace"].__setitem__(-1, 1e308)),
+        }
+        edits[place]()
+        text = json.dumps(doc)
+        assert text.count("1e+308") == 1
+        path = tmp_path / "model.json"
+        path.write_text(text.replace("1e+308", "1e999"))
+        code, err = run_cli_stderr("predict", "--model", path, "--data", workspace["data"],
+                                   "--out", tmp_path / "p.csv")
+        assert code == 1
+        assert err == f"validation error: {path}: non-finite number 1e999\n"
+
+    @pytest.mark.parametrize("split", ["train_event_ids", "test_event_ids"])
+    def test_repeated_event_id_is_one_validation_error(self, fixture_data, tmp_path, split):
+        """predict would write the event's row twice, which evaluate rejects."""
+        doc = json.loads((MODEL_FIXTURE / "model.json").read_text())
+        doc[split].append(doc[split][0])
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code, err = run_cli_stderr("predict", "--model", path, "--data", fixture_data,
+                                   "--out", tmp_path / "p.csv")
+        assert code == 1
+        assert err == (f"validation error: {path}: {split} repeats event id "
+                       f"{doc[split][0]!r}\n")
+        assert not (tmp_path / "p.csv").exists()
 
     def test_truncated_file_is_one_validation_error(self, workspace, tmp_path):
         text = workspace["model"].read_text()

@@ -1,6 +1,8 @@
+import csv
 import dataclasses
 import datetime as dt
 import hashlib
+import io
 import math
 import re
 
@@ -103,6 +105,45 @@ class TestBuildTarget:
         )
 
 
+SEQ = dataio.SEQ_LEN
+
+
+def reference_files(events, weather, enriched, targets) -> dict:
+    """{file name: bytes} of the three files as a csv.writer writes them row
+    by row, each float through repr(): the oracle for the bulk writers."""
+
+    def csv_bytes(header, rows):
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows(rows)
+        return buf.getvalue().encode("utf-8")
+
+    has_conf = any(ev.detection_confidence is not None for ev in events)
+    header = ["event_id", "county_id", "latitude", "longitude", "start_date",
+              "fire_duration_days"] + ["detection_confidence"] * has_conf
+    rows = []
+    for i, ev in enumerate(events):
+        row = [ev.event_id, ev.county_id, repr(float(ev.latitude)), repr(float(ev.longitude)),
+               ev.start_date.isoformat(), repr(float(ev.fire_duration_days))]
+        if has_conf:
+            conf = ev.detection_confidence
+            row.append("" if conf is None else repr(float(conf)))
+        if targets is not None:
+            row.append(repr(float(targets[i])))
+        rows.append(row)
+    return {
+        "events.csv": csv_bytes(header + ["target"] * (targets is not None), rows),
+        "weather.csv": csv_bytes(
+            ["event_id", "day_offset"] + dataio.WEATHER_COLUMNS,
+            [[eid, t - SEQ, *map(repr, day)] for eid, mat in weather.items()
+             for t, day in enumerate(mat.tolist())]),
+        "enriched.csv": csv_bytes(
+            ["event_id"] + dataio.ENRICHED_FILE_COLUMNS,
+            [[eid, *map(repr, vec.tolist())] for eid, vec in enriched.items()]),
+    }
+
+
 class TestCsvRoundTrip:
     def test_dataset_round_trip_bit_exact(self, tmp_path):
         ds, _ = dataio.synth_generate(40, 4, seed=11)
@@ -117,6 +158,37 @@ class TestCsvRoundTrip:
             assert (a.latitude, a.longitude, a.fire_duration_days) == (
                 b.latitude, b.longitude, b.fire_duration_days)
         assert [e.county_id for e in ds.events] == [e.county_id for e in ds2.events]
+
+    @pytest.mark.parametrize("block_lines", [3, dataio._BLOCK_LINES])
+    def test_writers_match_csv_writer_and_repr(self, tmp_path, monkeypatch, block_lines):
+        """Ids that csv must quote, floats whose repr is unusual, and a
+        blank and a NaN detection confidence come out as the reference
+        writes them, in one block of lines or in many."""
+        monkeypatch.setattr(dataio, "_BLOCK_LINES", block_lines)
+        edge = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16]
+        ids = ["a,b", 'say "hi"', "cr\rlf\n", "plain"]
+        events = [
+            dataio.FireEvent(eid, county, 38.5 + i, -0.0 if i else 1e16, dt.date(2020, 6, 1 + i),
+                             float(i), confidence)
+            for i, (eid, county, confidence) in enumerate(zip(
+                ids, ["06,001", "06003", '"06005"', "06007"], [None, math.nan, 75.0, None]))
+        ]
+        weather = {eid: np.arange(SEQ * 9, dtype=np.float64).reshape(SEQ, 9) / 7 for eid in ids}
+        weather[ids[0]][0, :6] = edge
+        weather[ids[2]][-1, 3:] = edge
+        enriched = {eid: np.linspace(-1.0, 1.0, 24) * (i + 1) for i, eid in enumerate(ids)}
+        enriched[ids[1]][-6:] = edge
+        targets = np.array([0.1, math.nan, -0.0, 1e16])
+
+        dataio.write_events(events, tmp_path / "events.csv", targets=targets)
+        dataio.write_weather(weather, tmp_path / "weather.csv")
+        dataio.write_enriched(enriched, tmp_path / "enriched.csv")
+        expected = reference_files(events, weather, enriched, targets)
+        assert {name: (tmp_path / name).read_bytes() for name in expected} == expected
+
+        dataio.write_events(events[3:], tmp_path / "events.csv")  # no confidence, no target
+        assert (tmp_path / "events.csv").read_bytes() == \
+            reference_files(events[3:], {}, {}, None)["events.csv"]
 
     def test_missing_column_raises(self, tmp_path):
         p = tmp_path / "events.csv"
