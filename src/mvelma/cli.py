@@ -84,11 +84,12 @@ def _training_echo_pairs(args):
 
 
 def _write_predictions(path, event_ids, y_true, pred: pipeline.Prediction) -> None:
+    cells = dataio._csv_cells(set(event_ids))
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write(",".join(PREDICTION_COLUMNS) + "\n")
         for i, eid in enumerate(event_ids):
             f.write(
-                f"{eid},{y_true[i]:.6f},{pred.yhat[i]:.6f},{pred.gp_mean[i]:.6f},"
+                f"{cells[eid]},{y_true[i]:.6f},{pred.yhat[i]:.6f},{pred.gp_mean[i]:.6f},"
                 f"{pred.gp_variance[i]:.6f},{pred.confidence[i]:.6f}\n"
             )
 

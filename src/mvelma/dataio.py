@@ -373,6 +373,10 @@ def write_enriched(enriched_by_event, path) -> None:
 
 
 def write_dataset(ds: Dataset, out_dir) -> None:
+    """The three CSV files; a repeated event id is a SchemaError, and no file."""
+    repeated = repeats([ev.event_id for ev in ds.events])
+    if repeated.any():
+        raise SchemaError(f"duplicate event_id {ds.events[repeated.argmax()].event_id!r}")
     os.makedirs(out_dir, exist_ok=True)
     write_events(ds.events, os.path.join(out_dir, "events.csv"), targets=ds.targets)
     write_weather(
@@ -749,10 +753,11 @@ class CountySummary:
 
 def export_county_map(summaries, path) -> None:
     """Write `county_id,opfvl,ppvl,apc` rows, 6-decimal fixed point, sorted
-    ascending by county id."""
+    ascending by county id, which csv's own rule quotes."""
     if not summaries:
         raise DegenerateInput("no county summaries to export")
+    cells = _csv_cells({s.county_id for s in summaries})
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write("county_id,opfvl,ppvl,apc\n")
         for s in sorted(summaries, key=lambda s: s.county_id):
-            f.write(f"{s.county_id},{s.opfvl:.6f},{s.ppvl:.6f},{s.apc:.6f}\n")
+            f.write(f"{cells[s.county_id]},{s.opfvl:.6f},{s.ppvl:.6f},{s.apc:.6f}\n")

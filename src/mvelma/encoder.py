@@ -30,32 +30,22 @@ the step read. Only the taped forward stores the gates and cells of every
 step for that; without a tape each direction reuses one step's gate and
 cell buffers and keeps only the hidden states the attention reads.
 
-The two directions are independent. When a step is large, N * H at least
-_THREAD_MIN_STATE, this process may run on more than one CPU
-(numcore.cpu_count), and numpy's OpenBLAS runs each product on one thread,
-the two directions are the two parts of numcore.run_parts: the reverse
-direction runs on a worker thread created for the call, in the forward pass
-and again in the reverse pass, while the calling thread runs the forward
-direction; numpy releases the GIL inside each of their array operations.
-With a larger BLAS pool, or one whose size cannot be read, the directions
-run in sequence: each thread's products would start BLAS threads of their
-own and oversubscribe the cores. With OPENBLAS_NUM_THREADS unset on 2
-vCPUs, one forward plus reverse pass at N=400, H=64 took 174-203 ms
-threaded against 117-128 ms in sequence. Both paths do the same arithmetic
-on separate buffers, so their results are bit-identical. The threshold is
-the measured crossover of one forward plus reverse pass at T=30, W=9
-(2-vCPU Xeon, OpenBLAS 0.3.31 at OPENBLAS_NUM_THREADS=1, three runs of 60
-calls per path). At N=400 two threads were 17-20% slower at H=8 (N*H =
-3,200), 1-4% slower at H=12 (4,800) and 11-16% faster at H=16 (6,400). At
-N*H = 6,400 they also won at N=800, H=8 (4-7%) and at N=100, H=64 (24-32%).
+The two directions are independent. When a step is large (N * H at least
+_THREAD_MIN_STATE), this process may run on more than one CPU
+(numcore.cpu_count) and numpy's bundled OpenBLAS, which the pipeline holds
+at one thread (numcore.one_blas_thread), is found, the reverse direction
+runs on a worker thread of numcore.run_parts in both passes while the
+calling thread runs the forward one; numpy releases the GIL inside each
+array operation. With another BLAS, whose pool cannot be pinned, they run
+in sequence, since each thread's products could start BLAS threads of
+their own. Both paths do the same arithmetic, so their results are
+bit-identical. _THREAD_MIN_STATE is the measured crossover of one forward
+plus reverse pass at T=30, W=9 on 2 vCPUs and one BLAS thread: at N=400 two
+threads were 1-4% slower at H=12 and 11-16% faster at H=16 (README).
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import glob
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -300,29 +290,11 @@ def _lstm_backprop(d_ctx, att, w_att, d_scores, x1, states, run, w, out, reverse
             np.matmul(w_h, dp, out=dh)
 
 
-@functools.cache
-def _blas_threads() -> int | None:
-    """The thread count of the OpenBLAS bundled with numpy, read once; None
-    when there is no such library or it has no such function."""
-    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
-                           "libscipy_openblas64_*.so")
-    for lib in glob.glob(pattern):
-        try:
-            get = ctypes.CDLL(lib).scipy_openblas_get_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        return get()
-    return None
-
-
 def _thread_directions(n: int, d_h: int) -> bool:
-    """Whether to run the two directions on two threads: only when each step
-    is large enough, numpy's BLAS runs on one thread, and more than one CPU
-    is available to this process."""
-    if n * d_h < _THREAD_MIN_STATE or _blas_threads() != 1:
-        return False
-    return nc.cpu_count() > 1
+    """Whether the two directions run on two threads: for a large step, on more
+    than one CPU, and with numpy's bundled OpenBLAS, whose pool can be pinned."""
+    return (n * d_h >= _THREAD_MIN_STATE and nc.cpu_count() > 1
+            and nc.openblas_threads() is not None)
 
 
 def _both_directions(threaded: bool, run):
@@ -345,7 +317,8 @@ def forward(params: EncoderParams, batch: np.ndarray, tape: nc.Tape | None = Non
     reverse pass writes the gradient of every parameter into one vector laid
     out like ``params.flat``, the value of the block's one leaf. Without a
     tape the same arithmetic gives the same latents and attention, and no
-    gate or cell array outlives its step.
+    gate or cell array outlives its step. A large batch threads the two
+    directions, assuming the caller holds numcore.one_blas_thread.
     """
     cfg = params.config
     batch = np.asarray(batch, dtype=np.float64)

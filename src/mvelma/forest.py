@@ -45,26 +45,15 @@ class ForestConfig:
 @dataclass
 class RegressionTree:
     """Flat node arrays; feature == -1 marks a leaf, whose value is the mean
-    of its training targets. Any numbering with parents before children
-    walks the same: fit_forest numbers nodes level by level, older model
-    files depth first."""
+    of its training targets. _leaf_values walks all trees at once. Any
+    numbering with parents before children walks the same: fit_forest numbers
+    nodes level by level, older model files depth first."""
 
     feature: np.ndarray  # int, -1 for leaves
     threshold: np.ndarray
     left: np.ndarray  # int child ids
     right: np.ndarray
     value: np.ndarray
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        nodes = np.zeros(x.shape[0], dtype=np.int64)
-        while True:
-            feats = self.feature[nodes]
-            active = np.flatnonzero(feats >= 0)
-            if active.size == 0:
-                return self.value[nodes]
-            cur = nodes[active]
-            go_left = x[active, self.feature[cur]] <= self.threshold[cur]
-            nodes[active] = np.where(go_left, self.left[cur], self.right[cur])
 
 
 @dataclass

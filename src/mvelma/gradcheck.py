@@ -127,6 +127,7 @@ def _mse_head_case(seed: int) -> GradCase:
     return GradCase(f"mse-head[{seed}]", nc.finite_diff_check(f, x0, step=1e-5), x0.size)
 
 
+@nc.one_blas_thread()
 def run_all(n_seeds: int = 12) -> list:
     """The full suite: encoder parameters, the kernel and marginal-likelihood
     blocks for every kernel family, and the MSE head. Returns one GradCase

@@ -16,14 +16,17 @@ sorted, so the reverse sweep is a single reversed iteration.
 
 Central finite differences check every block (see ``gradcheck``).
 
-The one way the package runs work on threads is also here: ``run_parts``
-runs parts 0..k-1, part 0 on the calling thread, and ``cpu_count`` reads how
-many CPUs this process may use. The forest and the encoder use both.
+The one way the package runs work on threads is also here: ``run_parts`` and
+``cpu_count``, which the forest and the encoder use, and ``one_blas_thread``,
+which holds numpy's OpenBLAS at one thread while the pipeline computes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import functools
+import glob
 import os
 import sys
 import weakref
@@ -82,6 +85,38 @@ def cpu_count() -> int:
     if hasattr(os, "sched_getaffinity"):
         return max(1, len(os.sched_getaffinity(0)))
     return os.cpu_count() or 1
+
+
+@functools.cache
+def openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS bundled with
+    numpy, found once; None where there is no such library."""
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                           "libscipy_openblas64_*.so")
+    for lib in glob.glob(pattern):
+        try:
+            dll = ctypes.CDLL(lib)
+            get, put = dll.scipy_openblas_get_num_threads64_, dll.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Hold numpy's bundled OpenBLAS at one thread, then give the caller's count
+    back (threadpoolctl's threadpool_limits, https://github.com/joblib/threadpoolctl).
+    Also a decorator, and nestable; without that library it does nothing."""
+    get, put = openblas_threads() or (lambda: 1, lambda count: None)
+    saved = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(saved)
 
 
 def run_parts(run, k: int) -> list:

@@ -251,6 +251,7 @@ def _oof_means(state: gp.GPState, x: np.ndarray, y: np.ndarray, folds: int, seed
     return mu
 
 
+@nc.one_blas_thread()
 def train_joint(data: Dataset, cfg: PipelineConfig | None = None) -> TrainedModel:
     """Split the dataset, train the stack on the train part, and return a
     model that remembers both split id sets."""
@@ -331,6 +332,7 @@ def train_joint(data: Dataset, cfg: PipelineConfig | None = None) -> TrainedMode
 # ---------------------------------------------------------------------------
 
 
+@nc.one_blas_thread()
 def predict(model: TrainedModel, data: Dataset) -> Prediction:
     """Run the trained stack on a dataset. Variants without the GP report
     zero predictive variance (confidence 1)."""
@@ -496,15 +498,17 @@ def _dump(value, f) -> None:
 
 
 def _tree_from_doc(t, n_features: int) -> RegressionTree:
-    """A forest tree whose node arrays agree in length, whose features are
-    -1 (leaf) or a column index, and whose internal nodes point at children
-    in range and after themselves, so every walk from the root ends at a
-    leaf."""
+    """A forest tree whose node arrays agree in length, whose integer features
+    are -1 (leaf) or a column index, and whose internal nodes point at integer
+    children in range and after themselves, so every walk ends at a leaf."""
+    feature, left, right = (np.asarray(t[k]) for k in ("feature", "left", "right"))
+    if any(a.size and a.dtype.kind not in "iu" for a in (feature, left, right)):
+        raise SchemaError("forest tree feature and child indices must be integers")
     tree = RegressionTree(
-        feature=np.asarray(t["feature"], dtype=np.int64),
+        feature=feature.astype(np.int64),
         threshold=_floats(t["threshold"], "forest tree threshold"),
-        left=np.asarray(t["left"], dtype=np.int64),
-        right=np.asarray(t["right"], dtype=np.int64),
+        left=left.astype(np.int64),
+        right=right.astype(np.int64),
         value=_floats(t["value"], "forest tree value"),
     )
     size = tree.feature.size
@@ -647,6 +651,7 @@ def _read_json(path, **hooks):
         return json.load(f, parse_constant=_finite_float, **hooks)
 
 
+@nc.one_blas_thread()
 def load_model(path) -> TrainedModel:
     """Read a model written by save_model.
 

@@ -1,9 +1,8 @@
 """The one-tree-at-a-time forest that `mvelma.forest` must reproduce.
 
 `reference_fit_forest` grows each tree alone, level by level, with one
-split search per node; `reference_predict_forest` calls
-`RegressionTree.predict` tree by tree and sums the predictions in tree
-order. The all-trees builder and traversal in `mvelma.forest` must return
+split search per node; `reference_predict_forest` walks one tree at a
+time and sums the predictions in tree order. The all-trees builder and traversal in `mvelma.forest` must return
 the same arrays, bit for bit.
 
 The draw rule both builders share: tree t's rng is default_rng(seed + t),
@@ -136,6 +135,18 @@ def reference_fit_forest(x, y, cfg) -> Forest:
     return Forest(trees=trees, importances=importances, n_features=d, config=cfg)
 
 
+def _predict_tree(tree, x) -> np.ndarray:
+    """Each row's leaf value in one tree, moving every row down a level per pass."""
+    nodes = np.zeros(x.shape[0], dtype=np.int64)
+    while True:
+        active = np.flatnonzero(tree.feature[nodes] >= 0)
+        if active.size == 0:
+            return tree.value[nodes]
+        cur = nodes[active]
+        go_left = x[active, tree.feature[cur]] <= tree.threshold[cur]
+        nodes[active] = np.where(go_left, tree.left[cur], tree.right[cur])
+
+
 def reference_predict_forest(f, x) -> np.ndarray:
     """Mean of the per-tree predictions, summed in tree order."""
     x = np.asarray(x, dtype=np.float64)
@@ -143,5 +154,5 @@ def reference_predict_forest(f, x) -> np.ndarray:
         x = x.reshape(-1, 1)
     out = np.zeros(x.shape[0])
     for tree in f.trees:
-        out += tree.predict(x)
+        out += _predict_tree(tree, x)
     return out / len(f.trees)

@@ -2,6 +2,8 @@
 and the train -> predict -> evaluate round-trip fidelity."""
 
 import contextlib
+import csv
+import dataclasses
 import functools
 import io
 import json
@@ -170,10 +172,10 @@ class TestTrainPredictEvaluate:
 
     def test_train_is_deterministic_with_threaded_encoder(self, workspace, tmp_path, monkeypatch):
         """At this width the encoder runs its two directions on two threads
-        wherever more than one CPU is available; the BLAS pool is taken as one
-        thread, so the threaded path runs at any real pool size. Two runs, and
-        a run forced onto the sequential path, write the same model bytes."""
-        monkeypatch.setattr(encoder, "_blas_threads", lambda: 1)
+        wherever more than one CPU is available and numpy's bundled OpenBLAS
+        is found; train_joint holds that pool at one thread, so the threaded
+        path runs at any OPENBLAS_NUM_THREADS. Two runs, and a run forced
+        onto the sequential path, write the same model bytes."""
         hidden = 140
         knobs = ("--epochs", 3, "--trees", 5, "--hidden", hidden, "--latent", 4)
         outs = []
@@ -192,6 +194,29 @@ class TestTrainPredictEvaluate:
                           "--model", tmp_path / "sequential.json", *knobs)
         assert code == 0
         assert (tmp_path / "sequential.json").read_bytes() == (tmp_path / "m1.json").read_bytes()
+
+
+class TestQuotedIds:
+    def test_ids_that_csv_quotes_survive_predict_evaluate_and_map(self, tmp_path):
+        """An event id and a county id holding a comma and a quote are
+        written with csv's own quoting, so the files read back."""
+        ds, _ = dataio.synth_generate(40, 3, seed=2)
+        ds.events[0] = dataclasses.replace(ds.events[0], event_id='ev,0"x', county_id="06,001")
+        data = tmp_path / "data"
+        dataio.write_dataset(ds, data)
+        model, preds, cmap = tmp_path / "model.json", tmp_path / "p.csv", tmp_path / "map.csv"
+        for argv in (("train", "--data", data, "--model", model, *TRAIN_KNOBS),
+                     ("predict", "--model", model, "--data", data, "--out", preds,
+                      "--split", "all"),
+                     ("evaluate", "--pred", preds, "--data", data),
+                     ("map", "--pred", preds, "--data", data, "--out", cmap)):
+            code, err = run_cli_stderr(*argv)
+            assert code == 0, err
+        with open(preds, newline="", encoding="utf-8") as f:
+            assert 'ev,0"x' in [row[0] for row in csv.reader(f)]
+        with open(cmap, newline="", encoding="utf-8") as f:
+            rows = {row[0]: row for row in csv.reader(f)}
+        assert len(rows["06,001"]) == 4
 
 
 class TestModelFormatFixture:
@@ -563,6 +588,14 @@ def _huge_feature(doc):
     _internal_tree(doc)["feature"][0] = 1e300  # finite, but no int64
 
 
+def _fractional_feature(doc):
+    _internal_tree(doc)["feature"][0] += 0.5  # int64 would truncate it to a valid index
+
+
+def _fractional_child(doc):
+    _internal_tree(doc)["left"][0] += 0.9
+
+
 def _ragged_tree(doc):
     _internal_tree(doc)["value"].pop()
 
@@ -634,7 +667,7 @@ class TestCorruptModel:
         _nan_encoder_param, _nan_forest_threshold, _infinite_gp_input, _short_encoder,
         _null_gp, _null_encoder, _head_under_full, _one_entry_head,
         _gp_input_column_dropped, _gp_target_dropped, _forest_too_wide, _null_gp_input,
-        _huge_feature,
+        _huge_feature, _fractional_feature, _fractional_child,
     ])
     def test_corrupt_document_is_one_validation_error(self, workspace, tmp_path, corrupt):
         doc = json.loads(workspace["model"].read_text())
@@ -822,6 +855,45 @@ def test_workflow_runs_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "county_map.csv").exists()
     assert "gradient checks passed" in proc.stdout
+
+
+BLAS_COUNT_RUN = """
+import sys
+from mvelma import cli
+data, root = sys.argv[1], sys.argv[2]
+for argv in (
+    ["train", "--data", data, "--model", root + "/model.json",
+     "--epochs", "15", "--trees", "50", "--hidden", "16", "--latent", "6"],
+    ["predict", "--model", root + "/model.json", "--data", data,
+     "--out", root + "/predictions.csv"],
+):
+    if cli.main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+"""
+
+
+def test_same_files_at_any_blas_thread_count(tmp_path):
+    """mvelma holds numpy's OpenBLAS at one thread while it computes, so
+    OPENBLAS_NUM_THREADS unset, 1 and 2 write the same model and
+    predictions, byte for byte."""
+    data = tmp_path / "data"
+    code, _ = run_cli("synth", "--events", 200, "--counties", 5, "--seed", 7, "--out", data)
+    assert code == 0
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for count in (None, "1", "2"):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if count is not None:
+            env["OPENBLAS_NUM_THREADS"] = count
+        root = tmp_path / f"blas-{count}"
+        root.mkdir()
+        argv = [sys.executable, "-c", BLAS_COUNT_RUN, str(data), str(root)]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([(root / n).read_bytes() for n in ("model.json", "predictions.csv")])
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_module_entry_point_runs_without_warnings():

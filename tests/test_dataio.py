@@ -159,6 +159,15 @@ class TestCsvRoundTrip:
                 b.latitude, b.longitude, b.fire_duration_days)
         assert [e.county_id for e in ds.events] == [e.county_id for e in ds2.events]
 
+    def test_repeated_event_id_writes_nothing(self, tmp_path):
+        # load_dataset would refuse the files, so none is written
+        ds, _ = dataio.synth_generate(12, 2, seed=0)
+        ds.events[1] = dataclasses.replace(ds.events[1], event_id=ds.events[0].event_id)
+        out = tmp_path / "out"
+        with pytest.raises(SchemaError, match=f"duplicate event_id {ds.events[0].event_id!r}"):
+            dataio.write_dataset(ds, out)
+        assert not out.exists()
+
     @pytest.mark.parametrize("block_lines", [3, dataio._BLOCK_LINES])
     def test_writers_match_csv_writer_and_repr(self, tmp_path, monkeypatch, block_lines):
         """Ids that csv must quote, floats whose repr is unusual, and a
@@ -764,3 +773,12 @@ class TestExportCountyMap:
     def test_empty_input_raises(self, tmp_path):
         with pytest.raises(DegenerateInput):
             dataio.export_county_map([], tmp_path / "map.csv")
+
+    def test_county_ids_quoted_as_csv_quotes_them(self, tmp_path):
+        p = tmp_path / "map.csv"
+        ids = ["06,001", 'say "hi"', "06003"]
+        dataio.export_county_map([dataio.CountySummary(c, 0.1, 0.2, 0.5) for c in ids], p)
+        with open(p, newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f))
+        assert [r[0] for r in rows[1:]] == sorted(ids)
+        assert all(len(r) == 4 for r in rows)

@@ -252,15 +252,14 @@ class TestReferenceOracle:
                 pools.append(self)
                 super().__init__(*args, **kwargs)
 
-        with pytest.MonkeyPatch.context() as mp:
+        with pytest.MonkeyPatch.context() as mp, nc.one_blas_thread():
             mp.setattr(nc, "ThreadPoolExecutor", CountingPool)
             mp.setattr(enc, "_THREAD_MIN_STATE", batch.shape[0] * params.config.hidden + 1)
             sequential = _encode(params, batch, w)
             assert not pools
             mp.setattr(enc, "_THREAD_MIN_STATE", 0)
-            mp.setattr(enc, "_blas_threads", lambda: 1)
             threaded = _encode(params, batch, w)
-            if enc._thread_directions(1, 1):  # more than one CPU available
+            if enc._thread_directions(1, 1):  # more than one CPU, and the bundled OpenBLAS
                 assert len(pools) == 2  # forward pass and reverse pass
 
         z, alpha, grad = sequential
@@ -273,25 +272,38 @@ class TestReferenceOracle:
     def test_thread_rule_separates_the_benchmark_shapes(self):
         # the criterion-7 shape (400 x 12) stays on one thread; the CLI
         # default (400 x 64) uses two wherever two CPUs are available and
-        # BLAS runs on one thread
+        # numpy's bundled OpenBLAS is found
         assert not enc._thread_directions(400, 12)
         assert enc._thread_directions(400, 64) == enc._thread_directions(10**6, 10**6)
 
     @pytest.mark.parametrize("pool", [1, 2, 8, None])
-    def test_threads_only_beside_a_one_thread_blas_pool(self, monkeypatch, pool):
-        # two encoder threads each driving a multi-threaded BLAS pool would
-        # oversubscribe the cores, and an unknown pool size counts as larger;
-        # on one CPU the directions always run in sequence
-        monkeypatch.setattr(enc, "_blas_threads", lambda: pool)
-        for cpus in (1, 2):
-            monkeypatch.setattr(nc, "cpu_count", lambda: cpus)
-            assert enc._thread_directions(400, 64) == (pool == 1 and cpus == 2)
+    def test_threads_only_beside_a_one_thread_blas_pool(self, request, monkeypatch, pool):
+        # whatever pool size the caller set, the pin holds the bundled
+        # OpenBLAS at one thread, so the rule reads no pool size; another
+        # BLAS (None), whose pool cannot be pinned, keeps the directions in
+        # sequence, as does a single CPU
+        if pool is None:
+            monkeypatch.setattr(nc, "openblas_threads", lambda: None)
+        else:
+            get, put = request.getfixturevalue("blas_pool")
+            put(pool)
+        with nc.one_blas_thread():
+            if pool is not None:
+                assert get() == 1
+            for cpus in (1, 2):
+                monkeypatch.setattr(nc, "cpu_count", lambda: cpus)
+                assert enc._thread_directions(400, 64) == (pool is not None and cpus == 2)
 
     def test_reads_the_blas_pool_size(self):
-        pool = enc._blas_threads()
-        assert pool is None or pool >= 1
-        if pool is not None and os.environ.get("OPENBLAS_NUM_THREADS") == "1":
-            assert pool == 1
+        # the count is read on every call: the caller's outside the pin,
+        # one thread inside it
+        calls = nc.openblas_threads()
+        assert calls is None or calls[0]() >= 1
+        if calls is not None and os.environ.get("OPENBLAS_NUM_THREADS") == "1":
+            assert calls[0]() == 1
+        if calls is not None:
+            with nc.one_blas_thread():
+                assert calls[0]() == 1
 
 
 class TestTapelessForward:
@@ -304,10 +316,9 @@ class TestTapelessForward:
     def test_matches_the_taped_forward_on_both_paths(self, problem):
         params, batch, _ = problem
         for threaded in (False, True):
-            with pytest.MonkeyPatch.context() as mp:
+            with pytest.MonkeyPatch.context() as mp, nc.one_blas_thread():
                 limit = 0 if threaded else batch.shape[0] * params.config.hidden + 1
                 mp.setattr(enc, "_THREAD_MIN_STATE", limit)
-                mp.setattr(enc, "_blas_threads", lambda: 1)
                 taped = enc.forward(params, batch, nc.Tape())
                 bare = enc.forward(params, batch)
             assert bare.latent is None and bare.params is None

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import tape_reference as tr
 
-from mvelma import dataio, encoder, gp, optim, pipeline
+from mvelma import dataio, encoder, gp, gradcheck, optim, pipeline
 from mvelma import numcore as nc
 from mvelma.encoder import EncoderConfig
 from mvelma.errors import (
@@ -430,6 +430,42 @@ class TestSerialization:
         assert np.array_equal(loaded.gp_state.alpha, model.gp_state.alpha)
 
 
+class TestBlasPin:
+    def test_caller_pool_restored_after_each_pinned_call(self, tmp_path, monkeypatch, blas_pool):
+        """Each entry point computes with one BLAS thread and gives the
+        caller's two back, also when nested (run_ablation) or when it
+        raises."""
+        get, put = blas_pool
+        put(2)
+        seen = []
+
+        def recording(fn):
+            def call(*args, **kwargs):
+                seen.append(get())
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(pipeline, "_latent", recording(pipeline._latent))
+        monkeypatch.setattr(gp.GPState, "refresh", recording(gp.GPState.refresh))
+        monkeypatch.setattr(gradcheck, "_mse_head_case", recording(gradcheck._mse_head_case))
+        ds, path = tiny_data(), tmp_path / "model.json"
+        calls = [
+            lambda: pipeline.save_model(pipeline.train_joint(ds, tiny_cfg()), path),
+            lambda: pipeline.load_model(path),
+            lambda: pipeline.predict(pipeline.load_model(path), ds),
+            lambda: gradcheck.run_all(1),
+            lambda: pipeline.run_ablation(ds, "no-gpr", tiny_cfg()),
+        ]
+        for call in calls:
+            seen.clear()
+            call()
+            assert seen and set(seen) == {1}
+            assert get() == 2
+        with pytest.raises(EmptySplit):
+            pipeline.train_joint(tiny_data().subset([0]), tiny_cfg())
+        assert get() == 2
+
+
 class TestTapeLifetime:
     @pytest.mark.parametrize("tag", ["full", "no-gpr", "no-bilstm"])
     def test_epoch_tapes_freed_without_cycle_collector(self, monkeypatch, tag):
@@ -437,8 +473,8 @@ class TestTapeLifetime:
 
     def test_epoch_tapes_freed_with_threaded_encoder(self, monkeypatch):
         # both encoder directions on two threads, wherever two CPUs are available
+        # (train_joint holds the BLAS pin)
         monkeypatch.setattr(encoder, "_THREAD_MIN_STATE", 0)
-        monkeypatch.setattr(encoder, "_blas_threads", lambda: 1)
         self.check_tapes_freed(monkeypatch, "full")
 
     @staticmethod
