@@ -234,7 +234,7 @@ def nmll_node(tape: nc.Tape, state: "GPState", latent, y, fixed=None):
         raise DimensionMismatch(f"{x.shape[0]} inputs vs {n} targets")
     k, kernel_vjp = kernel_block(state.kernel, x, inputs=latent is not None)
     noise = math.exp(state.log_noise)
-    factor = nc.cholesky(k + noise * np.eye(n))
+    factor = nc.cholesky(nc.plus_diagonal(k, noise))
     l_inv = factor.inverse
     w = l_inv @ resid  # L^-1 (y - m)
     alpha = l_inv.T @ w
@@ -298,8 +298,7 @@ class GPState:
         if x.shape[0] != y.size:
             raise DimensionMismatch(f"{x.shape[0]} inputs vs {y.size} targets")
         k = kernel_matrix(self.kernel, x, x)
-        a = k + math.exp(self.log_noise) * np.eye(x.shape[0])
-        chol = nc.cholesky(a)
+        chol = nc.cholesky(nc.plus_diagonal(k, math.exp(self.log_noise)))
         alpha = nc.solve_spd(chol, (y - self.mean_const).reshape(-1, 1))
         return replace(self, train_inputs=x, train_targets=y, chol=chol, alpha=alpha)
 

@@ -179,6 +179,14 @@ class CholeskyFactor:
         return 2.0 * float(np.sum(np.log(np.diag(self.lower))))
 
 
+def plus_diagonal(m: np.ndarray, value: float) -> np.ndarray:
+    """A copy of square m with value added to each diagonal entry: m + value*I
+    without forming I, the same bits wherever no off-diagonal entry is -0.0."""
+    out = m.copy()
+    out.flat[::out.shape[0] + 1] += value
+    return out
+
+
 def cholesky(m, jitters=JITTER_LADDER) -> CholeskyFactor:
     """Factor a symmetric positive definite matrix, escalating diagonal jitter.
 
@@ -192,10 +200,9 @@ def cholesky(m, jitters=JITTER_LADDER) -> CholeskyFactor:
     scale = max(1.0, float(np.max(np.abs(m))))
     if float(np.max(np.abs(m - m.T))) > 1e-10 * scale:
         raise DimensionMismatch("cholesky input is not symmetric within 1e-10")
-    eye = np.eye(n)
     for jit in jitters:
         try:
-            lower = np.linalg.cholesky(m + jit * eye if jit else m)
+            lower = np.linalg.cholesky(plus_diagonal(m, jit) if jit else m)
         except np.linalg.LinAlgError:
             continue
         return CholeskyFactor(lower=lower, inverse=lower_inverse(lower), n=n, jitter=jit)

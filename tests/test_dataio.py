@@ -287,6 +287,15 @@ class TestCsvRoundTrip:
         with pytest.raises(SchemaError, match="day_offset"):
             dataio.read_weather(p)
 
+    @pytest.mark.parametrize("off", ["", "nan"])
+    def test_missing_day_offset_raises(self, tmp_path, off):
+        p = tmp_path / "weather.csv"
+        cols = ",".join(dataio.WEATHER_COLUMNS)
+        vals = ",".join(["1.0"] * 9)
+        p.write_text(f"event_id,day_offset,{cols}\ne0,-5,{vals}\ne0,{off},{vals}\n")
+        with pytest.raises(SchemaError, match="row 3 column 'day_offset': missing value"):
+            dataio.read_weather(p)
+
     def test_duplicate_day_offset_raises(self, tmp_path):
         p = tmp_path / "weather.csv"
         cols = ",".join(dataio.WEATHER_COLUMNS)
@@ -313,6 +322,13 @@ class TestCsvRoundTrip:
         p = tmp_path / "ndvi.csv"
         p.write_text("event_id,date,ndvi\ne0,2020-06-01,1.5\n")
         with pytest.raises(SchemaError, match="ndvi"):
+            dataio.read_ndvi(p)
+
+    @pytest.mark.parametrize("text", ["", "nan"])
+    def test_missing_ndvi_raises(self, tmp_path, text):
+        p = tmp_path / "ndvi.csv"
+        p.write_text(f"event_id,date,ndvi\ne0,2020-06-01,{text}\n")
+        with pytest.raises(SchemaError, match="ndvi.csv row 2 column 'ndvi': missing value"):
             dataio.read_ndvi(p)
 
 
@@ -628,6 +644,15 @@ SYNTH_DIGESTS = {
         "targets": "8a4496e53d2ba7a8eed8451527132433cca6cfd0f6dba10149b986ff197c6252",
         "events": "1499fcac962ce2c1a213ee991c33dbaca4b60aaf7dabece595ade2c4eb7135f5",
         "truth": "1de1c53e19a73c41c939a255807eb08162b78ad3bcb02645df8fc210c7634b53",
+    },
+    # fewer events than counties: the assignment is drawn without the
+    # one-event-per-county cover
+    (12, 20, 5, None): {
+        "weather": "e023703b646e956c9757e4557bdbecc019d291ce66aa0446a8b2a3884ccce921",
+        "enriched": "fe06ddd67ae810d8b3e5fe2d634be6a59ce81c57b78fad09696f4a81d6acd1a8",
+        "targets": "134186f94451706023b5da976c2a8b226966abb856fa4a8362aa58caaa246dd5",
+        "events": "3a7369606057a7f24aed22e109004cdcbc8247f0b80a013f9c79940ea162379d",
+        "truth": "ce65ddd51cb955b669826bfeadaaadff694d8333e11218fded43d36451f24ede",
     },
 }
 # write_dataset's three files for synth_generate(500, 10, seed=1)

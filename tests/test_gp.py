@@ -308,6 +308,29 @@ class TestNmll:
             assert np.max(np.abs(ours.ravel() - theirs.ravel())) < 1e-10 * np.max(np.abs(theirs))
 
     @pytest.mark.parametrize("family", gp.FAMILIES)
+    def test_noise_on_diagonal_matches_dense_identity(self, family, monkeypatch):
+        """K + noise*I with the noise added to the diagonal alone gives the
+        same value and both gradients, bit for bit, as adding noise*I."""
+        rng = np.random.default_rng(SEED + 23)
+        x = rng.standard_normal((60, dims_for(family)))
+        y = rng.standard_normal(60)
+        state = gp.init_state(x, y, family)
+
+        def run():
+            tape = nc.Tape()
+            x_node = tape.leaf(x)
+            node, hypers = gp.nmll_node(tape, state, x_node, y)
+            nc.backward(tape, node)
+            return node.value.item(), hypers.grad, x_node.grad
+
+        ours = run()
+        monkeypatch.setattr(nc, "plus_diagonal", lambda m, v: m + v * np.eye(m.shape[0]))
+        dense = run()
+        assert ours[0] == dense[0]
+        assert np.array_equal(ours[1], dense[1])
+        assert np.array_equal(ours[2], dense[2])
+
+    @pytest.mark.parametrize("family", gp.FAMILIES)
     def test_kernel_block_value_is_kernel_matrix(self, family):
         rng = np.random.default_rng(SEED + 22)
         x = rng.standard_normal((9, 3))
@@ -405,6 +428,24 @@ class TestPosterior:
             )
             assert np.max(np.abs(post.mean - mean)) < 1e-8
             assert np.max(np.abs(post.variance - var)) < 1e-8
+
+    @pytest.mark.parametrize("family", gp.FAMILIES)
+    def test_refresh_matches_dense_identity(self, family):
+        """refresh's factor and alpha are those of K + noise*I formed with a
+        dense identity, bit for bit."""
+        rng = np.random.default_rng(SEED + 24)
+        x = rng.standard_normal((70, dims_for(family)))
+        y = rng.standard_normal(70)
+        state = gp.init_state(x, y, family).refresh(x, y)
+
+        k = gp.kernel_matrix(state.kernel, x, x)
+        lower = np.linalg.cholesky(k + math.exp(state.log_noise) * np.eye(70))
+        inverse = nc.lower_inverse(lower)
+        alpha = inverse.T @ (inverse @ (y - state.mean_const).reshape(-1, 1))
+        assert state.chol.jitter == 0.0
+        assert np.array_equal(state.chol.lower, lower)
+        assert np.array_equal(state.chol.inverse, inverse)
+        assert np.array_equal(state.alpha, alpha)
 
     def test_variance_bounds(self):
         rng = np.random.default_rng(SEED + 9)

@@ -95,6 +95,26 @@ class TestCholesky:
         f = nc.cholesky(a)
         assert f.jitter > 0.0
 
+    def test_jitter_rung_matches_dense_identity(self):
+        """A rung's jitter goes on the diagonal alone; on a singular Gram
+        matrix of nonnegative entries the factor is the one that adding
+        jitter*I gives, bit for bit."""
+        rng = np.random.default_rng(RNG_SEED + 2)
+        x = rng.standard_normal((30, 2))
+        x[15:] = x[:15]
+        a = np.exp(-np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2))
+        f = nc.cholesky(a)
+        assert f.jitter > 0.0
+        lower = np.linalg.cholesky(a + f.jitter * np.eye(30))
+        assert np.array_equal(f.lower, lower)
+        assert np.array_equal(f.inverse, nc.lower_inverse(lower))
+
+    def test_plus_diagonal_leaves_input(self):
+        m = np.arange(9.0).reshape(3, 3)
+        out = nc.plus_diagonal(m, 0.5)
+        assert np.array_equal(out, m + 0.5 * np.eye(3))
+        assert np.array_equal(m, np.arange(9.0).reshape(3, 3))
+
     def test_indefinite_raises(self):
         with pytest.raises(NotPositiveDefinite):
             nc.cholesky([[1.0, 0.0], [0.0, -5.0]])
