@@ -655,6 +655,8 @@ def synth_generate(n_events: int, n_counties: int, seed: int,
         raise DegenerateInput("synthetic generation needs n_events >= 10")
     if n_counties < 1:
         raise DegenerateInput("n_counties must be >= 1")
+    if seed < 0:
+        raise DegenerateInput("seed must be >= 0")
     rng = np.random.default_rng(seed)
 
     county_ids = [f"06{2 * i + 1:03d}" for i in range(n_counties)]

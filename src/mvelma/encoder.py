@@ -5,7 +5,8 @@ vector: two LSTM passes (forward and reversed time), per-step state
 concatenation, a linear attention score per step, softmax over time, and a
 tanh projection of the attention-weighted context. For training, the whole
 computation is one fused block on a numcore tape whose only parent is a leaf
-holding the flat parameter vector, so gradients flow to every parameter. To
+holding the flat parameter vector, so gradients flow to every parameter;
+numcore.backward seeds the block with the loss's gradient in the latents. To
 encode for prediction, forward runs without a tape.
 
 The parameters are stored in the layout the kernels use (EncoderParams):
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
-from .errors import NonFiniteInput, ShapeMismatch
+from .errors import DegenerateInput, NonFiniteInput, ShapeMismatch
 
 @dataclass
 class EncoderConfig:
@@ -65,6 +66,8 @@ class EncoderConfig:
         for name in ("input_width", "seq_len", "hidden", "latent"):
             if getattr(self, name) < 1:
                 raise ShapeMismatch(f"EncoderConfig.{name} must be >= 1")
+        if self.seed < 0:
+            raise DegenerateInput("EncoderConfig.seed must be >= 0")
 
 
 # Gate blocks of the fused weights, as indices into the (input, forget, cell,

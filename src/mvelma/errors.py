@@ -21,10 +21,6 @@ class NotPositiveDefinite(MvelmaError):
     """Matrix failed Cholesky factorization even after jitter escalation."""
 
 
-class NonScalarOutput(MvelmaError):
-    """Reverse pass requested from a node that is not a 1x1 scalar."""
-
-
 class Divergence(MvelmaError):
     """Training loss became non-finite."""
 

@@ -13,9 +13,10 @@ variance k(x, x) is that value at distance 0, and `kernel_block` turns the
 derivatives into a vector-Jacobian product. The distances within one point
 set are symmetric to the last bit, and so is every Gram matrix built from
 them. `nmll_node` is the one computation of the negative log marginal
-likelihood: a fused tape block on a single Cholesky factor whose gradient
-reaches both the hyperparameters and the training inputs, which is what
-lets the encoder train jointly against it.
+likelihood: on a single Cholesky factor it returns the value together with
+its gradient in the hyperparameters and in the training inputs, which is
+what lets the encoder train jointly against it. It builds no tape: the
+pipeline hands the input gradient to the encoder's reverse pass.
 """
 
 from __future__ import annotations
@@ -204,35 +205,27 @@ def kernel_block(spec: KernelSpec, x: np.ndarray, inputs: bool = True):
 # ---------------------------------------------------------------------------
 
 
-def nmll_node(tape: nc.Tape, state: "GPState", latent, y, fixed=None):
-    """Negative log marginal likelihood as one fused tape block.
+def nmll_node(state: "GPState", x: np.ndarray, y, n_latent: int = 0):
+    """Negative log marginal likelihood and its gradients: the one
+    computation of the NMLL.
 
     0.5*(y-m)^T A^-1 (y-m) + 0.5*log|A| + (n/2)*log(2*pi) with
-    A = K(X,X) + noise*I, where X is the latent node's value followed by the
-    ``fixed`` columns (either may be None; fixed columns carry no gradient).
-
-    Registers one leaf holding ``state.hypers_flat()`` and returns
-    ``(loss, leaf)``. The loss node's parents are that leaf and the latent
-    node, so backward() leaves the hyperparameter gradient in the leaf and
-    hands dL/dX on to the latents (the encoder block in joint training).
-    Without a latent node no input gradient is formed.
+    A = K(X,X) + noise*I. Returns ``(value, d_hypers, d_latent)``:
+    ``d_hypers`` is the gradient in ``state.hypers_flat()`` and ``d_latent``
+    the gradient in the first ``n_latent`` columns of x, the latents in
+    joint training, whose adjoint seeds the encoder's reverse pass. With
+    ``n_latent`` 0 it is None, and no input gradient is formed.
 
     One Cholesky factor A = L L^T serves both terms, and alpha = A^-1 (y-m)
     and A^-1 = L^-T L^-1 both come from the inverse it carries. The adjoint
     of A is (A^-1 - alpha alpha^T)/2 (Rasmussen & Williams 2006, eq. 5.9);
     the kernel block contracts it with its closed-form derivatives.
     """
-    hypers = tape.leaf(state.hypers_flat())
-    if latent is None:
-        parents, n_latent, x = (hypers,), 0, fixed
-    else:
-        parents, n_latent = (hypers, latent), latent.value.shape[1]
-        x = latent.value if fixed is None else np.hstack([latent.value, fixed])
     resid = nc.as_matrix(y) - state.mean_const
     n = resid.shape[0]
     if x.shape[0] != n:
         raise DimensionMismatch(f"{x.shape[0]} inputs vs {n} targets")
-    k, kernel_vjp = kernel_block(state.kernel, x, inputs=latent is not None)
+    k, kernel_vjp = kernel_block(state.kernel, x, inputs=n_latent > 0)
     noise = math.exp(state.log_noise)
     factor = nc.cholesky(nc.plus_diagonal(k, noise))
     l_inv = factor.inverse
@@ -240,21 +233,14 @@ def nmll_node(tape: nc.Tape, state: "GPState", latent, y, fixed=None):
     alpha = l_inv.T @ w
     value = 0.5 * (w.T @ w).item() + 0.5 * factor.logdet() + 0.5 * n * LOG_2PI
 
-    def vjp(g):
-        adj = l_inv.T @ l_inv
-        adj -= alpha @ alpha.T
-        adj *= 0.5 * g[0, 0]
-        d_kernel, d_x = kernel_vjp(adj)
-        d_hypers = np.concatenate(
-            [d_kernel, [noise * np.trace(adj), -g[0, 0] * alpha.sum()]]
-        )
-        if d_x is None:
-            return (d_hypers.reshape(-1, 1),)
-        # all columns in one product: s @ x[:, :n_latent] takes another BLAS
-        # kernel at some shapes, and rounds differently
-        return d_hypers.reshape(-1, 1), d_x[:, :n_latent]
-
-    return nc.Node(tape, np.array([[value]]), parents, vjp), hypers
+    adj = l_inv.T @ l_inv
+    adj -= alpha @ alpha.T
+    adj *= 0.5
+    d_kernel, d_x = kernel_vjp(adj)
+    d_hypers = np.concatenate([d_kernel, [noise * np.trace(adj), -alpha.sum()]])
+    # all columns in one product: s @ x[:, :n_latent] takes another BLAS
+    # kernel at some shapes, and rounds differently
+    return value, d_hypers, None if d_x is None else d_x[:, :n_latent]
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +346,8 @@ def fit(
     st = replace(state, train_inputs=x, train_targets=y)
 
     def step(hypers):
-        tape = nc.Tape()
-        loss, leaf = nmll_node(tape, st.with_hypers_flat(hypers), None, y, fixed=x)
-        nc.backward(tape, loss)
-        return loss.value.item(), leaf.grad.ravel()
+        value, d_hypers, _ = nmll_node(st.with_hypers_flat(hypers), x, y)
+        return value, d_hypers
 
     best, trace = optim.adam_descent(step, st.hypers_flat(), opt)
     return st.with_hypers_flat(best).refresh(), trace

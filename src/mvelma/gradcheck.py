@@ -1,7 +1,9 @@
-"""Finite-difference validation harness for every fused block: the encoder's
-parameters, the kernel block's log-hyperparameters and inputs, the marginal
-likelihood block's hyperparameters (with noise and mean) and inputs, and the
-linear MSE head. Small fixed dimensions keep the whole suite well under a
+"""Finite-difference validation harness for every gradient the package
+defines: the encoder block's parameters, through a reverse pass on its tape
+seeded with fixed probe weights; the kernel block's log-hyperparameters and
+inputs; the marginal likelihood's hyperparameters (with noise and mean) and
+inputs; and the linear MSE head, whose value-and-gradient functions are
+called directly. Small fixed dimensions keep the whole suite well under a
 minute."""
 
 from __future__ import annotations
@@ -28,11 +30,6 @@ class GradCase:
         return self.max_rel_error < TOLERANCE
 
 
-def _weighted_sum(tape: nc.Tape, node: nc.Node, w: np.ndarray) -> nc.Node:
-    """sum(node * w) for a fixed w: a probe that seeds a general adjoint."""
-    return nc.Node(tape, np.array([[np.sum(node.value * w)]]), (node,), lambda g: (g[0, 0] * w,))
-
-
 def _encoder_param_case(seed: int) -> GradCase:
     cfg = enc.EncoderConfig(input_width=3, seq_len=5, hidden=3, latent=2, seed=seed)
     rng = np.random.default_rng(1000 + seed)
@@ -41,11 +38,11 @@ def _encoder_param_case(seed: int) -> GradCase:
     x0 = enc.init_params(cfg).flat
 
     def f(vec):
+        """sum(Z * w) for the fixed probe weights w, which seed the reverse pass."""
         tape = nc.Tape()
         out = enc.forward(enc.EncoderParams(cfg, vec), batch, tape)
-        loss = _weighted_sum(tape, out.latent, w)
-        nc.backward(tape, loss)
-        return loss.value.item(), out.params.grad.ravel()
+        nc.backward(tape, out.latent, w)
+        return float(np.sum(out.Z * w)), out.params.grad.ravel()
 
     # The attention score bias cancels in the softmax: its analytic and
     # numeric gradients are both exactly zero, so it needs no special case.
@@ -90,17 +87,12 @@ def _nmll_cases(family: str, seed: int) -> list:
     x, y, state, _ = _gp_points(family, seed)
 
     def f_hypers(vec):
-        tape = nc.Tape()
-        loss, hypers = gp.nmll_node(tape, state.with_hypers_flat(vec), None, y, fixed=x)
-        nc.backward(tape, loss)
-        return loss.value.item(), hypers.grad.ravel()
+        value, d_hypers, _ = gp.nmll_node(state.with_hypers_flat(vec), x, y)
+        return value, d_hypers
 
     def f_inputs(vec):
-        tape = nc.Tape()
-        latent = tape.leaf(vec.reshape(x.shape))
-        loss, _ = gp.nmll_node(tape, state, latent, y)
-        nc.backward(tape, loss)
-        return loss.value.item(), latent.grad.ravel()
+        value, _, d_x = gp.nmll_node(state, vec.reshape(x.shape), y, x.shape[1])
+        return value, d_x.ravel()
 
     h0 = state.hypers_flat()
     return [
@@ -118,11 +110,8 @@ def _mse_head_case(seed: int) -> GradCase:
     x0 = rng.normal(size=n * d + d + 1)  # latents, then the head [w ; b]
 
     def f(vec):
-        tape = nc.Tape()
-        latent = tape.leaf(vec[: n * d].reshape(n, d))
-        loss, head = pipeline.mse_head_node(tape, latent, vec[n * d:], y)
-        nc.backward(tape, loss)
-        return loss.value.item(), np.concatenate([latent.grad.ravel(), head.grad.ravel()])
+        value, d_head, d_z = pipeline.mse_head(vec[: n * d].reshape(n, d), vec[n * d:], y)
+        return value, np.concatenate([d_z.ravel(), d_head])
 
     return GradCase(f"mse-head[{seed}]", nc.finite_diff_check(f, x0, step=1e-5), x0.size)
 

@@ -8,11 +8,12 @@ goes through that inverse, all on numpy's BLAS and LAPACK.
 The tape holds no elementwise primitives. A node is either a leaf (a
 parameter or input) or a fused block: a value computed in plain numpy plus a
 hand-written vector-Jacobian product that maps the block's adjoint to one
-adjoint per parent. The blocks live with the math they differentiate: the
-encoder in ``encoder``, the kernel and the marginal likelihood in ``gp``, the
-linear head in ``pipeline``. The tape is rebuilt per forward pass (dynamic
-graph): appending nodes in creation order keeps the node list topologically
-sorted, so the reverse sweep is a single reversed iteration.
+adjoint per parent. The encoder in ``encoder`` is the one block on the tape;
+the marginal likelihood in ``gp`` and the linear head in ``pipeline`` return
+their value and gradients directly, and ``backward`` seeds the encoder's
+output with the loss's gradient in the latents. The tape is rebuilt per forward pass
+(dynamic graph): appending nodes in creation order keeps the node list
+topologically sorted, so the reverse sweep is a single reversed iteration.
 
 Central finite differences check every block (see ``gradcheck``).
 
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteInput, NonScalarOutput, NotPositiveDefinite
+from .errors import DimensionMismatch, NonFiniteInput, NotPositiveDefinite
 
 # Diagonal jitter ladder tried before giving up on a factorization.
 JITTER_LADDER = (0.0, 1e-8, 1e-6, 1e-4)
@@ -187,8 +188,9 @@ def plus_diagonal(m: np.ndarray, value: float) -> np.ndarray:
     return out
 
 
-def cholesky(m, jitters=JITTER_LADDER) -> CholeskyFactor:
-    """Factor a symmetric positive definite matrix, escalating diagonal jitter.
+def cholesky(m) -> CholeskyFactor:
+    """Factor a symmetric positive definite matrix, escalating diagonal jitter
+    through JITTER_LADDER.
 
     Raises NotPositiveDefinite when the whole jitter ladder fails, and
     DimensionMismatch for non-square or asymmetric input.
@@ -200,14 +202,14 @@ def cholesky(m, jitters=JITTER_LADDER) -> CholeskyFactor:
     scale = max(1.0, float(np.max(np.abs(m))))
     if float(np.max(np.abs(m - m.T))) > 1e-10 * scale:
         raise DimensionMismatch("cholesky input is not symmetric within 1e-10")
-    for jit in jitters:
+    for jit in JITTER_LADDER:
         try:
             lower = np.linalg.cholesky(plus_diagonal(m, jit) if jit else m)
         except np.linalg.LinAlgError:
             continue
         return CholeskyFactor(lower=lower, inverse=lower_inverse(lower), n=n, jitter=jit)
     raise NotPositiveDefinite(
-        f"matrix of size {n} is not positive definite (max jitter {jitters[-1]:g})"
+        f"matrix of size {n} is not positive definite (max jitter {JITTER_LADDER[-1]:g})"
     )
 
 
@@ -295,25 +297,23 @@ class Tape:
 def custom(tape: Tape, value: np.ndarray, parents, vjp) -> Node:
     """Register a fused block with a hand-written VJP as one node.
 
-    The encoder registers its block here. ``bench/spans.py`` times every VJP
-    handed to this function as the encoder's reverse pass, so the GP and head
-    blocks construct their ``Node`` directly.
+    The encoder's block is the one registered here, and ``bench/spans.py``
+    times every VJP handed to this function as the encoder's reverse pass;
+    a block registered here is counted as encoder time.
     """
     return Node(tape, value, parents, vjp)
 
 
-def backward(tape: Tape, output: Node) -> None:
-    """Reverse sweep seeding d(output)/d(output) = 1; output must be 1x1.
+def backward(tape: Tape, output: Node, adjoint) -> None:
+    """Reverse sweep seeding the output's adjoint with ``adjoint``, broadcast
+    to the output's shape (1.0 seeds a 1x1 output).
 
-    Afterwards every leaf's .grad is d(output)/d(leaf).
+    Afterwards every leaf's .grad is the gradient of sum(adjoint * output)
+    in that leaf.
     """
-    if output.value.size != 1:
-        raise NonScalarOutput(
-            f"backward needs a scalar output node, got shape {output.value.shape}"
-        )
     for node in tape.nodes:
         node.adjoint = None
-    output.adjoint = np.ones((1, 1))
+    _accumulate(output, adjoint)
     for node in reversed(tape.nodes):
         if node.adjoint is not None and node._vjp is not None:
             for parent, adj in zip(node._parents, node._vjp(node.adjoint)):

@@ -81,6 +81,8 @@ class PipelineConfig:
             raise UnknownVariant(f"unknown gp_input mode {self.gp_input!r}")
         if self.rf_target not in ("direct", "residual"):
             raise UnknownVariant(f"unknown rf_target mode {self.rf_target!r}")
+        if self.split_seed < 0:
+            raise DegenerateInput("split_seed must be >= 0")
 
 
 @dataclass
@@ -176,26 +178,21 @@ def confidence_from_variance(variance, sigma_ref: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def mse_head_node(tape: nc.Tape, latent: nc.Node, head: np.ndarray, y: np.ndarray):
-    """Mean squared error of the linear head z @ w + b against y, as one
-    fused tape block.
+def mse_head(z: np.ndarray, head: np.ndarray, y: np.ndarray):
+    """Mean squared error of the linear head z @ w + b against y, and its
+    gradients: ``(value, d_head, d_z)``.
 
-    ``head`` is [w ; b]. Registers one leaf holding it and returns
-    ``(loss, leaf)``; the loss node's parents are that leaf and the latent
-    node. With r = z w + b - y the adjoint is (2/N) r for the prediction,
-    so d/dz = (2/N) r w^T, d/dw = (2/N) z^T r and d/db = (2/N) sum(r).
+    ``head`` is [w ; b]. With r = z w + b - y the adjoint is (2/N) r for the
+    prediction, so d/dz = (2/N) r w^T, d/dw = (2/N) z^T r and
+    d/db = (2/N) sum(r).
     """
-    leaf = tape.leaf(head)
-    z, w, b = latent.value, leaf.value[:-1], leaf.value[-1:]
+    head = nc.as_matrix(head)
+    w, b = head[:-1], head[-1:]
     resid = (z @ w + b) - nc.as_matrix(y)
     scale = 1.0 / resid.shape[0]
-
-    def vjp(g):
-        d_pred = 2.0 * ((g[0, 0] * scale) * resid)
-        return np.vstack([z.T @ d_pred, d_pred.sum(axis=0, keepdims=True)]), d_pred @ w.T
-
-    value = (resid * resid).sum() * scale
-    return nc.Node(tape, np.array([[value]]), (leaf, latent), vjp), leaf
+    d_pred = 2.0 * (scale * resid)
+    d_head = np.vstack([z.T @ d_pred, d_pred.sum(axis=0, keepdims=True)])
+    return float((resid * resid).sum() * scale), d_head.ravel(), d_pred @ w.T
 
 
 def _standardized(weather_std, enriched_std, data: Dataset):
@@ -221,18 +218,19 @@ def _stack(z: np.ndarray, static: np.ndarray, mu: np.ndarray | None) -> np.ndarr
 def _train_encoder(weather3, params0: enc.EncoderParams, loss_block, block0, opt: OptimizerConfig):
     """The encoder and one loss block's own parameters under one Adam loop.
 
-    ``loss_block(tape, vec, latent)`` puts the loss on the tape and returns
-    ``(loss, leaf)``, the leaf holding ``vec``; ``block0`` is its initial
-    vector. Returns the best encoder parameters, the block's best vector and
-    the loss trace."""
+    ``loss_block(vec, z)`` returns ``(loss, d_vec, d_z)``: the loss at the
+    block's parameters ``vec`` and the latents z, and its gradients in both;
+    ``block0`` is its initial vector. d_z seeds the encoder's reverse pass.
+    Returns the best encoder parameters, the block's best vector and the loss
+    trace."""
     cfg, n_enc = params0.config, params0.flat.size
 
     def step(vec):
         tape = nc.Tape()
         out = enc.forward(enc.EncoderParams(cfg, vec[:n_enc]), weather3, tape)
-        loss, leaf = loss_block(tape, vec[n_enc:], out.latent)
-        nc.backward(tape, loss)
-        return loss.value.item(), np.concatenate([out.params.grad.ravel(), leaf.grad.ravel()])
+        loss, d_vec, d_z = loss_block(vec[n_enc:], out.Z)
+        nc.backward(tape, out.latent, d_z)
+        return loss, np.concatenate([out.params.grad.ravel(), d_vec])
 
     best, trace = optim.adam_descent(step, np.concatenate([params0.flat, block0]), opt)
     return enc.EncoderParams(cfg, best[:n_enc]), best[n_enc:], trace
@@ -275,11 +273,10 @@ def train_joint(data: Dataset, cfg: PipelineConfig | None = None) -> TrainedMode
         params0 = enc.init_params(cfg.encoder)
         gp0 = gp.init_state(_gp_inputs(_latent(params0, w3), static, cfg.gp_input), y,
                             cfg.kernel_family)
-        fixed = static if cfg.gp_input == "stacked" else None
         encoder_params, hypers, trace = _train_encoder(
             w3, params0,
-            lambda tape, vec, latent: gp.nmll_node(
-                tape, gp0.with_hypers_flat(vec), latent, y, fixed
+            lambda vec, z: gp.nmll_node(
+                gp0.with_hypers_flat(vec), _gp_inputs(z, static, cfg.gp_input), y, z.shape[1]
             ),
             gp0.hypers_flat(), cfg.gp_opt,
         )
@@ -290,7 +287,7 @@ def train_joint(data: Dataset, cfg: PipelineConfig | None = None) -> TrainedMode
         head0 = np.concatenate([rng.uniform(-1.0, 1.0, d) / math.sqrt(d), [0.0]])
         encoder_params, head, trace = _train_encoder(
             w3, enc.init_params(cfg.encoder),
-            lambda tape, vec, latent: mse_head_node(tape, latent, vec, y), head0, cfg.gp_opt,
+            lambda vec, z: mse_head(z, vec, y), head0, cfg.gp_opt,
         )
 
     # the GP state, its in-sample posterior and the forest, on the final z

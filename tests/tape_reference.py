@@ -1,12 +1,12 @@
 """Elementwise tape primitives, and the marginal likelihood and MSE head
-composed from them: a test-only reference for the fused blocks.
+composed from them: a test-only reference for the hand-written gradients.
 
-`mvelma` computes each block in plain numpy with a hand-written
-vector-Jacobian product. Here the same quantities are built from one node
-per elementwise operation, so reverse mode derives their gradients by the
-chain rule instead. `test_numcore` checks each primitive against central
-differences; `test_gp` and `test_pipeline` check the fused blocks against
-the compositions.
+`mvelma` computes the likelihood and the head in plain numpy, each with its
+gradients written out by hand. Here the same quantities are built from one
+node per elementwise operation, so reverse mode derives their gradients by
+the chain rule instead. `test_numcore` checks each primitive against
+central differences; `test_gp` and `test_pipeline` check `gp.nmll_node` and
+`pipeline.mse_head` against the compositions.
 """
 
 from __future__ import annotations

@@ -385,6 +385,20 @@ class TestExitCodes:
         assert err == "validation error: learning_rate must be finite and > 0\n"
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("command", ["synth", "train", "ablate"])
+    def test_negative_seed_is_one_validation_error(self, workspace, tmp_path, command):
+        out = tmp_path / "out"
+        out.mkdir()
+        if command == "synth":
+            args = ("--events", 40, "--counties", 4, "--out", out / "data")
+        else:
+            model = ("--model", out / "m.json") if command == "train" else ()
+            args = ("--data", workspace["data"], *model, *TRAIN_KNOBS)
+        code, err = run_cli_stderr(command, *args, "--seed", -1)
+        assert code == 1
+        assert err.startswith("validation error:") and err.count("\n") == 1
+        assert not any(out.iterdir())
+
     @pytest.mark.parametrize("command", [
         ("predict", "--split", "test"), ("predict", "--split", "train"), ("evaluate",), ("map",),
     ])

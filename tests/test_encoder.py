@@ -199,7 +199,7 @@ class TestGradients:
             tape = nc.Tape()
             out = enc.forward(params, batch, tape)
             loss = tr.sum_all(tr.mul(out.latent, w))
-            nc.backward(tape, loss)
+            nc.backward(tape, loss, 1.0)
             return float(loss.value[0, 0]), out.params.grad.ravel()
 
         x0 = enc.init_params(cfg).flat
@@ -226,7 +226,7 @@ def _encode(params, batch, w):
     order, which the reference uses."""
     tape = nc.Tape()
     out = enc.forward(params, batch, tape)
-    nc.backward(tape, tr.sum_all(tr.mul(out.latent, w)))
+    nc.backward(tape, tr.sum_all(tr.mul(out.latent, w)), 1.0)
     grad = enc.EncoderParams(params.config, out.params.grad.ravel())
     return out.Z, out.alpha, grad.in_file_order()
 
@@ -361,6 +361,6 @@ class TestMemory:
         def forward_and_backward():
             tape = nc.Tape()
             out = enc.forward(params, batch, tape)
-            nc.backward(tape, tr.sum_all(tr.mul(out.latent, w)))
+            nc.backward(tape, tr.sum_all(tr.mul(out.latent, w)), 1.0)
 
         assert _peak_mb(forward_and_backward) < 110.0

@@ -45,8 +45,7 @@ def dims_for(family):
 
 def nmll_value(state, x, y):
     """The negative log marginal likelihood at (x, y) as nmll_node computes it."""
-    node, _ = gp.nmll_node(nc.Tape(), state, None, y, fixed=nc.as_matrix(x))
-    return node.value.item()
+    return gp.nmll_node(state, nc.as_matrix(x), y)[0]
 
 
 def matern_bessel(r, nu, lengthscale, outputscale):
@@ -217,7 +216,7 @@ class TestNmll:
             assert abs(nmll_value(state, x, y) - direct) < 1e-8
 
     def test_node_agrees_with_plain(self):
-        """The fused block's value against the one that the factor and alpha
+        """The likelihood's value against the one that the factor and alpha
         of GPState.refresh, which the posterior uses, give."""
         rng = np.random.default_rng(SEED + 6)
         x = rng.standard_normal((6, 1))
@@ -227,12 +226,11 @@ class TestNmll:
             log_noise=math.log(0.2),
             mean_const=0.1,
         )
-        tape = nc.Tape()
-        node, _ = gp.nmll_node(tape, state, None, y, fixed=x)
+        value, _, _ = gp.nmll_node(state, x, y)
         st = state.refresh(x, y)
         plain = (0.5 * ((y - st.mean_const) @ st.alpha).item() + 0.5 * st.chol.logdet()
                  + 0.5 * y.size * math.log(2.0 * math.pi))
-        assert abs(node.value.item() - plain) < 1e-10
+        assert abs(value - plain) < 1e-10
 
     def test_gradients_wrt_hypers_and_inputs(self):
         """The joint-training pathway: d nmll / d (hypers, X) by finite differences."""
@@ -248,12 +246,8 @@ class TestNmll:
             def f(flat, base=base, n_h=n_h):
                 st = base.with_hypers_flat(flat[:n_h])
                 xm = flat[n_h:].reshape(n, d)
-                tape = nc.Tape()
-                x_node = tape.leaf(xm)
-                node, hypers = gp.nmll_node(tape, st, x_node, y)
-                nc.backward(tape, node)
-                grad = np.concatenate([hypers.grad.ravel(), x_node.grad.ravel()])
-                return node.value.item(), grad
+                value, d_hypers, d_x = gp.nmll_node(st, xm, y, d)
+                return value, np.concatenate([d_hypers, d_x.ravel()])
 
             flat0 = np.concatenate([base.hypers_flat(), x0.ravel()])
             err = nc.finite_diff_check(f, flat0, 1e-5)
@@ -272,11 +266,8 @@ class TestNmll:
         state = gp.init_state(x0, y, family)
 
         def f(flat):
-            tape = nc.Tape()
-            x_node = tape.leaf(flat.reshape(x0.shape))
-            node, _ = gp.nmll_node(tape, state, x_node, y)
-            nc.backward(tape, node)
-            return node.value.item(), x_node.grad.ravel()
+            value, _, d_x = gp.nmll_node(state, flat.reshape(x0.shape), y, x0.shape[1])
+            return value, d_x.ravel()
 
         value, grad = f(x0.ravel())
         assert np.all(np.isfinite(grad))
@@ -285,7 +276,7 @@ class TestNmll:
 
     @pytest.mark.parametrize("family", gp.FAMILIES)
     def test_block_matches_primitive_composition(self, family):
-        """The fused block against the same likelihood built from one tape
+        """nmll_node against the same likelihood built from one tape
         node per elementwise operation (tape_reference), with a coincident
         pair among the inputs: value and gradients within 1e-10."""
         rng = np.random.default_rng(SEED + 21)
@@ -294,17 +285,14 @@ class TestNmll:
         y = rng.standard_normal(40)
         state = gp.init_state(x, y, family)
 
-        tape = nc.Tape()
-        x_node = tape.leaf(x)
-        node, hypers = gp.nmll_node(tape, state, x_node, y)
-        nc.backward(tape, node)
+        value, d_hypers, d_x = gp.nmll_node(state, x, y, x.shape[1])
         ref_tape = nc.Tape()
         ref_x = ref_tape.leaf(x)
         ref, ref_hypers = tr.nmll(ref_tape, state, ref_x, y)
-        nc.backward(ref_tape, ref)
+        nc.backward(ref_tape, ref, 1.0)
 
-        assert abs(node.value.item() - ref.value.item()) < 1e-10 * abs(ref.value.item())
-        for ours, theirs in ((hypers.grad, ref_hypers.grad), (x_node.grad, ref_x.grad)):
+        assert abs(value - ref.value.item()) < 1e-10 * abs(ref.value.item())
+        for ours, theirs in ((d_hypers, ref_hypers.grad), (d_x, ref_x.grad)):
             assert np.max(np.abs(ours.ravel() - theirs.ravel())) < 1e-10 * np.max(np.abs(theirs))
 
     @pytest.mark.parametrize("family", gp.FAMILIES)
@@ -317,11 +305,7 @@ class TestNmll:
         state = gp.init_state(x, y, family)
 
         def run():
-            tape = nc.Tape()
-            x_node = tape.leaf(x)
-            node, hypers = gp.nmll_node(tape, state, x_node, y)
-            nc.backward(tape, node)
-            return node.value.item(), hypers.grad, x_node.grad
+            return gp.nmll_node(state, x, y, x.shape[1])
 
         ours = run()
         monkeypatch.setattr(nc, "plus_diagonal", lambda m, v: m + v * np.eye(m.shape[0]))
@@ -340,7 +324,7 @@ class TestNmll:
 
 
 class TestHyperOnlyGradient:
-    """Without a latent node the likelihood forms neither dK/dd2 nor the
+    """Without latent columns the likelihood forms neither dK/dd2 nor the
     input adjoint. The hyperparameter gradient, and with it a whole gp.fit,
     must be the same bits as when both are formed and then dropped."""
 
@@ -369,11 +353,9 @@ class TestHyperOnlyGradient:
         opt = OptimizerConfig(max_epochs=12, patience=12)
 
         def outputs():
-            tape = nc.Tape()
-            node, hypers = gp.nmll_node(tape, state, None, y, fixed=x)
-            nc.backward(tape, node)
+            _, d_hypers, _ = gp.nmll_node(state, x, y)
             fitted, trace = gp.fit(state, x, y, opt)
-            return [hypers.grad, fitted.hypers_flat(), fitted.chol.lower,
+            return [d_hypers, fitted.hypers_flat(), fitted.chol.lower,
                     fitted.chol.inverse, fitted.alpha, np.array(trace)]
 
         skipped = outputs()

@@ -6,7 +6,8 @@ by the threads it uses and the order of its results. The tape mechanics are
 exercised through the elementwise primitives of the test-only reference in
 `tape_reference`, each of which is verified against central finite
 differences at randomly drawn points; those primitives are the oracle that
-the fused blocks are checked against in `test_gp` and `test_pipeline`.
+the likelihood and the head are checked against in `test_gp` and
+`test_pipeline`.
 """
 
 import gc
@@ -18,11 +19,11 @@ import pytest
 
 import tape_reference as tr
 
+from mvelma import encoder as enc
 from mvelma import numcore as nc
 from mvelma.errors import (
     DimensionMismatch,
     NonFiniteInput,
-    NonScalarOutput,
     NotPositiveDefinite,
 )
 
@@ -165,6 +166,11 @@ class TestLowerInverse:
         assert np.allclose(inv @ lower, np.eye(n), atol=1e-10)
 
 
+def _weighted_sum(tape, node, w):
+    """sum(node * w) for a fixed w: a scalar probe whose VJP hands w to node."""
+    return nc.Node(tape, np.array([[np.sum(node.value * w)]]), (node,), lambda g: (g[0, 0] * w,))
+
+
 def tape_grad_check(build, x0, step=1e-6, tol=1e-7):
     """build(tape, leaf) -> scalar node; checks d(out)/d(leaf) by central FD."""
 
@@ -172,7 +178,7 @@ def tape_grad_check(build, x0, step=1e-6, tol=1e-7):
         tape = nc.Tape()
         leaf = tape.leaf(x.reshape(x0.shape))
         out = build(tape, leaf)
-        nc.backward(tape, out)
+        nc.backward(tape, out, 1.0)
         return float(out.value[0, 0]), leaf.grad.ravel().copy()
 
     err = nc.finite_diff_check(f, x0.ravel(), step)
@@ -248,7 +254,7 @@ class TestPrimitiveGradients:
         tape = nc.Tape()
         leaf = tape.leaf(np.array([[-800.0, 800.0]]))
         out = tr.sum_all(tr.sigmoid(leaf))
-        nc.backward(tape, out)
+        nc.backward(tape, out, 1.0)
         assert np.all(np.isfinite(out.value))
         assert np.all(np.isfinite(leaf.grad))
 
@@ -280,7 +286,7 @@ class TestPrimitiveGradients:
         tape = nc.Tape()
         leaf = tape.leaf(np.array([[0.0, 4.0]]))
         out = tr.sum_all(tr.power(leaf, 0.5))
-        nc.backward(tape, out)
+        nc.backward(tape, out, 1.0)
         g = leaf.grad
         assert g[0, 0] == 0.0
         assert abs(g[0, 1] - 0.25) < 1e-14
@@ -395,7 +401,7 @@ class TestPrimitiveGradients:
                 e[i, i] = 1.0
                 a_node = tr.add(a_node, tr.mul(tr.slice_cols(leaf, i, i + 1), tape.leaf(e)))
             out = tr.chol_quad_form(a_node, tape.leaf(b))
-            nc.backward(tape, out)
+            nc.backward(tape, out, 1.0)
             return float(out.value[0, 0]), leaf.grad.ravel().copy()
 
         err = nc.finite_diff_check(f, x0.ravel(), 1e-6)
@@ -422,7 +428,7 @@ class TestPrimitiveGradients:
                 e[i, i] = 1.0
                 a_node = tr.add(a_node, tr.mul(tr.slice_cols(leaf, i, i + 1), tape.leaf(e)))
             out = tr.chol_logdet(a_node)
-            nc.backward(tape, out)
+            nc.backward(tape, out, 1.0)
             return float(out.value[0, 0]), leaf.grad.ravel().copy()
 
         err = nc.finite_diff_check(f, x0.ravel(), 1e-6)
@@ -430,11 +436,23 @@ class TestPrimitiveGradients:
 
 
 class TestTapeMechanics:
-    def test_backward_nonscalar_raises(self):
+    def test_backward_seeds_a_matrix_adjoint(self):
+        """Seeding the encoder's N x D output with W gives its parameter leaf
+        the same bits as a scalar probe node for sum(Z * W) seeded with 1."""
+        cfg = enc.EncoderConfig(input_width=3, seq_len=5, hidden=4, latent=2, seed=3)
+        rng = np.random.default_rng(RNG_SEED + 11)
+        batch = rng.standard_normal((6, cfg.seq_len, cfg.input_width))
+        w = rng.standard_normal((6, cfg.latent))
+        params = enc.init_params(cfg)
+
         tape = nc.Tape()
-        a = tape.leaf(np.ones((2, 2)))
-        with pytest.raises(NonScalarOutput):
-            nc.backward(tape, a)
+        seeded = enc.forward(params, batch, tape)
+        nc.backward(tape, seeded.latent, w)
+        probe_tape = nc.Tape()
+        probed = enc.forward(params, batch, probe_tape)
+        nc.backward(probe_tape, _weighted_sum(probe_tape, probed.latent, w), 1.0)
+        assert seeded.params.grad.shape == probed.params.grad.shape
+        assert seeded.params.grad.tobytes() == probed.params.grad.tobytes()
 
     def test_leaf_rejects_nonfinite(self):
         tape = nc.Tape()
@@ -446,23 +464,23 @@ class TestTapeMechanics:
         tape = nc.Tape()
         x = tape.leaf(3.0)
         y = tr.add(tr.mul(x, x), tr.mul(x, x))
-        nc.backward(tape, y)
+        nc.backward(tape, y, 1.0)
         assert abs(x.grad[0, 0] - 12.0) < 1e-14
 
     def test_unreachable_leaf_zero_grad(self):
         tape = nc.Tape()
         x = tape.leaf(1.0)
         z = tape.leaf(5.0)
-        nc.backward(tape, tr.mul(x, x))
+        nc.backward(tape, tr.mul(x, x), 1.0)
         assert z.grad[0, 0] == 0.0
 
     def test_repeated_backward_resets(self):
         tape = nc.Tape()
         x = tape.leaf(2.0)
         y = tr.mul(x, x)
-        nc.backward(tape, y)
+        nc.backward(tape, y, 1.0)
         first = x.grad.copy()
-        nc.backward(tape, y)
+        nc.backward(tape, y, 1.0)
         assert np.array_equal(first, x.grad)
 
     def test_tape_freed_by_reference_counting(self):
@@ -471,7 +489,7 @@ class TestTapeMechanics:
         try:
             tape = nc.Tape()
             x = tape.leaf(2.0)
-            nc.backward(tape, tr.mul(x, x))
+            nc.backward(tape, tr.mul(x, x), 1.0)
             ref = weakref.ref(tape)
             del tape
             assert ref() is None
@@ -488,7 +506,7 @@ class TestTapeMechanics:
         sa, sb = a.value.sum(), b.value.sum()
         out = nc.custom(tape, np.array([[sa * sb]]), (a, b),
                         lambda g: (g * sb * np.ones((1, 2)), g * sa * np.ones((2, 1))))
-        nc.backward(tape, out)
+        nc.backward(tape, out, 1.0)
         assert out.value[0, 0] == 21.0
         assert np.array_equal(a.grad, [[7.0, 7.0]])
         assert np.array_equal(b.grad, [[3.0], [3.0]])
@@ -531,7 +549,7 @@ class TestFiniteDiffCheck:
             leaf = tape.leaf(x.reshape(2, 2))
             h = tr.tanh(tr.matmul(leaf, tape.leaf(w[:2, :2])))
             out = tr.sum_all(tr.mul(tr.sigmoid(h), tr.exp(tr.scale(h, 0.3))))
-            nc.backward(tape, out)
+            nc.backward(tape, out, 1.0)
             return float(out.value[0, 0]), leaf.grad.ravel().copy()
 
         for _ in range(25):

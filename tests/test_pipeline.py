@@ -12,6 +12,7 @@ from mvelma import dataio, encoder, gp, gradcheck, optim, pipeline
 from mvelma import numcore as nc
 from mvelma.encoder import EncoderConfig
 from mvelma.errors import (
+    DegenerateInput,
     DimensionMismatch,
     EmptySplit,
     LengthMismatch,
@@ -120,22 +121,34 @@ class TestVariantComponents:
             pipeline.PipelineConfig(rf_target="huh")
 
 
+class TestSeeds:
+    @pytest.mark.parametrize("make", [
+        lambda: dataio.synth_generate(40, 4, -1),
+        lambda: EncoderConfig(seed=-1),
+        lambda: ForestConfig(seed=-1),
+        lambda: pipeline.PipelineConfig(split_seed=-1),
+    ], ids=["synth_generate", "EncoderConfig", "ForestConfig", "PipelineConfig.split_seed"])
+    def test_negative_seed_rejected(self, make):
+        with pytest.raises(DegenerateInput, match="seed must be >= 0"):
+            make()
+
+
 class TestMseHead:
     def test_matches_primitive_composition_bitwise(self):
-        """The fused head block against the same loss built from one tape
-        node per operation (tape_reference): value and both gradients agree
-        bit for bit, since the block evaluates the same expressions."""
+        """The head's value and gradients against the same loss built from
+        one tape node per operation (tape_reference): value and both
+        gradients agree bit for bit, since the head evaluates the same
+        expressions."""
         rng = np.random.default_rng(31)
         z, head, y = rng.standard_normal((7, 3)), rng.standard_normal(4), rng.standard_normal(7)
-        grads = []
-        for block in (pipeline.mse_head_node, tr.mse_head):
-            tape = nc.Tape()
-            latent = tape.leaf(z)
-            loss, leaf = block(tape, latent, head, y)
-            nc.backward(tape, loss)
-            grads.append((loss.value, latent.grad, leaf.grad))
-        for ours, theirs in zip(*grads):
-            assert np.array_equal(ours, theirs)
+        value, d_head, d_z = pipeline.mse_head(z, head, y)
+        tape = nc.Tape()
+        latent = tape.leaf(z)
+        loss, leaf = tr.mse_head(tape, latent, head, y)
+        nc.backward(tape, loss, 1.0)
+        assert value == loss.value.item()
+        assert np.array_equal(d_z, latent.grad)
+        assert np.array_equal(d_head, leaf.grad.ravel())
 
 
 class TestStandardizer:
@@ -506,7 +519,9 @@ class TestTapeLifetime:
             alive_at_end = sum(ref() is not None for ref in tapes)
         finally:
             gc.enable()
-        assert tapes
+        # only the encoder trains on a tape; gp.fit takes the likelihood's
+        # gradient directly
+        assert bool(tapes) == pipeline.variant_components(tag)[0]
         assert alive_at_end == 0
         assert all(alive == 0 for alive in alive_after_step)
         assert alive_after_step
