@@ -28,8 +28,11 @@ step's adjoints: each step's pre-activation adjoint goes to one reused
 4H x N buffer, and while it is in cache two products add the step's share
 of the weight and bias gradient and one more gives the adjoint of the state
 the step read. Only the taped forward stores the gates and cells of every
-step for that; without a tape each direction reuses one step's gate and
-cell buffers and keeps only the hidden states the attention reads.
+step for that, and not tanh(c): the reverse pass recomputes it from the
+stored cell into one reused H x N buffer, with the same np.tanh on the same
+block, so the gradient is the same bits. Without a tape each direction
+reuses one step's gate and cell buffers and keeps only the hidden states
+the attention reads.
 
 The two directions are independent. When a step is large (N * H at least
 _THREAD_MIN_STATE), this process may run on more than one CPU
@@ -196,9 +199,10 @@ def _lstm_pass(x1, w, states, reverse, keep):
     step writes its input projection plus bias, one product with the first
     W+1 rows of ``w``, into its 4H x N gate block and adds w_h^T h, w_h
     being the last H rows. With ``keep`` it returns the gate activations and
-    the cell states and their tanh (T x 4H x N and T x H x N), indexed by
-    original time whichever way the pass runs; without, every step reuses
-    one gate block and two cell blocks, and it returns None.
+    the cell states (T x 4H x N and T x H x N), indexed by original time
+    whichever way the pass runs; without, every step reuses one gate block
+    and one cell block, and it returns None. Either way tanh(c) goes to one
+    H x N buffer that the next step overwrites.
     """
     width1, t_len, n = x1.shape
     d_h = w.shape[1] // 4
@@ -208,7 +212,7 @@ def _lstm_pass(x1, w, states, reverse, keep):
     slots = t_len if keep else 1
     gates = np.empty((slots, 4 * d_h, n))
     cells = np.empty((slots, d_h, n))
-    tanh_cells = np.empty((slots, d_h, n))
+    tanh_c = np.empty((d_h, n))
     recur = np.empty((4 * d_h, n))
     c = np.zeros((d_h, n))
     h = None
@@ -224,9 +228,9 @@ def _lstm_pass(x1, w, states, reverse, keep):
         o, i, f, cand = (g[k * d_h:(k + 1) * d_h] for k in range(4))
         c = np.multiply(f, c, out=cells[s])
         c += i * cand
-        np.tanh(c, out=tanh_cells[s])
-        h = np.multiply(o, tanh_cells[s], out=states[:, t])
-    return (gates, cells, tanh_cells) if keep else None
+        np.tanh(c, out=tanh_c)
+        h = np.multiply(o, tanh_c, out=states[:, t])
+    return (gates, cells) if keep else None
 
 
 def _lstm_backprop(d_ctx, att, w_att, d_scores, x1, states, run, w, out, reverse):
@@ -237,14 +241,16 @@ def _lstm_backprop(d_ctx, att, w_att, d_scores, x1, states, run, w, out, reverse
     adjoint ``d_ctx * att[t]``, and through its score, with adjoint
     ``w_att * d_scores[t]`` (``d_ctx`` and ``w_att`` are this direction's
     H x N and H x 1 halves; ``att`` and ``d_scores`` are T x N). ``run`` is
-    what _lstm_pass kept. Each step computes its gate slopes and then the
-    adjoint of its gate pre-activations into reused 4H x N buffers; while
+    what _lstm_pass kept, the gates and the cells. Each step recomputes
+    tanh(c) from its stored cell into a reused H x N buffer, the same np.tanh
+    on the same block as the forward pass, then computes its gate slopes and
+    the adjoint of its gate pre-activations into reused 4H x N buffers; while
     that adjoint is in cache, the step's inputs and ones row times it go to
     the input and bias rows of ``out``, the state it read times it to the
     recurrent rows, and the unscaled recurrent weights times it give the
     adjoint of that state.
     """
-    gates, cells, tanh_cells = run
+    gates, cells = run
     t_len, four_h, n = gates.shape
     width1, d_h = x1.shape[0], four_h // 4
     w_h = w[width1:]  # H x 4H
@@ -254,6 +260,7 @@ def _lstm_backprop(d_ctx, att, w_att, d_scores, x1, states, run, w, out, reverse
     slope = np.empty((4, d_h, n))
     step = np.empty_like(out)
     buf = np.empty((d_h, n))
+    tc = np.empty((d_h, n))
     no_cell = np.zeros((d_h, n))
     dh = np.zeros((d_h, n))
     dc = np.zeros((d_h, n))
@@ -263,7 +270,7 @@ def _lstm_backprop(d_ctx, att, w_att, d_scores, x1, states, run, w, out, reverse
         c_prev = no_cell if first else cells[prev]
         g = g4[t]
         o, i, f, cand = g
-        tc = tanh_cells[t]
+        np.tanh(cells[t], out=tc)
         np.multiply(d_ctx, att[t], out=buf)
         dh += buf
         np.multiply(w_att, d_scores[t], out=buf)

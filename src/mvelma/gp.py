@@ -71,34 +71,55 @@ def _matern25(r, lengthscale, grad):
     """Matern 2.5 correlation (1 + u + u^2/3) exp(-u), u = sqrt(5) r / l.
 
     With grad, also its derivative in r and in log l, else None for both.
+    The steps run in place, on at most four arrays of r's size.
     """
-    u = SQRT5 * r / lengthscale
-    e = np.exp(-u)
-    unit = (1.0 + u + u * u / 3.0) * e
+    u = np.multiply(r, SQRT5, out=np.empty_like(r))
+    u /= lengthscale
+    e = np.negative(u, out=np.empty_like(u))
+    np.exp(e, out=e)
+    one_u = np.add(u, 1.0, out=np.empty_like(u))
+    unit = np.multiply(u, u, out=np.empty_like(u))
+    unit /= 3.0
+    unit += one_u
+    unit *= e
     if not grad:
         return unit, None, None
-    slope = u * (1.0 + u) * e / 3.0  # -d unit / du; du / d log l = -u
-    return unit, slope * (-SQRT5 / lengthscale), [u * slope]
+    slope = np.multiply(u, one_u, out=one_u)  # -d unit / du; du / d log l = -u
+    slope *= e
+    slope /= 3.0
+    u *= slope
+    return unit, np.multiply(slope, -SQRT5 / lengthscale, out=e), [u]
 
 
 def _periodic(r, lengthscale, period, grad):
     """Periodic correlation exp(-2 sin^2(pi r / p) / l^2).
 
     With grad, also its derivative in r and in (log l, log p), else None.
+    The steps run in place, on at most four arrays of r's size.
     """
-    phase = np.pi * r / period
-    s = np.sin(phase)
-    unit = np.exp(-2.0 * s * s / (lengthscale * lengthscale))
+    l2 = lengthscale * lengthscale
+    phase = np.multiply(r, np.pi, out=np.empty_like(r))
+    phase /= period
+    s = np.sin(phase, out=np.empty_like(phase))
+    unit = np.multiply(s, -2.0, out=np.empty_like(s))
+    unit *= s
+    unit /= l2
+    np.exp(unit, out=unit)
     if not grad:
         return unit, None, None
-    # -d unit / d phase; d phase / d log p = -phase
-    slope = (2.0 / (lengthscale * lengthscale)) * np.sin(2.0 * phase) * unit
-    d_log_l = (4.0 / (lengthscale * lengthscale)) * s * s * unit
-    return unit, slope * (-np.pi / period), [d_log_l, slope * phase]
+    d_log_l = np.multiply(s, 4.0 / l2, out=np.empty_like(s))
+    d_log_l *= s
+    d_log_l *= unit
+    # -d unit / d phase, in s's array; d phase / d log p = -phase
+    slope = np.multiply(phase, 2.0, out=s)
+    np.sin(slope, out=slope)
+    slope *= 2.0 / l2
+    slope *= unit
+    phase *= slope
+    return unit, np.multiply(slope, -np.pi / period, out=slope), [d_log_l, phase]
 
 
-def kernel_from_sqdist(spec: KernelSpec, d2: np.ndarray, grad: bool = False,
-                       inputs: bool = True):
+def kernel_from_sqdist(spec: KernelSpec, d2, grad: bool = False, inputs: bool = True):
     """The kernel of `spec` from pairwise squared distances: the one formula
     per family.
 
@@ -108,36 +129,47 @@ def kernel_from_sqdist(spec: KernelSpec, d2: np.ndarray, grad: bool = False,
     Where r = 0, dK/dd2 is taken as exactly 0, which keeps dr/dd2 = 1/(2r)
     from reaching infinity; both parts are smooth and even in r, so the true
     gradient of a coincident pair in its inputs is 0 as well.
+
+    d2 is left as it is, and may be a number. Each elementwise step writes
+    into an array that the call owns, in the order the formula is written,
+    so the working set is a few arrays of d2's size and no temporaries.
     """
     os_ = math.exp(spec.log_outputscale)
     ls = math.exp(spec.log_lengthscale)
+    d2 = np.asarray(d2, dtype=np.float64)
     if spec.family == "rbf":
-        k = os_ * np.exp(-d2 / (2.0 * ls * ls))
+        k = np.negative(d2, out=np.empty_like(d2))
+        k /= 2.0 * ls * ls
+        np.exp(k, out=k)
+        k *= os_
         if not grad:
             return k
-        return k, k * (-0.5 / (ls * ls)) if inputs else None, [k, k * d2 / (ls * ls)]
-    r = np.sqrt(d2)
-    if spec.family == "matern25":
-        unit, d_r, d_log = _matern25(r, ls, grad)
-    elif spec.family == "periodic":
-        unit, d_r, d_log = _periodic(r, ls, math.exp(spec.log_period), grad)
+        d_log_l = np.multiply(k, d2, out=np.empty_like(k))
+        d_log_l /= ls * ls
+        return k, np.multiply(k, -0.5 / (ls * ls)) if inputs else None, [k, d_log_l]
+    r = np.sqrt(d2, out=np.empty_like(d2))
+    if spec.family == "periodic":
+        k, d_r, d_log = _periodic(r, ls, math.exp(spec.log_period), grad)
     else:
+        k, d_r, d_log = _matern25(r, ls, grad)
+    if spec.family == "composite":
         per, per_r, per_log = _periodic(
             r, math.exp(spec.log_periodic_lengthscale), math.exp(spec.log_period), grad
         )
-        unit, d_r, d_log = _matern25(r, ls, grad)
-        unit = unit + per
+        k += per
         if grad:
-            d_r = d_r + per_r
-            d_log = d_log + per_log[::-1]  # log_period, then log_periodic_lengthscale
-    k = os_ * unit
+            d_r += per_r
+            d_log += per_log[::-1]  # log_period, then log_periodic_lengthscale
+    k *= os_  # the unit correlation becomes K
     if not grad:
         return k
-    d_log = [k] + [os_ * d for d in d_log]
+    for d in d_log:
+        d *= os_
     if not inputs:
-        return k, None, d_log
-    half_inv_r = np.divide(0.5, r, out=np.zeros_like(r), where=r > 0.0)
-    return k, (os_ * d_r) * half_inv_r, d_log
+        return k, None, [k] + d_log
+    d_r *= os_
+    d_r *= np.divide(0.5, r, out=np.zeros_like(r), where=r > 0.0)
+    return k, d_r, [k] + d_log
 
 
 def kernel_eval(spec: KernelSpec, a, b) -> float:
@@ -158,10 +190,10 @@ def _sqdist(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
     exactly symmetric: so are x @ x.T and sq + sq.T.
     """
     sq = (x * x).sum(axis=1, keepdims=True)
-    if y is None:
-        d2 = sq + sq.T - 2.0 * (x @ x.T)
-    else:
-        d2 = sq + (y * y).sum(axis=1, keepdims=True).T - 2.0 * (x @ y.T)
+    d2 = sq + (sq if y is None else (y * y).sum(axis=1, keepdims=True)).T
+    cross = x @ (x if y is None else y).T
+    cross *= 2.0
+    d2 -= cross
     np.maximum(d2, 0.0, out=d2)
     if y is None:
         np.fill_diagonal(d2, 0.0)
@@ -186,6 +218,10 @@ def kernel_block(spec: KernelSpec, x: np.ndarray, inputs: bool = True):
     (hyperparameter gradient, None) without ``inputs``, which then forms no
     dK/dd2 either. Through d2_ij = |x_i|^2 + |x_j|^2 - 2 x_i.x_j, an adjoint
     W of d2 gives dx = 2 (rowsum(S) x - S x) with S = W + W^T.
+
+    The VJP writes neither into G nor into what it keeps, so every call
+    gives the same result. It reads K again as dK/d log(outputscale): a
+    caller that changes K in between must restore it.
     """
     k, dk_dd2, dk_dlog = kernel_from_sqdist(spec, _sqdist(x), grad=True, inputs=inputs)
 
@@ -195,7 +231,11 @@ def kernel_block(spec: KernelSpec, x: np.ndarray, inputs: bool = True):
             return d_hypers, None
         w = g * dk_dd2
         s = w + w.T
-        return d_hypers, 2.0 * (s.sum(axis=1, keepdims=True) * x - s @ x)
+        del w  # before the n x d products
+        d_x = s.sum(axis=1, keepdims=True) * x
+        d_x -= s @ x
+        d_x *= 2.0
+        return d_hypers, d_x
 
     return k, vjp
 
@@ -220,6 +260,11 @@ def nmll_node(state: "GPState", x: np.ndarray, y, n_latent: int = 0):
     and A^-1 = L^-T L^-1 both come from the inverse it carries. The adjoint
     of A is (A^-1 - alpha alpha^T)/2 (Rasmussen & Williams 2006, eq. 5.9);
     the kernel block contracts it with its closed-form derivatives.
+
+    The working set is K, its derivatives and a few n x n arrays more: A is
+    formed on the diagonal of K's own array, which is put back once A is
+    factored, and the factor and L^-1 are dropped as soon as alpha, log|A|
+    and A^-1 are formed.
     """
     resid = nc.as_matrix(y) - state.mean_const
     n = resid.shape[0]
@@ -227,13 +272,19 @@ def nmll_node(state: "GPState", x: np.ndarray, y, n_latent: int = 0):
         raise DimensionMismatch(f"{x.shape[0]} inputs vs {n} targets")
     k, kernel_vjp = kernel_block(state.kernel, x, inputs=n_latent > 0)
     noise = math.exp(state.log_noise)
-    factor = nc.cholesky(nc.plus_diagonal(k, noise))
+    # K's diagonal goes back once A is factored: the kernel block reads K
+    # again as dK/d log(outputscale)
+    diagonal = k.diagonal().copy()
+    k.flat[::n + 1] += noise
+    factor = nc.cholesky(k)
+    k.flat[::n + 1] = diagonal
     l_inv = factor.inverse
     w = l_inv @ resid  # L^-1 (y - m)
     alpha = l_inv.T @ w
     value = 0.5 * (w.T @ w).item() + 0.5 * factor.logdet() + 0.5 * n * LOG_2PI
-
+    del factor  # L^-1 alone forms the adjoint, and is released before its rank-one term
     adj = l_inv.T @ l_inv
+    del l_inv
     adj -= alpha @ alpha.T
     adj *= 0.5
     d_kernel, d_x = kernel_vjp(adj)

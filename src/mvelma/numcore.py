@@ -30,6 +30,7 @@ import functools
 import glob
 import os
 import sys
+import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -40,6 +41,8 @@ from .errors import DimensionMismatch, NonFiniteInput, NotPositiveDefinite
 
 # Diagonal jitter ladder tried before giving up on a factorization.
 JITTER_LADDER = (0.0, 1e-8, 1e-6, 1e-4)
+# Rows per block of cholesky's symmetry check.
+_CHECK_ROWS = 64
 
 # glibc mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD = -1
@@ -106,18 +109,39 @@ def openblas_threads():
     return None
 
 
+class _BlasPin:
+    """The holders of one_blas_thread in this process, counted under a lock,
+    and the count the first of them found."""
+
+    lock = threading.Lock()
+    holders = 0
+    saved = 1
+
+
 @contextlib.contextmanager
 def one_blas_thread():
     """Hold numpy's bundled OpenBLAS at one thread, then give the caller's count
     back (threadpoolctl's threadpool_limits, https://github.com/joblib/threadpoolctl).
-    Also a decorator, and nestable; without that library it does nothing."""
+    Also a decorator; without that library it does nothing.
+
+    The pool is one per process, so holders are counted, on any thread and
+    nested: the first to enter saves the count and pins it, and the last to
+    leave restores it. A thread that leaves while another still computes
+    leaves the pin in place.
+    """
     get, put = openblas_threads() or (lambda: 1, lambda count: None)
-    saved = get()
-    put(1)
+    with _BlasPin.lock:
+        if _BlasPin.holders == 0:
+            _BlasPin.saved = get()
+            put(1)
+        _BlasPin.holders += 1
     try:
         yield
     finally:
-        put(saved)
+        with _BlasPin.lock:
+            _BlasPin.holders -= 1
+            if _BlasPin.holders == 0:
+                put(_BlasPin.saved)
 
 
 def run_parts(run, k: int) -> list:
@@ -193,14 +217,18 @@ def cholesky(m) -> CholeskyFactor:
     through JITTER_LADDER.
 
     Raises NotPositiveDefinite when the whole jitter ladder fails, and
-    DimensionMismatch for non-square or asymmetric input.
+    DimensionMismatch for non-square or asymmetric input: max|m - m^T| above
+    1e-10 max(1, max|m|). Both maxima are exact, and the check makes no
+    temporary larger than _CHECK_ROWS rows of m.
     """
     m = require_finite(as_matrix(m), "cholesky input")
     n, ncols = m.shape
     if n != ncols:
         raise DimensionMismatch(f"cholesky needs a square matrix, got {m.shape}")
-    scale = max(1.0, float(np.max(np.abs(m))))
-    if float(np.max(np.abs(m - m.T))) > 1e-10 * scale:
+    scale = max(1.0, float(m.max()), -float(m.min()))
+    asymmetry = max(float(np.max(np.abs(m[i:i + _CHECK_ROWS] - m[:, i:i + _CHECK_ROWS].T)))
+                    for i in range(0, n, _CHECK_ROWS))
+    if asymmetry > 1e-10 * scale:
         raise DimensionMismatch("cholesky input is not symmetric within 1e-10")
     for jit in JITTER_LADDER:
         try:

@@ -498,7 +498,8 @@ def _tree_from_doc(t, n_features: int) -> RegressionTree:
     """A forest tree whose node arrays agree in length, whose integer features
     are -1 (leaf) or a column index, and whose internal nodes point at integer
     children in range and after themselves, so every walk ends at a leaf."""
-    feature, left, right = (np.asarray(t[k]) for k in ("feature", "left", "right"))
+    feature, left, right = (np.asarray(_no_bools(t[k], f"forest tree {k}"))
+                            for k in ("feature", "left", "right"))
     if any(a.size and a.dtype.kind not in "iu" for a in (feature, left, right)):
         raise SchemaError("forest tree feature and child indices must be integers")
     tree = RegressionTree(
@@ -536,9 +537,22 @@ def _finite(value, what: str):
     return value
 
 
+def _no_bools(values, what: str):
+    """values itself unless a JSON true or false stands in it, in a list at any
+    depth: numpy would read it as the number 1 or 0."""
+    kinds = set(map(type, values)) if isinstance(values, list) else {type(values)}
+    if bool in kinds:
+        raise SchemaError(f"{what} holds a boolean")
+    if list in kinds:
+        for item in values:
+            _no_bools(item, what)
+    return values
+
+
 def _floats(values, what: str) -> np.ndarray:
-    """values as a float64 array whose every entry is finite."""
-    return nc.require_finite(np.asarray(values, dtype=np.float64), what)
+    """values, which hold no boolean, as a float64 array whose every entry is
+    finite."""
+    return nc.require_finite(np.asarray(_no_bools(values, what), dtype=np.float64), what)
 
 
 def _event_ids(value, what: str) -> list:

@@ -622,6 +622,18 @@ def _nan_encoder_param(doc):
     doc["encoder_params"][0] = float("nan")
 
 
+def _true_tree_value(doc):
+    doc["forest"]["trees"][0]["value"][0] = True  # numpy would read 1.0
+
+
+def _false_gp_target(doc):
+    doc["gp"]["train_targets"][0] = False  # numpy would read 0.0
+
+
+def _true_in_loss_trace(doc):
+    doc["loss_trace"][0] = True
+
+
 def _nan_forest_threshold(doc):
     _internal_tree(doc)["threshold"][0] = float("nan")
 
@@ -682,6 +694,7 @@ class TestCorruptModel:
         _null_gp, _null_encoder, _head_under_full, _one_entry_head,
         _gp_input_column_dropped, _gp_target_dropped, _forest_too_wide, _null_gp_input,
         _huge_feature, _fractional_feature, _fractional_child,
+        _true_tree_value, _false_gp_target, _true_in_loss_trace,
     ])
     def test_corrupt_document_is_one_validation_error(self, workspace, tmp_path, corrupt):
         doc = json.loads(workspace["model"].read_text())

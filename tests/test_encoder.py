@@ -1,8 +1,10 @@
 """Encoder checks: shapes, determinism, attention behavior, architecture
 symmetry, gradients against finite differences, the fused block against
 the per-gate oracle in encoder_reference.py on both of its thread paths,
-the tapeless forward against the taped one, and the memory each keeps."""
+the tapeless forward against the taped one, the taped block's outputs
+pinned byte for byte, and the memory each keeps."""
 
+import hashlib
 import os
 import tracemalloc
 
@@ -336,31 +338,62 @@ def _peak_mb(fn):
         tracemalloc.stop()
 
 
+def _memory_problem(n, hidden=64):
+    cfg = enc.EncoderConfig(input_width=9, seq_len=30, hidden=hidden, latent=20, seed=SEED)
+    rng = np.random.default_rng(SEED + 8)
+    return enc.init_params(cfg), rng.standard_normal((n, 30, 9)), rng.standard_normal((n, 20))
+
+
+def taped_digest(n, hidden):
+    """SHA-256 of the taped block's latents and its parameter gradient for the
+    adjoint w of _memory_problem, under one BLAS thread as in training."""
+    params, batch, w = _memory_problem(n, hidden)
+    with nc.one_blas_thread():
+        tape = nc.Tape()
+        out = enc.forward(params, batch, tape)
+        nc.backward(tape, out.latent, w)
+    return hashlib.sha256(out.Z.tobytes() + out.params.grad.tobytes()).hexdigest()
+
+
+# The taped block's outputs, pinned byte for byte: (N, H) -> taped_digest.
+# The reverse pass recomputes tanh(c) from the stored cells, with the same
+# np.tanh on the same block as the forward pass, so a change to what the tape
+# keeps must leave these as they are.
+TAPED_DIGESTS = {
+    (400, 64): "b48ac12245fa5b929b81a13feb39743189afed8e16fca40350d7f9e33ad07565",
+    (400, 12): "8f1cbe6c42e15f1056f529e29d624a6bf88494678792387ffe5ab99dc957c0bb",
+    (37, 5): "29677661763741817b301b0822e49bc656edb401f4f40bcc5169fe01070b793d",
+}
+
+
+class TestTapedDigests:
+    @pytest.mark.parametrize("shape", list(TAPED_DIGESTS), ids=str)
+    def test_latents_and_gradient_pinned_byte_for_byte(self, shape):
+        assert taped_digest(*shape) == TAPED_DIGESTS[shape]
+
+
 class TestMemory:
     """Beyond the states the attention reads (2H x T x N), the tapeless
     forward keeps one step per direction, and the taped block keeps the
-    activations of every step but no adjoint of more than one step."""
-
-    @staticmethod
-    def problem(n):
-        cfg = enc.EncoderConfig(input_width=9, seq_len=30, hidden=64, latent=20, seed=SEED)
-        rng = np.random.default_rng(SEED + 8)
-        return enc.init_params(cfg), rng.standard_normal((n, 30, 9)), rng.standard_normal((n, 20))
+    gates and cells of every step but not their tanh, and no adjoint of more
+    than one step."""
 
     def test_tapeless_forward_keeps_no_time_long_gate_array(self):
         # at N=1,500 the states take 46 MB and one direction's T x 4H x N
         # gates alone 92 MB; one direction's T x H x N cells 23 MB
-        params, batch, _ = self.problem(1_500)
+        params, batch, _ = _memory_problem(1_500)
         assert _peak_mb(lambda: enc.forward(params, batch)) < 80.0
 
     def test_taped_block_keeps_no_time_long_adjoint(self):
-        # at N=400 the stored gates, cells and states take 86 MB; a
-        # T x 4H x N adjoint per direction would add 25 MB each
-        params, batch, w = self.problem(400)
+        # at N=400 the stored gates, cells and states take 74 MB (the tape
+        # 61 MB of it) and the whole step peaks at 78 MB; a stored tanh(c)
+        # per direction would add 6 MB each, and a T x 4H x N adjoint per
+        # direction 25 MB each
+        params, batch, w = _memory_problem(400)
 
         def forward_and_backward():
             tape = nc.Tape()
             out = enc.forward(params, batch, tape)
             nc.backward(tape, tr.sum_all(tr.mul(out.latent, w)), 1.0)
 
-        assert _peak_mb(forward_and_backward) < 110.0
+        assert _peak_mb(forward_and_backward) < 84.0

@@ -1,9 +1,12 @@
 """GP checks: kernel values against closed forms and a Bessel-function
 oracle, Cholesky posterior against naive dense inversion, marginal
-likelihood against hand values and finite differences, and hyperparameter
-fitting behavior."""
+likelihood against hand values and finite differences, its outputs pinned
+byte for byte and its memory bounded, and hyperparameter fitting
+behavior."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -297,8 +300,9 @@ class TestNmll:
 
     @pytest.mark.parametrize("family", gp.FAMILIES)
     def test_noise_on_diagonal_matches_dense_identity(self, family, monkeypatch):
-        """K + noise*I with the noise added to the diagonal alone gives the
-        same value and both gradients, bit for bit, as adding noise*I."""
+        """K + noise*I, formed on the diagonal of K's own array, which is put
+        back after the factor, gives the same value and both gradients, bit
+        for bit, as factoring a new K + noise*I while K stays as it is."""
         rng = np.random.default_rng(SEED + 23)
         x = rng.standard_normal((60, dims_for(family)))
         y = rng.standard_normal(60)
@@ -308,7 +312,18 @@ class TestNmll:
             return gp.nmll_node(state, x, y, x.shape[1])
 
         ours = run()
-        monkeypatch.setattr(nc, "plus_diagonal", lambda m, v: m + v * np.eye(m.shape[0]))
+        block, cholesky = gp.kernel_block, nc.cholesky
+
+        def dense_block(spec, x, inputs=True):
+            # the likelihood gets a copy of K; the block's VJP and the
+            # factor see only the untouched K
+            k, vjp = block(spec, x, inputs)
+            noise = math.exp(state.log_noise)
+            monkeypatch.setattr(nc, "cholesky",
+                                lambda _: cholesky(k + noise * np.eye(k.shape[0])))
+            return k.copy(), vjp
+
+        monkeypatch.setattr(gp, "kernel_block", dense_block)
         dense = run()
         assert ours[0] == dense[0]
         assert np.array_equal(ours[1], dense[1])
@@ -321,6 +336,90 @@ class TestNmll:
         spec = gp.init_state(x, rng.standard_normal(9), family).kernel
         k, _ = gp.kernel_block(spec, x)
         assert np.array_equal(k, gp.kernel_matrix(spec, x, x))
+
+
+class TestKernelBlockVjp:
+    @pytest.mark.parametrize("family", gp.FAMILIES)
+    @pytest.mark.parametrize("inputs", [True, False])
+    def test_leaves_its_adjoint_alone_and_repeats(self, family, inputs):
+        """gradcheck hands one probe G to every call, so the VJP may neither
+        write into G nor into the derivatives it keeps."""
+        rng = np.random.default_rng(SEED + 25)
+        x = rng.standard_normal((20, dims_for(family)))
+        spec = gp.init_state(x, rng.standard_normal(20), family).kernel
+        g = rng.standard_normal((20, 20))
+        probe = g.copy()
+        _, vjp = gp.kernel_block(spec, x, inputs)
+        first = vjp(g)
+        assert np.array_equal(g, probe)
+        second = vjp(g)
+        assert np.array_equal(g, probe)
+        for a, b in zip(first, second):
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+
+def _nmll_problem(family):
+    """The likelihood's shapes in joint training at the CLI defaults: 400
+    rows of 20 latent and 27 static columns."""
+    rng = np.random.default_rng(SEED + 31)
+    x = rng.standard_normal((400, 47))
+    y = rng.standard_normal(400)
+    return gp.init_state(x, y, family), x, y
+
+
+def nmll_digest(family, n_latent):
+    """SHA-256 of nmll_node's value, d_hypers and d_latent on _nmll_problem,
+    under one BLAS thread as in training."""
+    state, x, y = _nmll_problem(family)
+    with nc.one_blas_thread():
+        value, d_hypers, d_latent = gp.nmll_node(state, x, y, n_latent)
+    parts = [np.array([value]), d_hypers] + ([] if d_latent is None else [d_latent])
+    return hashlib.sha256(b"".join(p.tobytes() for p in parts)).hexdigest()
+
+
+# nmll_node's outputs, pinned byte for byte: (family, n_latent) -> nmll_digest.
+NMLL_DIGESTS = {
+    ("rbf", 20): "83142ff12bf412f757bf1da2eb305bd8d0dd7111ce6365677bf988bc3691c241",
+    ("rbf", 0): "b6b0b2e96f7dac6ffe38172a2296dd03f44546655aaabfd32861b1e18c42bd60",
+    ("matern25", 20): "d8aca4aae9484cff12339f930a0ab4adc0a611f39a4fce322d4234616db3ee57",
+    ("matern25", 0): "3fef6d70232a1ca942a7a8cb6ab90c526b2afadf03df6811619d8ad35a349d0a",
+    ("composite", 20): "fd2e0fbe4b165fbda434bf44d6cb9932155cf86d003f2fc748cf49e4909fee5a",
+    ("composite", 0): "b22cc33f4815a5881291ec8565aba7294ab4ff7efb574f25ed1bceb0b4dcc9b9",
+}
+# Bounds on nmll_node's tracemalloc peak on _nmll_problem, in MiB; one n x n
+# array is 1.22 MiB. The likelihood peaks at 7.4 and 5.5 (rbf), 7.5 and 7.3
+# (matern25) and 12.4 and 11.0 (composite), with and without the input
+# gradient. Keeping the Cholesky factor and L^-1 to the end, factoring a copy
+# of K + noise*I and building the kernel formulas from temporaries took 10.2
+# and 7.3, 10.2 and 9.8, and 17.1 and 15.9: each bound is more than one
+# array below those.
+NMLL_PEAK_MB = {
+    ("rbf", 20): 8.0,
+    ("rbf", 0): 6.0,
+    ("matern25", 20): 8.0,
+    ("matern25", 0): 8.0,
+    ("composite", 20): 13.0,
+    ("composite", 0): 11.5,
+}
+
+
+class TestNmllWorkingSet:
+    @pytest.mark.parametrize("case", list(NMLL_DIGESTS), ids=str)
+    def test_outputs_pinned_byte_for_byte(self, case):
+        assert nmll_digest(*case) == NMLL_DIGESTS[case]
+
+    @pytest.mark.parametrize("case", list(NMLL_PEAK_MB), ids=str)
+    def test_peak_memory(self, case):
+        family, n_latent = case
+        state, x, y = _nmll_problem(family)
+        gp.nmll_node(state, x, y, n_latent)  # first-call allocations aside
+        tracemalloc.start()
+        try:
+            gp.nmll_node(state, x, y, n_latent)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak < NMLL_PEAK_MB[case]
 
 
 class TestHyperOnlyGradient:

@@ -1,8 +1,9 @@
 """Linear algebra and reverse-mode differentiation checks.
 
 Factorization, solve and triangular-inverse routines are verified by
-reconstruction and against hand-worked small cases, and the parts runner
-by the threads it uses and the order of its results. The tape mechanics are
+reconstruction and against hand-worked small cases, the parts runner by
+the threads it uses and the order of its results, and the one-thread BLAS
+pin by two threads that hold it at once. The tape mechanics are
 exercised through the elementwise primitives of the test-only reference in
 `tape_reference`, each of which is verified against central finite
 differences at randomly drawn points; those primitives are the oracle that
@@ -12,6 +13,7 @@ the likelihood and the head are checked against in `test_gp` and
 
 import gc
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -127,6 +129,37 @@ class TestCholesky:
     def test_nonsquare_raises(self):
         with pytest.raises(DimensionMismatch):
             nc.cholesky(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("row", [0, 70, 149])
+    def test_symmetry_check_reads_every_block(self, row):
+        # the check goes through the rows in blocks. An asymmetry in any
+        # block is measured against the largest |entry|, here a negative
+        # one: twice the tolerance fails the check, and half of it passes on
+        # to the factorization, which the negative diagonal entry fails
+        rng = np.random.default_rng(RNG_SEED + 3)
+        a = random_spd(rng, 150)
+        a[7, 7] = -np.abs(a).max() - 50.0
+        scale = np.abs(a).max()
+        for factor, error in ((2.0, DimensionMismatch), (0.5, NotPositiveDefinite)):
+            b = a.copy()
+            b[row, (row + 40) % 150] += factor * 1e-10 * scale
+            with pytest.raises(error):
+                nc.cholesky(b)
+
+    def test_symmetry_check_makes_no_full_size_temporary(self):
+        # one 400 x 400 array is 1.28 MB; the check of an asymmetric matrix
+        # raises before anything is factored
+        rng = np.random.default_rng(RNG_SEED + 4)
+        a = random_spd(rng, 400)
+        a[300, 2] += 1.0
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionMismatch):
+                nc.cholesky(a)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.8
 
 
 class TestSolveSpd:
@@ -570,6 +603,46 @@ class TestCpuCount:
 
     def test_this_process(self):
         assert nc.cpu_count() >= 1
+
+
+class TestOneBlasThread:
+    def test_pin_holds_until_the_last_thread_leaves(self, blas_pool):
+        """A enters, B enters, A leaves: B must still compute at one thread,
+        and after both leave the caller's count of 2 is back."""
+        get, put = blas_pool
+        put(2)
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        seen, errors = [], []
+
+        def run(steps):
+            try:
+                steps()
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+                a_in.set(), b_in.set(), a_out.set()
+
+        def thread_a():
+            with nc.one_blas_thread():
+                a_in.set()
+                assert b_in.wait(30)
+            a_out.set()
+
+        def thread_b():
+            assert a_in.wait(30)
+            with nc.one_blas_thread():
+                b_in.set()
+                assert a_out.wait(30)
+                seen.append(get())
+
+        threads = [threading.Thread(target=run, args=(f,)) for f in (thread_a, thread_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert seen == [1]
+        assert get() == 2
 
 
 class TestRunParts:
