@@ -251,20 +251,25 @@ def solve_spd(f: CholeskyFactor, b) -> np.ndarray:
     return f.inverse.T @ (f.inverse @ b)
 
 
-def lower_inverse(lower: np.ndarray) -> np.ndarray:
+def lower_inverse(lower: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Inverse of a lower-triangular matrix by 2x2 block recursion.
 
     [[P, 0], [C, Q]]^{-1} = [[P^{-1}, 0], [-Q^{-1} C P^{-1}, Q^{-1}]], with
-    blocks of at most 64 rows inverted directly.
+    blocks of at most 64 rows inverted directly. Each block is written into
+    its view of one output array, the off-diagonal one by matmul and an
+    in-place negation, so no level allocates a result of its own.
     """
+    out = np.zeros_like(lower) if out is None else out
     n = lower.shape[0]
     if n <= 64:
-        return np.tril(np.linalg.inv(lower))
+        out[...] = np.tril(np.linalg.inv(lower))
+        return out
     h = n // 2
-    out = np.zeros_like(lower)
-    out[:h, :h] = lower_inverse(lower[:h, :h])
-    out[h:, h:] = lower_inverse(lower[h:, h:])
-    out[h:, :h] = -(out[h:, h:] @ (lower[h:, :h] @ out[:h, :h]))
+    lower_inverse(lower[:h, :h], out[:h, :h])
+    lower_inverse(lower[h:, h:], out[h:, h:])
+    corner = out[h:, :h]
+    np.matmul(out[h:, h:], lower[h:, :h] @ out[:h, :h], out=corner)
+    np.negative(corner, out=corner)
     return out
 
 

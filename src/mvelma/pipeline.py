@@ -2,15 +2,17 @@
 likelihood, posterior-mean feature stacking, forest fitting, metrics, the
 seven ablation variants, and county-level aggregation.
 
-train_joint runs in phases. First the representation: the encoder and the
+train_joint runs in phases on the z-scored weather block and static
+descriptors. First the representation: the encoder and the
 GP hyperparameters descend the negative marginal log likelihood over
 [z ; static] together; without the GP the encoder trains against a linear
 head by mean squared error; without the encoder nothing trains and z is the
-9 per-channel 30-day weather means. Then, alike for all seven variants: z,
-the GP inputs, the GP state (a hyperparameter-only fit when there is no
-encoder), the in-sample posterior means (optionally out-of-fold), and the
-forest on [z ; static ; posterior mean], or [z ; static] without the GP.
-Without the forest the prediction is the GP mean. predict builds its
+9 per-channel 30-day weather means. Then, alike for all seven variants and
+each only where an output reads it: z, the GP inputs, the GP state (a
+hyperparameter-only fit when there is no encoder), the in-sample posterior
+means (out-of-fold for the forest when oof_folds >= 2), and the forest,
+which fits y on [z ; static ; posterior mean], or [z ; static] without the
+GP. Without the forest the prediction is the GP mean. predict builds its
 inputs with the same helpers (_standardized, _latent, _gp_inputs, _stack),
 and subset_by_ids is the one map from event ids to dataset rows.
 """
@@ -67,20 +69,23 @@ class PipelineConfig:
     gp_opt: OptimizerConfig = field(default_factory=OptimizerConfig)
     forest: ForestConfig = field(default_factory=ForestConfig)
     gp_input: str = "stacked"  # GP sees [z ; static] ("stacked") or z alone ("latent")
-    rf_target: str = "direct"  # forest fits y ("direct") or y - mu ("residual")
+    rf_target: str = "direct"  # the only value: the forest fits y itself
     ablation: str = "full"
     train_fraction: float = 0.8
     split_seed: int = 0
-    standardize_weather: bool = True
-    standardize_enriched: bool = True
+    standardize_weather: bool = True  # the only value: weather channels are z-scored
+    standardize_enriched: bool = True  # the only value: static columns are z-scored
     oof_folds: int = 0  # >= 2 enables out-of-fold posterior means for the stack
 
     def __post_init__(self):
         variant_components(self.ablation)
         if self.gp_input not in ("stacked", "latent"):
             raise UnknownVariant(f"unknown gp_input mode {self.gp_input!r}")
-        if self.rf_target not in ("direct", "residual"):
-            raise UnknownVariant(f"unknown rf_target mode {self.rf_target!r}")
+        # one value each, kept as fields for the model file's config record
+        if self.rf_target != "direct":
+            raise UnknownVariant(f"rf_target must be 'direct', got {self.rf_target!r}")
+        if self.standardize_weather is not True or self.standardize_enriched is not True:
+            raise UnknownVariant("standardize_weather and standardize_enriched must be True")
         if self.split_seed < 0:
             raise DegenerateInput("split_seed must be >= 0")
 
@@ -106,8 +111,8 @@ class Standardizer:
 @dataclass
 class TrainedModel:
     config: PipelineConfig
-    weather_std: Standardizer | None
-    enriched_std: Standardizer | None
+    weather_std: Standardizer
+    enriched_std: Standardizer
     encoder_params: enc.EncoderParams | None
     gp_state: gp.GPState | None
     forest: Forest | None
@@ -197,8 +202,7 @@ def mse_head(z: np.ndarray, head: np.ndarray, y: np.ndarray):
 
 def _standardized(weather_std, enriched_std, data: Dataset):
     """The weather block and the static descriptors as the model reads them."""
-    w3 = weather_std.transform(data.weather) if weather_std else data.weather
-    return w3, enriched_std.transform(data.enriched) if enriched_std else data.enriched
+    return weather_std.transform(data.weather), enriched_std.transform(data.enriched)
 
 
 def _latent(params: enc.EncoderParams | None, weather3: np.ndarray) -> np.ndarray:
@@ -261,8 +265,7 @@ def train_joint(data: Dataset, cfg: PipelineConfig | None = None) -> TrainedMode
         raise EmptySplit("train split is empty")
     uses_encoder, uses_gp, uses_forest = variant_components(cfg.ablation)
 
-    weather_std = Standardizer.fit(train.weather) if cfg.standardize_weather else None
-    enriched_std = Standardizer.fit(train.enriched) if cfg.standardize_enriched else None
+    weather_std, enriched_std = Standardizer.fit(train.weather), Standardizer.fit(train.enriched)
     w3, static = _standardized(weather_std, enriched_std, train)
     y = train.targets
 
@@ -290,9 +293,10 @@ def train_joint(data: Dataset, cfg: PipelineConfig | None = None) -> TrainedMode
             lambda vec, z: mse_head(z, vec, y), head0, cfg.gp_opt,
         )
 
-    # the GP state, its in-sample posterior and the forest, on the final z
-    z = _latent(encoder_params, w3)
-    sigma_ref, mu = 0.0, None
+    # the GP state, its in-sample posterior and the forest, on the final z,
+    # which nothing reads when there is neither
+    z = _latent(encoder_params, w3) if uses_gp or uses_forest else None
+    sigma_ref, mu, forest = 0.0, None, None
     if uses_gp:
         x = _gp_inputs(z, static, cfg.gp_input)
         if uses_encoder:
@@ -302,12 +306,10 @@ def train_joint(data: Dataset, cfg: PipelineConfig | None = None) -> TrainedMode
         post = gp.posterior(gp_state, x)
         sigma_ref = float(np.sqrt(post.variance).max())
         mu = post.mean
-        if cfg.oof_folds >= 2:
+        if uses_forest and cfg.oof_folds >= 2:
             mu = _oof_means(gp_state, x, y, cfg.oof_folds, cfg.split_seed)
-    forest = None
     if uses_forest:
-        rf_y = y - mu if uses_gp and cfg.rf_target == "residual" else y
-        forest = fit_forest(_stack(z, static, mu), rf_y, cfg.forest)
+        forest = fit_forest(_stack(z, static, mu), y, cfg.forest)
 
     return TrainedModel(
         config=cfg,
@@ -350,8 +352,6 @@ def predict(model: TrainedModel, data: Dataset) -> Prediction:
         conf = confidence_from_variance(var, model.sigma_ref)
     if uses_forest:
         yhat = predict_forest(model.forest, _stack(z, static, mu))
-        if uses_gp and cfg.rf_target == "residual":
-            yhat = mu + yhat
     elif uses_gp:
         yhat = mu.copy()
     else:
@@ -410,19 +410,17 @@ def aggregate_county(events, observed, predicted, confidence):
 # ---------------------------------------------------------------------------
 
 
-def _std_doc(s: Standardizer | None):
-    return None if s is None else {"mean": s.mean, "std": s.std}
-
-
-def _std_from(doc, width: int, what: str):
-    if doc is None:
-        return None
+def _std_from(doc, width: int, what: str) -> Standardizer:
+    """Standardizer.fit's output: `width` means and `width` stds, each > 0."""
+    doc = _typed(doc, dict, f"{what} standardizer")
     s = Standardizer(
         mean=_floats(doc["mean"], f"{what} standardizer mean"),
         std=_floats(doc["std"], f"{what} standardizer std"),
     )
     if s.mean.shape != (width,) or s.std.shape != (width,):
         raise SchemaError(f"{what} standardizer needs {width} means and {width} stds")
+    if np.any(s.std <= 0.0):
+        raise SchemaError(f"{what} standardizer std must be positive")
     return s
 
 
@@ -456,8 +454,8 @@ def save_model(model: TrainedModel, path) -> None:
     doc = {
         "format": MODEL_FORMAT,
         "config": asdict(model.config),
-        "weather_std": _std_doc(model.weather_std),
-        "enriched_std": _std_doc(model.enriched_std),
+        "weather_std": asdict(model.weather_std),
+        "enriched_std": asdict(model.enriched_std),
         "encoder_params": None
         if model.encoder_params is None
         else model.encoder_params.in_file_order(),
@@ -631,6 +629,9 @@ def _model_from_doc(doc) -> TrainedModel:
 
     loss_trace = _typed(doc["loss_trace"], list, "loss_trace")
     _floats(loss_trace, "loss_trace")
+    sigma_ref = _typed(doc["sigma_ref"], (int, float), "sigma_ref")
+    if sigma_ref < 0:
+        raise SchemaError(f"sigma_ref {sigma_ref} is negative")
     return TrainedModel(
         config=cfg,
         weather_std=_std_from(doc["weather_std"], cfg.encoder.input_width, "weather"),
@@ -642,7 +643,7 @@ def _model_from_doc(doc) -> TrainedModel:
         gp_state=gp_state,
         forest=forest,
         head=head,
-        sigma_ref=_typed(doc["sigma_ref"], (int, float), "sigma_ref"),
+        sigma_ref=sigma_ref,
         train_event_ids=_event_ids(doc["train_event_ids"], "train_event_ids"),
         test_event_ids=_event_ids(doc["test_event_ids"], "test_event_ids"),
         loss_trace=loss_trace,
@@ -668,7 +669,8 @@ def load_model(path) -> TrainedModel:
 
     A file that is not such a model (truncated JSON, another format tag, a
     missing key, an unknown key in a dataclass record, a value of the wrong
-    type or a non-finite number, a
+    type or a non-finite number, a config value train_joint cannot write, a
+    missing standardizer or one with a std <= 0, a negative sigma_ref, a
     malformed forest tree, a wrong-length encoder or head, model parts that
     do not match the configured ablation, GP inputs or forest features of
     another width than predict builds, a GP target count other than its

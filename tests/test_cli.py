@@ -580,6 +580,38 @@ def _sigma_ref_string(doc):
     doc["sigma_ref"] = "wide"
 
 
+def _negative_sigma_ref(doc):
+    doc["sigma_ref"] = -1.0  # every row with variance would get confidence 0
+
+
+def _null_weather_std(doc):
+    doc["weather_std"] = None
+
+
+def _null_enriched_std(doc):
+    doc["enriched_std"] = None
+
+
+def _zero_std(doc):
+    doc["weather_std"]["std"][0] = 0.0
+
+
+def _negative_std(doc):
+    doc["enriched_std"]["std"][0] = -1.0  # would flip that column
+
+
+def _residual_rf_target(doc):
+    doc["config"]["rf_target"] = "residual"
+
+
+def _weather_unstandardized(doc):
+    doc["config"]["standardize_weather"] = False
+
+
+def _enriched_unstandardized(doc):
+    doc["config"]["standardize_enriched"] = False
+
+
 def _internal_tree(doc):
     return next(t for t in doc["forest"]["trees"] if t["feature"][0] >= 0)
 
@@ -695,6 +727,8 @@ class TestCorruptModel:
         _gp_input_column_dropped, _gp_target_dropped, _forest_too_wide, _null_gp_input,
         _huge_feature, _fractional_feature, _fractional_child,
         _true_tree_value, _false_gp_target, _true_in_loss_trace,
+        _negative_sigma_ref, _null_weather_std, _null_enriched_std, _zero_std, _negative_std,
+        _residual_rf_target, _weather_unstandardized, _enriched_unstandardized,
     ])
     def test_corrupt_document_is_one_validation_error(self, workspace, tmp_path, corrupt):
         doc = json.loads(workspace["model"].read_text())

@@ -12,6 +12,7 @@ the likelihood and the head are checked against in `test_gp` and
 """
 
 import gc
+import hashlib
 import threading
 import tracemalloc
 import weakref
@@ -161,6 +162,20 @@ class TestCholesky:
             tracemalloc.stop()
         assert peak < 0.8
 
+    def test_factor_and_inverse_are_its_only_full_size_arrays(self):
+        # at n = 400 the factor and its inverse take 2 x 1.22 MiB and the
+        # inverse's top level one 200 x 200 product, 0.31 MiB: 2.75 MiB, where
+        # copying each level's blocks into place reached 3.05 MiB
+        rng = np.random.default_rng(RNG_SEED + 5)
+        a = random_spd(rng, 400)
+        tracemalloc.start()
+        try:
+            nc.cholesky(a)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.9
+
 
 class TestSolveSpd:
     def test_identity(self):
@@ -197,6 +212,20 @@ class TestLowerInverse:
         inv = nc.lower_inverse(lower)
         assert np.array_equal(inv, np.tril(inv))
         assert np.allclose(inv @ lower, np.eye(n), atol=1e-10)
+
+    @pytest.mark.parametrize("n, digest", [
+        (65, "158342264f06715c289c53af8cb42d76329ffd0d89d8aeb6a69ed0c871ee42a3"),
+        (129, "eb70566fd20c974893c337db0d1a37e950ed987f0aff3157946d7bba3b0e97e2"),
+        (400, "0ad29b3e291e9f2cd848c47fd7492a575e2025b840dfecfb51c10808990c6869"),
+        (401, "484377f95569391d28c8be86aaccda552a2680cca98cd160f46cf88f212b6ec4"),
+    ])
+    def test_inverse_pinned_byte_for_byte(self, n, digest):
+        # SHA-256 of the inverse, at one BLAS thread as the pipeline runs it
+        rng = np.random.default_rng(RNG_SEED + 11)
+        with nc.one_blas_thread():
+            lower = nc.cholesky(random_spd(rng, n)).lower
+            inv = nc.lower_inverse(lower)
+        assert hashlib.sha256(inv.tobytes()).hexdigest() == digest
 
 
 def _weighted_sum(tape, node, w):

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import json
 import math
 import weakref
@@ -119,6 +120,11 @@ class TestVariantComponents:
             pipeline.PipelineConfig(gp_input="all")
         with pytest.raises(UnknownVariant):
             pipeline.PipelineConfig(rf_target="huh")
+        # three fields that accept only their one value
+        for field, value in (("rf_target", "residual"), ("standardize_weather", False),
+                             ("standardize_enriched", False), ("standardize_weather", 1)):
+            with pytest.raises(UnknownVariant, match=field):
+                pipeline.PipelineConfig(**{field: value})
 
 
 class TestSeeds:
@@ -273,13 +279,126 @@ class TestTrainJoint:
         assert not np.array_equal(p_in.yhat, p_oof.yhat)
 
     def test_latent_gp_input_and_residual_target(self):
+        # the forest fits y itself: a residual target is no longer a config
+        with pytest.raises(UnknownVariant, match="rf_target"):
+            tiny_cfg(gp_input="latent", rf_target="residual")
         ds = tiny_data(n=50)
-        model = pipeline.train_joint(
-            ds, tiny_cfg(gp_input="latent", rf_target="residual")
-        )
+        model = pipeline.train_joint(ds, tiny_cfg(gp_input="latent"))
         assert model.gp_state.train_inputs.shape[1] == 4  # latent only
         pred = pipeline.predict(model, ds)
         assert np.all(np.isfinite(pred.yhat))
+
+    @pytest.mark.parametrize("tag, oof_calls, final_passes", [
+        ("full", 1, 2), ("no-bilstm", 1, 0), ("no-gpr", 0, 1), ("no-rf", 0, 2),
+        ("no-bilstm-gpr", 0, 0), ("no-bilstm-rf", 0, 0), ("no-gpr-rf", 0, 0),
+    ])
+    def test_skips_what_no_output_reads(self, monkeypatch, tag, oof_calls, final_passes):
+        """Out-of-fold means are computed only for a forest to read, and the
+        encoder runs outside training (once for the GP's initial state, once
+        for the final latents) only where the GP or the forest reads z."""
+        calls = {"oof": 0, "untaped": 0}
+        oof_means, forward = pipeline._oof_means, encoder.forward
+
+        def counted_oof(*args):
+            calls["oof"] += 1
+            return oof_means(*args)
+
+        def counted_forward(params, weather3, tape=None):
+            calls["untaped"] += tape is None
+            return forward(params, weather3, tape)
+
+        monkeypatch.setattr(pipeline, "_oof_means", counted_oof)
+        monkeypatch.setattr(encoder, "forward", counted_forward)
+        pipeline.train_joint(tiny_data(), tiny_cfg(ablation=tag, oof_folds=3))
+        assert calls == {"oof": oof_calls, "untaped": final_passes}
+
+
+# SHA-256 of the saved model and of predict's yhat, gp_mean, gp_variance and
+# confidence for each variant on synth_generate(120, 4, 5)
+VARIANT_DIGESTS = {
+    ("full", "latent"): (
+        "44ea03d7467973649ac30d6c0c6e6904e91a815bdffe63696145fd0102738df5",
+        "bbe3494fb79258c6241717a304a5925c959849a2126d22f7f99c5604c30192eb",
+        "63f3efac73f7018a283894ec37e55bc54c4ef7678a08eee6e488e73ba737bd29",
+        "b40e3ab0aee6312a2a89a95ccd8b9010c68849f5b521f5c230ff00a5eba3b0e2",
+        "b9a3138e8e1eb68a36e22e731b8bfa9ff7c3720a6e5091c2366006fcf01dc6e5",
+    ),
+    ("no-bilstm", "latent"): (
+        "dab3cf834b6577c989ffae00890297c90743615ad7d8daeea5067542834e5a8d",
+        "1fd0781ca9ffe28669370698ca19785a1286127c16337befd83e89c933f09da9",
+        "e6371832225808a134a0a6e4cfa1de25dc33ddc2b852de22c6cfa3be9f110e81",
+        "814dd17e59f4ad47f2168c72c315439666edbac1b1aba21670f581b1c828f698",
+        "c9f928a206e31eff2a66f63fd6a49e32c9e4cafeac532e88692243af94479644",
+    ),
+    ("no-gpr", "latent"): (
+        "e66700e342288a93fce83e55ae2d602a098ed9cdbd31ef0f05fad2919c1f519d",
+        "b63db5d1f384a8d44ad4dc7fe37c2f36a047e81b7eaef56ae087f1322c99423f",
+        "b63db5d1f384a8d44ad4dc7fe37c2f36a047e81b7eaef56ae087f1322c99423f",
+        "3dc463a76fc170607c07b104c3cb531362ce7d6e10c1a34e0c0f370aeae08ce8",
+        "ec38ca809caaf4ffee20de9f376ae3f3ec363403e4875ba125c2f080ed75eb6d",
+    ),
+    ("no-rf", "latent"): (
+        "7f4d14402406f3006aeeb38a70f14b4d93d2adab4820a729ef480b3200c54ca8",
+        "63f3efac73f7018a283894ec37e55bc54c4ef7678a08eee6e488e73ba737bd29",
+        "63f3efac73f7018a283894ec37e55bc54c4ef7678a08eee6e488e73ba737bd29",
+        "b40e3ab0aee6312a2a89a95ccd8b9010c68849f5b521f5c230ff00a5eba3b0e2",
+        "b9a3138e8e1eb68a36e22e731b8bfa9ff7c3720a6e5091c2366006fcf01dc6e5",
+    ),
+    ("no-bilstm-gpr", "latent"): (
+        "473c6b6209144486893ed619004dfa4bb4a6faeb0c6ae5700d81b98c5f199eda",
+        "877dcbc6f1f3830bbba391d7c3311eb5f526f7d99751ef37c53636eee587a02b",
+        "877dcbc6f1f3830bbba391d7c3311eb5f526f7d99751ef37c53636eee587a02b",
+        "3dc463a76fc170607c07b104c3cb531362ce7d6e10c1a34e0c0f370aeae08ce8",
+        "ec38ca809caaf4ffee20de9f376ae3f3ec363403e4875ba125c2f080ed75eb6d",
+    ),
+    ("no-bilstm-rf", "latent"): (
+        "0594c7b31907fbadcdf39229bbdb957bbc17d249545870d910a690dce44cc542",
+        "e6371832225808a134a0a6e4cfa1de25dc33ddc2b852de22c6cfa3be9f110e81",
+        "e6371832225808a134a0a6e4cfa1de25dc33ddc2b852de22c6cfa3be9f110e81",
+        "814dd17e59f4ad47f2168c72c315439666edbac1b1aba21670f581b1c828f698",
+        "c9f928a206e31eff2a66f63fd6a49e32c9e4cafeac532e88692243af94479644",
+    ),
+    ("no-gpr-rf", "latent"): (
+        "96ee9259e327d6cf5d5a7272ebb084ad77f2e17013918ac79ea66de8ad5b62fa",
+        "24171c3c0f71bb70276b40f27c17173e0940af6e7e4b0ced506797aede6cfc5b",
+        "24171c3c0f71bb70276b40f27c17173e0940af6e7e4b0ced506797aede6cfc5b",
+        "3dc463a76fc170607c07b104c3cb531362ce7d6e10c1a34e0c0f370aeae08ce8",
+        "ec38ca809caaf4ffee20de9f376ae3f3ec363403e4875ba125c2f080ed75eb6d",
+    ),
+    ("full", "stacked"): (
+        "32fadb624aba1af8931d346934a4072511722c1d352c6c484f8adf11aa1b8ff8",
+        "4d4a93b2cc9a6bb04f3cd8443f965d3e99d4f49113b5ef2e8778108db84bbacb",
+        "056eb2414b904558143d59b801c38fa672447c80e56d819c307a2888720b3302",
+        "4736d189d0b8e14b070af100f089fa293076eefda096e72cec0753d7b95b6206",
+        "fbeea32adf93b1d7f79e5c0c121e16b5b276695e77bcd58b9555a001626a08ac",
+    ),
+}
+
+
+class TestVariantDigests:
+    """Each variant's saved model and predict's four arrays, pinned by their
+    SHA-256: a change meant to keep the outputs must keep every byte, at any
+    BLAS thread count."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return dataio.synth_generate(120, 4, 5)[0]
+
+    @pytest.mark.parametrize("tag, gp_input", list(VARIANT_DIGESTS))
+    def test_model_and_predictions_pinned(self, data, tmp_path, tag, gp_input):
+        cfg = pipeline.PipelineConfig(
+            encoder=EncoderConfig(hidden=8, latent=4), gp_opt=OptimizerConfig(max_epochs=15),
+            forest=ForestConfig(n_trees=20), gp_input=gp_input, ablation=tag,
+            oof_folds=3 if gp_input == "latent" else 0,
+        )
+        model = pipeline.train_joint(data, cfg)
+        path = tmp_path / "model.json"
+        pipeline.save_model(model, path)
+        pred = pipeline.predict(model, data)
+        arrays = (pred.yhat, pred.gp_mean, pred.gp_variance, pred.confidence)
+        found = (hashlib.sha256(path.read_bytes()).hexdigest(),
+                 *(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays))
+        assert found == VARIANT_DIGESTS[tag, gp_input]
 
 
 class TestPredict:
