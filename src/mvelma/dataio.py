@@ -7,12 +7,14 @@ present), `weather.csv` carries 30 pre-fire daily rows per event,
 `enriched.csv` the static site descriptors, and optional `ndvi.csv` dated
 NDVI samples from which targets are built.
 
-Every file is written as csv.writer would write it, each float as repr()
-writes it, so a write/read cycle is bit-exact. A file goes out in blocks of
-4,096 lines, one write each. One json.dumps call formats a block's floats:
-json's C encoder writes each float with float.__repr__, and its NaN,
-Infinity and -Infinity are replaced by repr's nan, inf and -inf. csv's own
-quoting rule quotes each distinct id of a block once.
+`write_dataset` writes the events, weather and enriched files straight
+from a Dataset's arrays. Every file is written as csv.writer would write
+it, each float as repr() writes it, so a write/read cycle is bit-exact. A
+file goes out in blocks of 4,096 lines, one write each. One json.dumps
+call formats a block's floats: json's C encoder writes each float with
+float.__repr__, and its NaN, Infinity and -Infinity are replaced by repr's
+nan, inf and -inf. csv's own quoting rule quotes each distinct id of a
+block once.
 
 Every CSV is read by `read_table`, which returns it as columns; numeric
 columns are converted whole by `float_column`. Text that is not UTF-8, a
@@ -342,58 +344,41 @@ def _csv_cells(texts) -> dict:
     return cells
 
 
-def write_events(events, path, targets=None) -> None:
-    cols = ["event_id", "county_id", "latitude", "longitude", "start_date", "fire_duration_days"]
-    tail = [[float(ev.fire_duration_days)] for ev in events]
-    if any(ev.detection_confidence is not None for ev in events):
-        cols.append("detection_confidence")
-        for row, ev in zip(tail, events):
-            row.append(None if ev.detection_confidence is None else float(ev.detection_confidence))
-    if targets is not None:
-        cols.append("target")
-        for row, target in zip(tail, targets):
-            row.append(float(target))
-    _write_csv(path, cols, [
-        ("text", [ev.event_id for ev in events]),
+def write_dataset(ds: Dataset, out_dir) -> None:
+    """The three CSV files, written from the Dataset's own arrays: events with
+    ds.targets as the last column, SEQ_LEN weather rows per event at day
+    offsets -30..-1, and the enriched columns after the temporal ones. A
+    detection_confidence column is written when any event has one, None as a
+    blank cell. A repeated event id is a SchemaError, and no file."""
+    events = ds.events
+    ids = [ev.event_id for ev in events]
+    repeated = repeats(ids)
+    if repeated.any():
+        raise SchemaError(f"duplicate event_id {ids[repeated.argmax()]!r}")
+    os.makedirs(out_dir, exist_ok=True)
+    header = ["event_id", "county_id", "latitude", "longitude", "start_date", "fire_duration_days"]
+    columns = [
+        ("text", ids),
         ("text", [ev.county_id for ev in events]),
         ("floats", [[float(ev.latitude), float(ev.longitude)] for ev in events]),
         ("text", [ev.start_date.isoformat() for ev in events]),
-        ("floats", tail),
+        ("floats", [[float(ev.fire_duration_days)] for ev in events]),
+    ]
+    confidence = [ev.detection_confidence for ev in events]
+    if any(c is not None for c in confidence):
+        header.append("detection_confidence")
+        columns.append(("floats", [[None if c is None else float(c)] for c in confidence]))
+    _write_csv(os.path.join(out_dir, "events.csv"), header + ["target"],
+               columns + [("floats", ds.targets.reshape(-1, 1))])
+    _write_csv(os.path.join(out_dir, "weather.csv"), ["event_id", "day_offset"] + WEATHER_COLUMNS, [
+        ("text", [eid for eid in ids for _ in range(SEQ_LEN)]),
+        ("text", list(range(-SEQ_LEN, 0)) * len(ids)),
+        ("floats", ds.weather.reshape(-1, N_CHANNELS)),
     ])
-
-
-def write_weather(weather_by_event, path) -> None:
-    days = [np.asarray(mat, dtype=np.float64) for mat in weather_by_event.values()]
-    _write_csv(path, ["event_id", "day_offset"] + WEATHER_COLUMNS, [
-        ("text", [eid for eid, rows in zip(weather_by_event, days) for _ in range(len(rows))]),
-        ("text", [t - SEQ_LEN for rows in days for t in range(len(rows))]),
-        ("floats", np.concatenate([np.empty((0, N_CHANNELS)), *days])),
+    _write_csv(os.path.join(out_dir, "enriched.csv"), ["event_id"] + ENRICHED_FILE_COLUMNS, [
+        ("text", ids),
+        ("floats", ds.enriched[:, len(TEMPORAL_COLUMNS):]),
     ])
-
-
-def write_enriched(enriched_by_event, path) -> None:
-    _write_csv(path, ["event_id"] + ENRICHED_FILE_COLUMNS, [
-        ("text", list(enriched_by_event)),
-        ("floats", [np.asarray(vec, dtype=np.float64).tolist()
-                    for vec in enriched_by_event.values()]),
-    ])
-
-
-def write_dataset(ds: Dataset, out_dir) -> None:
-    """The three CSV files; a repeated event id is a SchemaError, and no file."""
-    repeated = repeats([ev.event_id for ev in ds.events])
-    if repeated.any():
-        raise SchemaError(f"duplicate event_id {ds.events[repeated.argmax()].event_id!r}")
-    os.makedirs(out_dir, exist_ok=True)
-    write_events(ds.events, os.path.join(out_dir, "events.csv"), targets=ds.targets)
-    write_weather(
-        {ev.event_id: ds.weather[i] for i, ev in enumerate(ds.events)},
-        os.path.join(out_dir, "weather.csv"),
-    )
-    write_enriched(
-        {ev.event_id: ds.enriched[i, len(TEMPORAL_COLUMNS):] for i, ev in enumerate(ds.events)},
-        os.path.join(out_dir, "enriched.csv"),
-    )
 
 
 # ---------------------------------------------------------------------------

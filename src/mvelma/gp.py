@@ -17,6 +17,8 @@ likelihood: on a single Cholesky factor it returns the value together with
 its gradient in the hyperparameters and in the training inputs, which is
 what lets the encoder train jointly against it. It builds no tape: the
 pipeline hands the input gradient to the encoder's reverse pass.
+`GPState.refresh(inputs, targets)` is the one way to a factored state, and
+`posterior` refuses any other.
 """
 
 from __future__ import annotations
@@ -309,9 +311,6 @@ class GPState:
     chol: nc.CholeskyFactor | None = None
     alpha: np.ndarray | None = None
 
-    def hyper_names(self) -> list:
-        return self.kernel.hyper_names() + ["log_noise", "mean_const"]
-
     def hypers_flat(self) -> np.ndarray:
         vals = [getattr(self.kernel, nm) for nm in self.kernel.hyper_names()]
         return np.array(vals + [self.log_noise, self.mean_const])
@@ -328,10 +327,11 @@ class GPState:
             alpha=None,
         )
 
-    def refresh(self, inputs=None, targets=None) -> "GPState":
-        """Recompute the Cholesky factor and alpha for the current hyperparameters."""
-        x = self.train_inputs if inputs is None else nc.as_matrix(inputs)
-        y = self.train_targets if targets is None else np.asarray(targets, float).ravel()
+    def refresh(self, inputs, targets) -> "GPState":
+        """The state on these training points, with the Cholesky factor and
+        alpha for its hyperparameters: the only way to a factored state."""
+        x = nc.as_matrix(inputs)
+        y = np.asarray(targets, float).ravel()
         if x.shape[0] != y.size:
             raise DimensionMismatch(f"{x.shape[0]} inputs vs {y.size} targets")
         k = kernel_matrix(self.kernel, x, x)
@@ -394,14 +394,12 @@ def fit(
     nc.require_finite(x, "GP fit inputs")
     nc.require_finite(y, "GP fit targets")
 
-    st = replace(state, train_inputs=x, train_targets=y)
-
     def step(hypers):
-        value, d_hypers, _ = nmll_node(st.with_hypers_flat(hypers), x, y)
+        value, d_hypers, _ = nmll_node(state.with_hypers_flat(hypers), x, y)
         return value, d_hypers
 
-    best, trace = optim.adam_descent(step, st.hypers_flat(), opt)
-    return st.with_hypers_flat(best).refresh(), trace
+    best, trace = optim.adam_descent(step, state.hypers_flat(), opt)
+    return state.with_hypers_flat(best).refresh(x, y), trace
 
 
 @dataclass
@@ -415,9 +413,10 @@ def posterior(state: GPState, test) -> GPPosterior:
 
     mean = m + K_*^T alpha; variance = k(x,x) - colsum((L^-1 K_*)^2),
     clamped at zero against rounding (Rasmussen & Williams 2006, Alg. 2.1).
+    The state must come from GPState.refresh.
     """
     if state.chol is None or state.alpha is None:
-        state = state.refresh()
+        raise DegenerateInput("GP state is not factored: call GPState.refresh(inputs, targets)")
     test = nc.as_matrix(test)
     if test.shape[1] != state.train_inputs.shape[1]:
         raise DimensionMismatch(

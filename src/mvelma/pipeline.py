@@ -79,6 +79,9 @@ class PipelineConfig:
 
     def __post_init__(self):
         variant_components(self.ablation)
+        if self.kernel_family not in gp.FAMILIES:
+            raise UnknownVariant(f"unknown kernel_family {self.kernel_family!r}; "
+                                 f"choose from {gp.FAMILIES}")
         if self.gp_input not in ("stacked", "latent"):
             raise UnknownVariant(f"unknown gp_input mode {self.gp_input!r}")
         # one value each, kept as fields for the model file's config record
@@ -412,7 +415,7 @@ def aggregate_county(events, observed, predicted, confidence):
 
 def _std_from(doc, width: int, what: str) -> Standardizer:
     """Standardizer.fit's output: `width` means and `width` stds, each > 0."""
-    doc = _typed(doc, dict, f"{what} standardizer")
+    doc = _keyed(doc, Standardizer, f"{what}_std")
     s = Standardizer(
         mean=_floats(doc["mean"], f"{what} standardizer mean"),
         std=_floats(doc["std"], f"{what} standardizer std"),
@@ -496,6 +499,7 @@ def _tree_from_doc(t, n_features: int) -> RegressionTree:
     """A forest tree whose node arrays agree in length, whose integer features
     are -1 (leaf) or a column index, and whose internal nodes point at integer
     children in range and after themselves, so every walk ends at a leaf."""
+    t = _keyed(t, RegressionTree, "forest.trees")
     feature, left, right = (np.asarray(_no_bools(t[k], f"forest tree {k}"))
                             for k in ("feature", "left", "right"))
     if any(a.size and a.dtype.kind not in "iu" for a in (feature, left, right)):
@@ -564,21 +568,36 @@ def _event_ids(value, what: str) -> list:
     return ids
 
 
-def _record(cls, d, what: str, **inner):
-    """cls(**d) for a dict d that holds exactly cls's field names, so that a
-    missing key never takes the field's default; `inner` maps a field to the
-    dataclass its value is read as, in the same way."""
-    names = [f.name for f in fields(cls)]
+def _keyed(d, names, what: str) -> dict:
+    """d itself when it is a dict that holds exactly the keys `names`, or the
+    field names of the dataclass `names`: a missing key would take a default
+    and an unknown one would be ignored without a word."""
+    if isinstance(names, type):
+        names = [f.name for f in fields(names)]
     d = _typed(d, dict, what)
     problems = ([f"missing key {k!r}" for k in names if k not in d]
                 + [f"unknown key {k!r}" for k in d if k not in names])
     if problems:
         raise SchemaError(f"{what} record: {', '.join(problems)}")
+    return d
+
+
+def _record(cls, d, what: str, **inner):
+    """cls(**d) for a dict d that holds exactly cls's field names; `inner`
+    maps a field to the dataclass its value is read as, in the same way."""
+    d = _keyed(d, cls, what)
     return cls(**{k: _record(inner[k], v, f"{what}.{k}") if k in inner
                   else _finite(v, f"{what}.{k}") for k, v in d.items()})
 
 
+# the keys of save_model's document and of its "gp" object
+_MODEL_KEYS = ("format", "config", "weather_std", "enriched_std", "encoder_params", "gp",
+               "forest", "head", "sigma_ref", "train_event_ids", "test_event_ids", "loss_trace")
+_GP_KEYS = ("kernel", "log_noise", "mean_const", "train_inputs", "train_targets")
+
+
 def _model_from_doc(doc) -> TrainedModel:
+    doc = _keyed(doc, _MODEL_KEYS, "model")
     cfg = _record(PipelineConfig, doc["config"], "config", encoder=enc.EncoderConfig,
                   gp_opt=OptimizerConfig, forest=ForestConfig)
     uses_encoder, uses_gp, uses_forest = variant_components(cfg.ablation)
@@ -598,21 +617,25 @@ def _model_from_doc(doc) -> TrainedModel:
     stack_width = z_width + len(ENRICHED_COLUMNS)
     gp_state = None
     if doc["gp"] is not None:
-        d = doc["gp"]
+        d = _keyed(doc["gp"], _GP_KEYS, "gp")
         x = _floats(d["train_inputs"], "gp train_inputs")
         width = stack_width if cfg.gp_input == "stacked" else z_width
         if x.ndim != 2 or x.shape[1] != width:
             raise DimensionMismatch(f"gp train_inputs need {width} columns, got shape {x.shape}")
+        kernel = _record(gp.KernelSpec, d["kernel"], "gp.kernel")
+        if kernel.family != cfg.kernel_family:
+            raise SchemaError(f"gp kernel family {kernel.family!r} is not the configured "
+                              f"kernel_family {cfg.kernel_family!r}")
         # refresh rejects a train_targets count other than the input rows
         gp_state = gp.GPState(
-            kernel=_record(gp.KernelSpec, d["kernel"], "gp.kernel"),
+            kernel=kernel,
             log_noise=_typed(d["log_noise"], (int, float), "gp log_noise"),
             mean_const=_typed(d["mean_const"], (int, float), "gp mean_const"),
         ).refresh(x, _floats(d["train_targets"], "gp train_targets"))
 
     forest = None
     if doc["forest"] is not None:
-        d = doc["forest"]
+        d = _keyed(doc["forest"], Forest, "forest")
         n_features = _typed(d["n_features"], int, "forest n_features")
         width = stack_width + 1 if uses_gp else stack_width
         if n_features != width:
@@ -626,12 +649,20 @@ def _model_from_doc(doc) -> TrainedModel:
             n_features=n_features,
             config=_record(ForestConfig, d["config"], "forest.config"),
         )
+        if forest.importances.shape != (n_features,):
+            raise SchemaError(f"forest importances need {n_features} entries, "
+                              f"got shape {forest.importances.shape}")
 
     loss_trace = _typed(doc["loss_trace"], list, "loss_trace")
     _floats(loss_trace, "loss_trace")
     sigma_ref = _typed(doc["sigma_ref"], (int, float), "sigma_ref")
     if sigma_ref < 0:
         raise SchemaError(f"sigma_ref {sigma_ref} is negative")
+    train_ids = _event_ids(doc["train_event_ids"], "train_event_ids")
+    test_ids = _event_ids(doc["test_event_ids"], "test_event_ids")
+    shared = set(train_ids).intersection(test_ids)
+    if shared:
+        raise SchemaError(f"test_event_ids shares event id {min(shared)!r} with train_event_ids")
     return TrainedModel(
         config=cfg,
         weather_std=_std_from(doc["weather_std"], cfg.encoder.input_width, "weather"),
@@ -644,8 +675,8 @@ def _model_from_doc(doc) -> TrainedModel:
         forest=forest,
         head=head,
         sigma_ref=sigma_ref,
-        train_event_ids=_event_ids(doc["train_event_ids"], "train_event_ids"),
-        test_event_ids=_event_ids(doc["test_event_ids"], "test_event_ids"),
+        train_event_ids=train_ids,
+        test_event_ids=test_ids,
         loss_trace=loss_trace,
     )
 
@@ -667,15 +698,16 @@ def _read_json(path, **hooks):
 def load_model(path) -> TrainedModel:
     """Read a model written by save_model.
 
-    A file that is not such a model (truncated JSON, another format tag, a
-    missing key, an unknown key in a dataclass record, a value of the wrong
-    type or a non-finite number, a config value train_joint cannot write, a
-    missing standardizer or one with a std <= 0, a negative sigma_ref, a
-    malformed forest tree, a wrong-length encoder or head, model parts that
-    do not match the configured ablation, GP inputs or forest features of
-    another width than predict builds, a GP target count other than its
-    input rows, or a repeated event id) raises a one-line SchemaError naming
-    the file.
+    A file that is not such a model (truncated JSON, another format tag, an
+    object with a missing or unknown key, a value of the wrong type or a
+    non-finite number, a config value train_joint cannot write, a GP kernel
+    of another family than the configured one, a missing standardizer or
+    one with a std <= 0, a negative sigma_ref, a malformed forest tree, a
+    wrong-length encoder, head or importances, model parts that do not match
+    the configured ablation, GP inputs or forest features of another width
+    than predict builds, a GP target count other than its input rows, or an
+    event id repeated or in both splits) raises a one-line SchemaError
+    naming the file.
 
     json parses numbers with its own float. A literal that overflows, such
     as 1e999, reads as inf and fails a finiteness check as the model is
@@ -689,13 +721,11 @@ def load_model(path) -> TrainedModel:
                 found = doc.get("format") if isinstance(doc, dict) else None
                 raise SchemaError(f"unsupported model format {found!r}")
             return _model_from_doc(doc)
-        except (MvelmaError, KeyError, TypeError, ValueError, OverflowError):
+        except (MvelmaError, TypeError, ValueError, OverflowError):
             _read_json(path, parse_float=_finite_float)
             raise
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{path}: not a JSON document ({exc})") from None
-    except KeyError as exc:
-        raise SchemaError(f"{path}: model has no key {exc}") from None
     except (SchemaError, ShapeMismatch, UnknownVariant, DimensionMismatch,
             DegenerateInput, NonFiniteInput) as exc:
         raise SchemaError(f"{path}: {exc}") from None

@@ -226,7 +226,8 @@ def nmll(tape, state, x_node, y):
 
     Returns (loss, leaf): a 1 x p leaf holds state.hypers_flat()."""
     leaf = tape.leaf(state.hypers_flat().reshape(1, -1))
-    h = {nm: slice_cols(leaf, i, i + 1) for i, nm in enumerate(state.hyper_names())}
+    names = state.kernel.hyper_names() + ["log_noise", "mean_const"]
+    h = {nm: slice_cols(leaf, i, i + 1) for i, nm in enumerate(names)}
     a = add_diag(kernel(state.kernel.family, h, sqdist(x_node, x_node)), exp(h["log_noise"]))
     resid = sub(nc.as_matrix(y), h["mean_const"])
     half = scale(add(chol_quad_form(a, resid), chol_logdet(a)), 0.5)

@@ -232,6 +232,7 @@ def test_criterion_07_synthetic_benchmark():
                f"{elapsed:.0f}s")
 
 
+@pytest.mark.determinism
 def test_criterion_08_train_determinism(tmp_path):
     data = tmp_path / "data"
     code, _ = run_cli("synth", "--events", 30, "--counties", 3, "--seed", 3,

@@ -160,6 +160,7 @@ class TestTrainPredictEvaluate:
         ds, _ = dataio.load_dataset(workspace["data"])
         assert ids == [ev.event_id for ev in ds.events]
 
+    @pytest.mark.determinism
     def test_train_is_deterministic(self, workspace, tmp_path):
         outs = []
         for name in ("m1.json", "m2.json"):
@@ -170,6 +171,7 @@ class TestTrainPredictEvaluate:
         assert (tmp_path / "m1.json").read_bytes() == (tmp_path / "m2.json").read_bytes()
         assert metrics_line(outs[0]) == metrics_line(outs[1])
 
+    @pytest.mark.determinism
     def test_train_is_deterministic_with_threaded_encoder(self, workspace, tmp_path, monkeypatch):
         """At this width the encoder runs its two directions on two threads
         wherever more than one CPU is available and numpy's bundled OpenBLAS
@@ -220,6 +222,7 @@ class TestQuotedIds:
 
 
 class TestModelFormatFixture:
+    @pytest.mark.determinism
     def test_committed_model_round_trips_and_predicts(self, tmp_path):
         """The committed model loads, saves back to the same bytes, and
         predicts the committed predictions file byte for byte."""
@@ -718,6 +721,46 @@ def _one_entry_head(doc):
     _as_no_gpr_rf(doc, 1)
 
 
+def _unknown_kernel_family(doc):
+    doc["config"]["kernel_family"] = "bogus"
+
+
+def _other_gp_kernel_family(doc):
+    doc["gp"]["kernel"]["family"] = "rbf"
+
+
+def _extra_model_key(doc):
+    doc["extra"] = 1
+
+
+def _extra_weather_std_key(doc):
+    doc["weather_std"]["extra"] = 1
+
+
+def _extra_enriched_std_key(doc):
+    doc["enriched_std"]["extra"] = 1
+
+
+def _extra_gp_key(doc):
+    doc["gp"]["extra"] = 1
+
+
+def _extra_forest_key(doc):
+    doc["forest"]["extra"] = 1
+
+
+def _extra_tree_key(doc):
+    doc["forest"]["trees"][-1]["extra"] = 1
+
+
+def _short_importances(doc):
+    doc["forest"]["importances"].pop()
+
+
+def _test_id_in_train(doc):
+    doc["test_event_ids"].append(doc["train_event_ids"][0])
+
+
 class TestCorruptModel:
     @pytest.mark.parametrize("corrupt", [
         _drop_gp, _sigma_ref_string, _child_out_of_range, _child_cycle,
@@ -729,6 +772,9 @@ class TestCorruptModel:
         _true_tree_value, _false_gp_target, _true_in_loss_trace,
         _negative_sigma_ref, _null_weather_std, _null_enriched_std, _zero_std, _negative_std,
         _residual_rf_target, _weather_unstandardized, _enriched_unstandardized,
+        _unknown_kernel_family, _other_gp_kernel_family, _extra_model_key,
+        _extra_weather_std_key, _extra_enriched_std_key, _extra_gp_key, _extra_forest_key,
+        _extra_tree_key, _short_importances, _test_id_in_train,
     ])
     def test_corrupt_document_is_one_validation_error(self, workspace, tmp_path, corrupt):
         doc = json.loads(workspace["model"].read_text())
@@ -933,6 +979,7 @@ for argv in (
 """
 
 
+@pytest.mark.determinism
 def test_same_files_at_any_blas_thread_count(tmp_path):
     """mvelma holds numpy's OpenBLAS at one thread while it computes, so
     OPENBLAS_NUM_THREADS unset, 1 and 2 write the same model and

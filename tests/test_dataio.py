@@ -188,16 +188,19 @@ class TestCsvRoundTrip:
         enriched = {eid: np.linspace(-1.0, 1.0, 24) * (i + 1) for i, eid in enumerate(ids)}
         enriched[ids[1]][-6:] = edge
         targets = np.array([0.1, math.nan, -0.0, 1e16])
+        # the temporal columns lead the enriched matrix and are not written
+        temporal = np.full((len(ids), len(dataio.TEMPORAL_COLUMNS)), 7.0)
+        ds = dataio.Dataset(events, np.stack(list(weather.values())),
+                            np.hstack([temporal, np.stack(list(enriched.values()))]), targets)
 
-        dataio.write_events(events, tmp_path / "events.csv", targets=targets)
-        dataio.write_weather(weather, tmp_path / "weather.csv")
-        dataio.write_enriched(enriched, tmp_path / "enriched.csv")
+        dataio.write_dataset(ds, tmp_path)
         expected = reference_files(events, weather, enriched, targets)
         assert {name: (tmp_path / name).read_bytes() for name in expected} == expected
 
-        dataio.write_events(events[3:], tmp_path / "events.csv")  # no confidence, no target
-        assert (tmp_path / "events.csv").read_bytes() == \
-            reference_files(events[3:], {}, {}, None)["events.csv"]
+        dataio.write_dataset(ds.subset([3]), tmp_path)  # no confidence column
+        expected = reference_files(events[3:], {ids[3]: weather[ids[3]]},
+                                   {ids[3]: enriched[ids[3]]}, targets[3:])
+        assert {name: (tmp_path / name).read_bytes() for name in expected} == expected
 
     def test_missing_column_raises(self, tmp_path):
         p = tmp_path / "events.csv"
@@ -655,12 +658,32 @@ SYNTH_DIGESTS = {
         "truth": "ce65ddd51cb955b669826bfeadaaadff694d8333e11218fded43d36451f24ede",
     },
 }
-# write_dataset's three files for synth_generate(500, 10, seed=1)
+# write_dataset's three files for synth_generate(n_events, n_counties, seed)
 DATASET_FILE_DIGESTS = {
-    "events.csv": "16d3541ad22ed384039b7452a62ce89d0419fc3f6f380e64b6c2b4577dd62cc1",
-    "weather.csv": "f325b77327f8fdc4024d4ff351015c31b5108202c04cf7554affc154423d67ee",
-    "enriched.csv": "22bd48959a1aff529aceeb31e09c3f85a70f4494d6b6d6ec0535c99f97f22d46",
+    (500, 10, 1): {
+        "events.csv": "16d3541ad22ed384039b7452a62ce89d0419fc3f6f380e64b6c2b4577dd62cc1",
+        "weather.csv": "f325b77327f8fdc4024d4ff351015c31b5108202c04cf7554affc154423d67ee",
+        "enriched.csv": "22bd48959a1aff529aceeb31e09c3f85a70f4494d6b6d6ec0535c99f97f22d46",
+    },
+    (40, 4, 0): {
+        "events.csv": "56527a712a61b80e8fb2c1c8260cf004b950b0881fc5fe735414564291c28b90",
+        "weather.csv": "00135785814c589eb55e5708eca37257f347d03dcad1ffa493785d916869845b",
+        "enriched.csv": "8af21d35b95424032a524ece0c79f77b2012de99a1987c9d6a1462e2761eebc5",
+    },
+    (500, 10, 977): {
+        "events.csv": "e52c87c1039669032f8b3f2dd5b09b763f22f740b8dc656a9877510b3ff3db9f",
+        "weather.csv": "4ca294d1abaa836cb54f769e72fe224ba87e1d7d8a53b406a62069b6c631c26b",
+        "enriched.csv": "1ef5be1eb15498308bd2d8c385ec1e19b8ddaef07ccf748a42309ce06deeb643",
+    },
 }
+
+
+def written_digests(config, out_dir) -> dict:
+    """SHA-256 of each file write_dataset writes for synth_generate(*config)."""
+    n_events, n_counties, seed = config
+    dataio.write_dataset(dataio.synth_generate(n_events, n_counties, seed=seed)[0], out_dir)
+    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in ("events.csv", "weather.csv", "enriched.csv")}
 
 
 class TestSynthGenerate:
@@ -669,11 +692,12 @@ class TestSynthGenerate:
         assert synth_digests(*config) == SYNTH_DIGESTS[config]
 
     def test_written_files_pinned_byte_for_byte(self, tmp_path):
-        ds, _ = dataio.synth_generate(500, 10, seed=1)
-        dataio.write_dataset(ds, tmp_path)
-        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-                   for name in DATASET_FILE_DIGESTS}
-        assert digests == DATASET_FILE_DIGESTS
+        assert written_digests((500, 10, 1), tmp_path) == DATASET_FILE_DIGESTS[(500, 10, 1)]
+
+    @pytest.mark.parametrize("config", [(40, 4, 0), (500, 10, 977)], ids=str)
+    def test_written_files_pinned_at_synth_and_benchmark_sizes(self, tmp_path, config):
+        # the sizes of CI's synth run and of the cli-default set-up
+        assert written_digests(config, tmp_path) == DATASET_FILE_DIGESTS[config]
 
     def test_same_seed_bit_identical(self):
         a, ta = dataio.synth_generate(60, 5, seed=3)

@@ -242,6 +242,7 @@ class TestReferenceOracle:
     it must match to a relative 1e-12, not bit for bit. Its threaded and
     sequential paths do the same arithmetic and must match exactly."""
 
+    @pytest.mark.determinism
     @settings(max_examples=60, deadline=None)
     @given(encoder_problems())
     def test_matches_reference_on_both_paths(self, problem):
@@ -366,6 +367,7 @@ TAPED_DIGESTS = {
 }
 
 
+@pytest.mark.determinism
 class TestTapedDigests:
     @pytest.mark.parametrize("shape", list(TAPED_DIGESTS), ids=str)
     def test_latents_and_gradient_pinned_byte_for_byte(self, shape):

@@ -302,6 +302,7 @@ class TestWorkers:
     """fit_forest grows one contiguous range of trees per CPU, each on its
     own thread, and every array comes out the same bits for any count."""
 
+    @pytest.mark.determinism
     @settings(max_examples=40, deadline=None)
     @given(forest_problems())
     def test_same_forest_for_any_worker_count(self, problem):

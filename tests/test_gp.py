@@ -148,6 +148,7 @@ class TestKernelMatrix:
             k = gp.kernel_matrix(spec, x, x)
             assert np.max(np.abs(k - k.T)) < 1e-12
 
+    @pytest.mark.determinism
     @pytest.mark.parametrize("family", gp.FAMILIES)
     def test_gram_exactly_symmetric(self, family):
         """The pairwise squared distances within x are symmetric to the last
@@ -404,6 +405,7 @@ NMLL_PEAK_MB = {
 
 
 class TestNmllWorkingSet:
+    @pytest.mark.determinism
     @pytest.mark.parametrize("case", list(NMLL_DIGESTS), ids=str)
     def test_outputs_pinned_byte_for_byte(self, case):
         assert nmll_digest(*case) == NMLL_DIGESTS[case]
@@ -545,6 +547,15 @@ class TestPosterior:
         state = state.refresh([[0.0, 1.0]], [1.0])
         with pytest.raises(DimensionMismatch):
             gp.posterior(state, [[1.0, 2.0, 3.0]])
+
+    def test_unfactored_state_is_refused(self):
+        # new hyperparameters drop the factor; posterior does not refactor
+        state = gp.GPState(kernel=spec_for("rbf"), log_noise=0.0, mean_const=0.0)
+        state = state.refresh([[0.0], [1.0]], [1.0, 2.0])
+        for unfactored in (gp.GPState(kernel=spec_for("rbf"), log_noise=0.0, mean_const=0.0),
+                           state.with_hypers_flat(state.hypers_flat())):
+            with pytest.raises(DegenerateInput, match=r"not factored.*refresh"):
+                gp.posterior(unfactored, [[0.5]])
 
 
 class TestFit:

@@ -219,6 +219,7 @@ class TestLowerInverse:
         (400, "0ad29b3e291e9f2cd848c47fd7492a575e2025b840dfecfb51c10808990c6869"),
         (401, "484377f95569391d28c8be86aaccda552a2680cca98cd160f46cf88f212b6ec4"),
     ])
+    @pytest.mark.determinism
     def test_inverse_pinned_byte_for_byte(self, n, digest):
         # SHA-256 of the inverse, at one BLAS thread as the pipeline runs it
         rng = np.random.default_rng(RNG_SEED + 11)
@@ -635,6 +636,7 @@ class TestCpuCount:
 
 
 class TestOneBlasThread:
+    @pytest.mark.determinism
     def test_pin_holds_until_the_last_thread_leaves(self, blas_pool):
         """A enters, B enters, A leaves: B must still compute at one thread,
         and after both leave the caller's count of 2 is back."""

@@ -120,6 +120,9 @@ class TestVariantComponents:
             pipeline.PipelineConfig(gp_input="all")
         with pytest.raises(UnknownVariant):
             pipeline.PipelineConfig(rf_target="huh")
+        # checked also where no GP reads it, since the model file records it
+        with pytest.raises(UnknownVariant, match="kernel_family"):
+            pipeline.PipelineConfig(kernel_family="bogus", ablation="no-gpr")
         # three fields that accept only their one value
         for field, value in (("rf_target", "residual"), ("standardize_weather", False),
                              ("standardize_enriched", False), ("standardize_weather", 1)):
@@ -375,6 +378,7 @@ VARIANT_DIGESTS = {
 }
 
 
+@pytest.mark.determinism
 class TestVariantDigests:
     """Each variant's saved model and predict's four arrays, pinned by their
     SHA-256: a change meant to keep the outputs must keep every byte, at any
