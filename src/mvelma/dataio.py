@@ -21,7 +21,8 @@ columns are converted whole by `float_column`. Text that is not UTF-8, a
 missing column, or a record with another field count than the header is a
 one-line SchemaError naming the file, as is a bad cell, with its row and
 column; `row N` is line N of the file. Each reader then applies its own
-rules.
+rules, and `validate_and_impute` checks and cleans the joined events as
+arrays: one K x 30 x 9 weather block and one K x 24 enriched block.
 """
 
 from __future__ import annotations
@@ -405,20 +406,6 @@ def temporal_features(events) -> np.ndarray:
     return np.array([[ev.fire_duration_days, ev.fire_month, ev.fire_dayofyear] for ev in events])
 
 
-def _check_weather_ranges(eid, mat):
-    """Range rules on values that are actually present (NaN-safe)."""
-    with np.errstate(invalid="ignore"):
-        rh = mat[:, [2, 3]]
-        if np.any((rh < 0) | (rh > 100)):
-            raise SchemaError(f"event {eid}: humidity outside [0, 100]")
-        if np.any(mat[:, 1] < 0):
-            raise SchemaError(f"event {eid}: negative precipitation")
-        if np.any(mat[:, 8] < 0):
-            raise SchemaError(f"event {eid}: negative wind speed")
-        if np.any(mat[:, 5] > mat[:, 6]):
-            raise SchemaError(f"event {eid}: min temperature above max temperature")
-
-
 def validate_and_impute(events, weather_raw, enriched_raw, ndvi_raw=None):
     """Apply the cleaning rules and assemble an aligned Dataset.
 
@@ -429,9 +416,14 @@ def validate_and_impute(events, weather_raw, enriched_raw, ndvi_raw=None):
     present ones; zero-fill missing land-cover fractions. Targets come from
     the NDVI series when given, else from the events' target column.
     Returns (Dataset, ValidationReport); the report lists every action.
+
+    The kept events are checked and cleaned as one K x 30 x 9 weather array
+    and one K x 24 enriched array; an error names the first faulty event in
+    `events` order. Fills and drops are logged in event-then-column order;
+    an event dropped at its first fully missing variable still has the gaps
+    before it filled and reported. Each fill is the 1-D mean of the values present.
     """
     report = ValidationReport()
-
     kept = []
     for ev in events:
         conf = ev.detection_confidence
@@ -441,44 +433,57 @@ def validate_and_impute(events, weather_raw, enriched_raw, ndvi_raw=None):
             continue
         kept.append(ev)
 
-    rows_w, rows_e, final_events = [], [], []
-    for ev in kept:
-        eid = ev.event_id
+    ids = [ev.event_id for ev in kept]
+    # the events ahead of the first one whose block or row is absent or misshapen
+    n_ok = next((i for i, eid in enumerate(ids)
+                 if np.shape(weather_raw.get(eid)) != (SEQ_LEN, N_CHANNELS)
+                 or np.shape(enriched_raw.get(eid)) != (len(ENRICHED_FILE_COLUMNS),)), len(ids))
+    w = np.array([weather_raw[eid] for eid in ids[:n_ok]], float).reshape(-1, SEQ_LEN, N_CHANNELS)
+    # range rules on the values that are present: a NaN compares False
+    rules = [
+        ("humidity outside [0, 100]", (w[:, :, 2:4] < 0) | (w[:, :, 2:4] > 100)),
+        ("negative precipitation", w[:, :, 1:2] < 0),
+        ("negative wind speed", w[:, :, 8:9] < 0),
+        ("min temperature above max temperature", w[:, :, 5:6] > w[:, :, 6:7]),
+    ]
+    faults = np.array([mask.any(axis=(1, 2)) for _, mask in rules])  # rule x event
+    if faults.any():
+        i = faults.any(axis=0).argmax()
+        raise SchemaError(f"event {ids[i]}: {rules[faults[:, i].argmax()][0]}")
+    if n_ok < len(ids):
+        eid = ids[n_ok]
         if eid not in weather_raw:
             raise SchemaError(f"weather.csv: no rows for event {eid}")
         if eid not in enriched_raw:
             raise SchemaError(f"enriched.csv: no row for event {eid}")
-        mat = np.array(weather_raw[eid], dtype=np.float64)
-        if mat.shape != (SEQ_LEN, N_CHANNELS):
-            raise SchemaError(f"event {eid}: weather block is {mat.shape}, expected (30, 9)")
-        _check_weather_ranges(eid, mat)
+        shape = np.shape(weather_raw[eid])
+        if shape != (SEQ_LEN, N_CHANNELS):
+            raise SchemaError(f"event {eid}: weather block is {shape}, expected (30, 9)")
+        raise SchemaError(f"event {eid}: enriched row is {np.shape(enriched_raw[eid])}, "
+                          f"expected ({len(ENRICHED_FILE_COLUMNS)},)")
 
-        dropped = False
-        for j, col in enumerate(WEATHER_COLUMNS):
-            col_vals = mat[:, j]
-            missing = np.isnan(col_vals)
-            if missing.all():
-                report.dropped_missing_variable.append((eid, col))
-                report.log(f"dropped event {eid}: weather variable {col} fully missing")
-                dropped = True
-                break
-            if missing.any():
-                fill = float(col_vals[~missing].mean())
-                mat[missing, j] = fill
-                report.weather_fills.append((eid, col, int(missing.sum()), fill))
-                report.log(
-                    f"event {eid}: filled {int(missing.sum())} missing {col} values with {fill!r}"
-                )
-        if dropped:
+    gaps = np.isnan(w)
+    count = gaps.sum(axis=1)  # event x variable
+    full = count == SEQ_LEN
+    # each event's variables up to and including its first fully missing one
+    acted = (count > 0) & (np.cumsum(full, axis=1) - full == 0)
+    for i, j in np.argwhere(acted).tolist():
+        eid, col, n_miss = ids[i], WEATHER_COLUMNS[j], int(count[i, j])
+        if full[i, j]:
+            report.dropped_missing_variable.append((eid, col))
+            report.log(f"dropped event {eid}: weather variable {col} fully missing")
             continue
-        rows_w.append(mat)
-        rows_e.append(np.array(enriched_raw[eid], dtype=np.float64))
-        final_events.append(ev)
-
+        fill = float(w[i, ~gaps[i, :, j], j].mean())
+        w[i, gaps[i, :, j], j] = fill
+        report.weather_fills.append((eid, col, n_miss, fill))
+        report.log(f"event {eid}: filled {n_miss} missing {col} values with {fill!r}")
+    survive = ~full.any(axis=1)
+    final_events = [ev for ev, ok in zip(kept, survive.tolist()) if ok]
     if not final_events:
         raise DegenerateInput("no events survived validation")
+    final_ids = [ev.event_id for ev in final_events]
 
-    enr = np.stack(rows_e)
+    enr = np.array([enriched_raw[eid] for eid in final_ids], dtype=np.float64)
     elev_col = ENRICHED_FILE_COLUMNS.index("elevation")
     lc_cols = [ENRICHED_FILE_COLUMNS.index(c) for c in LC_COLUMNS]
 
@@ -487,10 +492,8 @@ def validate_and_impute(events, weather_raw, enriched_raw, ndvi_raw=None):
     if not have.all():
         global_mean = float(elev[have].mean()) if have.any() else 0.0
         for i in np.flatnonzero(~have):
-            report.elevation_fills.append(final_events[i].event_id)
-            report.log(
-                f"event {final_events[i].event_id}: filled missing elevation with {global_mean!r}"
-            )
+            report.elevation_fills.append(final_ids[i])
+            report.log(f"event {final_ids[i]}: filled missing elevation with {global_mean!r}")
         enr[~have, elev_col] = global_mean
 
     lc = enr[:, lc_cols]
@@ -498,44 +501,40 @@ def validate_and_impute(events, weather_raw, enriched_raw, ndvi_raw=None):
     if lc_missing.any():
         for i in np.flatnonzero(lc_missing.any(axis=1)):
             n_miss = int(lc_missing[i].sum())
-            report.lc_zero_fills.append((final_events[i].event_id, n_miss))
-            report.log(
-                f"event {final_events[i].event_id}: zero-filled {n_miss} missing land-cover fractions"
-            )
+            report.lc_zero_fills.append((final_ids[i], n_miss))
+            report.log(f"event {final_ids[i]}: zero-filled {n_miss} missing land-cover fractions")
         lc[lc_missing] = 0.0
         enr[:, lc_cols] = lc
 
-    with np.errstate(invalid="ignore"):
-        if np.any((lc < 0) | (lc > 1)):
-            raise SchemaError("land-cover fraction outside [0, 1]")
-        if np.any(lc.sum(axis=1) > 1.0 + 1e-6):
-            raise SchemaError("land-cover fractions sum above 1")
+    if np.any((lc < 0) | (lc > 1)):
+        raise SchemaError("land-cover fraction outside [0, 1]")
+    if np.any(lc.sum(axis=1) > 1.0 + 1e-6):
+        raise SchemaError("land-cover fractions sum above 1")
     other = np.isnan(enr)
     if other.any():
         i, j = np.argwhere(other)[0]
         raise SchemaError(
-            f"event {final_events[i].event_id}: missing value in enriched column "
+            f"event {final_ids[i]}: missing value in enriched column "
             f"{ENRICHED_FILE_COLUMNS[j]!r} (no imputation rule)"
         )
 
-    targets = np.empty(len(final_events))
-    for i, ev in enumerate(final_events):
-        if ndvi_raw is not None:
-            if ev.event_id not in ndvi_raw:
-                raise SchemaError(f"ndvi.csv: no samples for event {ev.event_id}")
-            targets[i] = build_target(
-                NdviSeries(ev.event_id, ev.start_date, ndvi_raw[ev.event_id])
-            )
-        else:
-            if ev.target is None or math.isnan(ev.target):
-                raise SchemaError(
-                    f"event {ev.event_id}: no target column value and no ndvi.csv provided"
-                )
-            targets[i] = ev.target
+    if ndvi_raw is None:
+        targets = np.array([ev.target for ev in final_events], dtype=np.float64)  # None -> NaN
+        absent = np.isnan(targets)
+        if absent.any():
+            raise SchemaError(f"event {final_ids[absent.argmax()]}: "
+                              "no target column value and no ndvi.csv provided")
+    else:
+        try:
+            targets = np.array([
+                build_target(NdviSeries(ev.event_id, ev.start_date, ndvi_raw[ev.event_id]))
+                for ev in final_events])
+        except KeyError as exc:
+            raise SchemaError(f"ndvi.csv: no samples for event {exc.args[0]}") from None
 
     ds = Dataset(
         events=final_events,
-        weather=np.stack(rows_w),
+        weather=w[survive],
         enriched=np.hstack([temporal_features(final_events), enr]),
         targets=targets,
     )

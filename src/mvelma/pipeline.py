@@ -75,7 +75,7 @@ class PipelineConfig:
     split_seed: int = 0
     standardize_weather: bool = True  # the only value: weather channels are z-scored
     standardize_enriched: bool = True  # the only value: static columns are z-scored
-    oof_folds: int = 0  # >= 2 enables out-of-fold posterior means for the stack
+    oof_folds: int = 0  # 0, or k >= 2 for k-fold out-of-fold posterior means in the stack
 
     def __post_init__(self):
         variant_components(self.ablation)
@@ -91,6 +91,10 @@ class PipelineConfig:
             raise UnknownVariant("standardize_weather and standardize_enriched must be True")
         if self.split_seed < 0:
             raise DegenerateInput("split_seed must be >= 0")
+        if not 0.0 < self.train_fraction < 1.0:
+            raise DegenerateInput(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+        if self.oof_folds < 0 or self.oof_folds == 1:
+            raise DegenerateInput(f"oof_folds must be 0 or >= 2, got {self.oof_folds}")
 
 
 @dataclass
@@ -582,12 +586,20 @@ def _keyed(d, names, what: str) -> dict:
     return d
 
 
+# the JSON values a record field may hold, by its annotation (a string under
+# `from __future__ import annotations`): a boolean is never a number, and an
+# integer field takes no fraction
+_FIELD_TYPES = {"int": int, "float": (int, float), "int | None": (int, type(None))}
+
+
 def _record(cls, d, what: str, **inner):
     """cls(**d) for a dict d that holds exactly cls's field names; `inner`
     maps a field to the dataclass its value is read as, in the same way."""
     d = _keyed(d, cls, what)
+    kinds = {f.name: _FIELD_TYPES.get(f.type) for f in fields(cls)}
     return cls(**{k: _record(inner[k], v, f"{what}.{k}") if k in inner
-                  else _finite(v, f"{what}.{k}") for k, v in d.items()})
+                  else _finite(v, f"{what}.{k}") if kinds[k] is None
+                  else _typed(v, kinds[k], f"{what}.{k}") for k, v in d.items()})
 
 
 # the keys of save_model's document and of its "gp" object

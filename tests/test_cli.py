@@ -761,6 +761,34 @@ def _test_id_in_train(doc):
     doc["test_event_ids"].append(doc["train_event_ids"][0])
 
 
+def _train_fraction_above_one(doc):
+    doc["config"]["train_fraction"] = 5.0  # split_dataset rejects it
+
+
+def _true_train_fraction(doc):
+    doc["config"]["train_fraction"] = True  # a boolean where a float is read
+
+
+def _negative_oof_folds(doc):
+    doc["config"]["oof_folds"] = -3
+
+
+def _one_oof_fold(doc):
+    doc["config"]["oof_folds"] = 1  # out-of-fold means need two folds or none
+
+
+def _true_oof_folds(doc):
+    doc["config"]["oof_folds"] = True  # a boolean where an integer is read
+
+
+def _fractional_oof_folds(doc):
+    doc["config"]["oof_folds"] = 2.5
+
+
+def _fractional_split_seed(doc):
+    doc["config"]["split_seed"] = 1.5
+
+
 class TestCorruptModel:
     @pytest.mark.parametrize("corrupt", [
         _drop_gp, _sigma_ref_string, _child_out_of_range, _child_cycle,
@@ -775,6 +803,8 @@ class TestCorruptModel:
         _unknown_kernel_family, _other_gp_kernel_family, _extra_model_key,
         _extra_weather_std_key, _extra_enriched_std_key, _extra_gp_key, _extra_forest_key,
         _extra_tree_key, _short_importances, _test_id_in_train,
+        _train_fraction_above_one, _true_train_fraction, _negative_oof_folds, _one_oof_fold,
+        _true_oof_folds, _fractional_oof_folds, _fractional_split_seed,
     ])
     def test_corrupt_document_is_one_validation_error(self, workspace, tmp_path, corrupt):
         doc = json.loads(workspace["model"].read_text())

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from mvelma import dataio
-from mvelma.errors import DegenerateInput, EmptyWindow, SchemaError
+from mvelma.errors import DegenerateInput, EmptyWindow, MvelmaError, SchemaError
+from validate_reference import reference_validate_and_impute
 
 
 def series(start, offsets_values):
@@ -582,11 +583,142 @@ class TestValidateAndImpute:
         with pytest.raises(DegenerateInput):
             dataio.validate_and_impute(events, weather, enriched)
 
+    @pytest.mark.parametrize("short", [["e3"], ["e0", "e1", "e2", "e3", "e4"]])
+    @pytest.mark.parametrize("length", [23, 25])
+    def test_enriched_row_of_another_length_raises(self, short, length):
+        events, weather, enriched = small_raw()
+        for eid in short:
+            enriched[eid] = np.resize(enriched[eid], length)
+        expected = f"event {short[0]}: enriched row is ({length},), expected (24,)"
+        with pytest.raises(SchemaError, match=re.escape(expected)):
+            dataio.validate_and_impute(events, weather, enriched)
+
     def test_missing_weather_block_raises(self):
         events, weather, enriched = small_raw(n=3)
         del weather["e1"]
         with pytest.raises(SchemaError, match="e1"):
             dataio.validate_and_impute(events, weather, enriched)
+
+
+def messy_raw(seed):
+    """small_raw tables with every cleaning action: a low and a NaN
+    confidence, a filtered event with no weather rows, partial weather gaps,
+    gaps filled ahead of a fully missing variable that drops the event (and a
+    gap after it that is not), elevation and land-cover holes."""
+    conf = [95.0, 40.0, math.nan, 75.0, 60.0, 88.0, 59.0, 99.0]
+    events, weather, enriched = small_raw(n=8, seed=seed, conf=conf)
+    rng = np.random.default_rng(seed + 100)
+    del weather["e1"]
+    weather["e0"][rng.choice(30, 4, replace=False), 0] = np.nan
+    weather["e3"][rng.choice(30, 2, replace=False), 8] = np.nan
+    weather["e3"][[0, 29], 4] = np.nan
+    weather["e5"][rng.choice(30, 3, replace=False), 1] = np.nan
+    weather["e5"][rng.choice(30, 5, replace=False), 3] = np.nan
+    weather["e5"][:, 7] = np.nan
+    weather["e5"][rng.choice(30, 2, replace=False), 8] = np.nan
+    weather["e7"][:, 2] = np.nan
+    enriched["e2"][6] = np.nan
+    enriched["e4"][6] = np.nan
+    enriched["e3"][7 + rng.choice(17, 3, replace=False)] = np.nan
+    enriched["e0"][7 + 16] = np.nan
+    return events, weather, enriched
+
+
+# validate_and_impute's Dataset arrays and repr(report) for messy_raw(seed)
+CLEANED_DIGESTS = {
+    0: {"dataset": "27a91b0d0888789164699676def787da8cb31c25b4796bced8d069469cf96e55",
+        "report": "7e0ccfedd6762685d5d0f448a15a94b592fd0a477e79740d194ebc867657aaa4"},
+    1: {"dataset": "56af3dcae107c044318ce3835865dc85ed2659800d25c18909d1fab6b8e0eca8",
+        "report": "c78cac066612e37df04eb5a552fca4d290f111646e993819540e56da23661939"},
+    2: {"dataset": "77327a6473b0f6a236a8f207f960f4e5a20b2b35f2bc45a5bc615e760a2ec11c",
+        "report": "bae585fa70a16f4a5d13656ddd583bb223eccac57d1d701b488b7dcd56c3dadf"},
+}
+
+
+def faulty_raw(seed):
+    """Seeded small_raw-style tables with faults drawn at random: low, NaN
+    and integer confidences, partial and full weather gaps, range faults,
+    elevation, land-cover and non-imputable holes, misshapen weather blocks,
+    absent blocks and rows, list blocks, missing targets and NDVI series
+    with empty windows or none at all."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    conf = None
+    if rng.random() < 0.5:
+        conf = [math.nan if u < 0.15 else None if u < 0.25 else int(u * 100) if u > 0.9
+                else float(rng.uniform(30, 100)) for u in rng.random(n)]
+    events, weather, enriched = small_raw(n=n, seed=seed, conf=conf)
+    for ev, u in zip(events, rng.random(n)):
+        ev.target = None if u < 0.015 else math.nan if u < 0.03 else ev.target
+    for eid in list(weather):
+        w, e = weather[eid], enriched[eid]
+        for _ in range(int(rng.poisson(0.8))):
+            w[rng.choice(30, int(rng.integers(1, 30)), replace=False), rng.integers(9)] = np.nan
+        if rng.random() < 0.12:
+            w[:, rng.integers(9)] = np.nan
+        day, u = rng.integers(30), rng.random()
+        if u < 0.01:
+            w[day, rng.integers(2, 4)] = rng.choice([-1.0, 101.0])
+        elif u < 0.03:
+            w[day, rng.choice([1, 8])] = -0.5
+        elif u < 0.04:
+            w[day, 5] = w[day, 6] + 1.0
+        if rng.random() < 0.15:
+            e[6] = np.nan
+        if rng.random() < 0.15:
+            e[7 + rng.choice(17, int(rng.integers(1, 17)), replace=False)] = np.nan
+        if rng.random() < 0.03:
+            e[rng.integers(6)] = np.nan
+        if rng.random() < 0.01:
+            e[7:] = 0.2
+        if rng.random() < 0.01:
+            e[7 + rng.integers(17)] = -0.1
+        u = rng.random()
+        weather[eid] = w[:29] if u < 0.01 else w[:, :8] if u < 0.02 else w.tolist() if u < 0.1 else w
+        if rng.random() < 0.01:
+            del weather[eid]
+        if rng.random() < 0.01:
+            del enriched[eid]
+    ndvi = None
+    if rng.random() < 0.15:
+        ndvi = {ev.event_id: [(ev.start_date + dt.timedelta(days=int(off)), float(v))
+                              for off, v in [(-rng.integers(1, 31), rng.uniform(0.3, 0.8)),
+                                             (rng.integers(0, 31), rng.uniform(0.1, 0.6))]
+                              if rng.random() > 0.05]
+                for ev in events if rng.random() > 0.05}
+    return events, weather, enriched, ndvi
+
+
+def cleaned(validate, raw):
+    """The Dataset's bytes and the report's repr, or the error's type and message."""
+    try:
+        ds, report = validate(*raw)
+    except MvelmaError as exc:
+        return type(exc), str(exc)
+    return (_sha256(ds.weather, ds.enriched, ds.targets, [ev.event_id for ev in ds.events]),
+            repr(report))
+
+
+class TestCleanedBytes:
+    def test_matches_per_event_loop_reference(self):
+        outcomes = {"ok": 0, "raised": 0}
+        for seed in range(1000):
+            got = cleaned(dataio.validate_and_impute, faulty_raw(seed))
+            assert got == cleaned(reference_validate_and_impute, faulty_raw(seed)), seed
+            outcomes["raised" if isinstance(got[0], type) else "ok"] += 1
+        # both sides of the comparison are well represented
+        assert min(outcomes.values()) > 300, outcomes
+
+
+    @pytest.mark.parametrize("seed", list(CLEANED_DIGESTS))
+    def test_dataset_and_report_pinned_byte_for_byte(self, seed):
+        ds, report = dataio.validate_and_impute(*messy_raw(seed))
+        assert report.filtered_low_confidence == ["e1", "e6"]
+        assert [ev.event_id for ev in ds.events] == ["e0", "e2", "e3", "e4"]
+        assert {
+            "dataset": _sha256(ds.weather, ds.enriched, ds.targets),
+            "report": _sha256(repr(report)),
+        } == CLEANED_DIGESTS[seed]
 
 
 def _sha256(*parts) -> str:
