@@ -40,6 +40,8 @@ class ForestConfig:
             raise DegenerateInput("min_samples_leaf must be >= 1")
         if self.max_depth is not None and self.max_depth < 0:
             raise DegenerateInput("max_depth must be >= 0")
+        if self.features_per_split is not None and self.features_per_split < 1:
+            raise DegenerateInput("features_per_split must be >= 1")
         if self.seed < 0:
             raise DegenerateInput("seed must be >= 0")
 

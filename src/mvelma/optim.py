@@ -27,6 +27,13 @@ class OptimizerConfig:
             raise DegenerateInput("max_epochs must be >= 1")
         if self.patience < 1:
             raise DegenerateInput("patience must be >= 1")
+        # Adam divides by 1 - beta^t and by sqrt(vhat) + eps
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise DegenerateInput("beta1 and beta2 must be in [0, 1)")
+        if not (self.eps > 0 and math.isfinite(self.eps)):
+            raise DegenerateInput("eps must be finite and > 0")
+        if not (self.min_delta >= 0 and math.isfinite(self.min_delta)):
+            raise DegenerateInput("min_delta must be finite and >= 0")
 
 
 class Adam:

@@ -10,11 +10,13 @@ head by mean squared error; without the encoder nothing trains and z is the
 9 per-channel 30-day weather means. Then, alike for all seven variants and
 each only where an output reads it: z, the GP inputs, the GP state (a
 hyperparameter-only fit when there is no encoder), the in-sample posterior
-means (out-of-fold for the forest when oof_folds >= 2), and the forest,
-which fits y on [z ; static ; posterior mean], or [z ; static] without the
-GP. Without the forest the prediction is the GP mean. predict builds its
-inputs with the same helpers (_standardized, _latent, _gp_inputs, _stack),
-and subset_by_ids is the one map from event ids to dataset rows.
+means (out-of-fold for the forest when oof_folds >= 2, all from the state's
+one Cholesky factor, and leave-one-out when oof_folds is at least the train
+count), and the forest, which fits y on [z ; static ; posterior mean], or
+[z ; static] without the GP. Without the forest the prediction is the GP
+mean. predict builds its inputs with the same helpers (_standardized,
+_latent, _gp_inputs, _stack), and subset_by_ids is the one map from event
+ids to dataset rows.
 """
 
 from __future__ import annotations
@@ -75,7 +77,9 @@ class PipelineConfig:
     split_seed: int = 0
     standardize_weather: bool = True  # the only value: weather channels are z-scored
     standardize_enriched: bool = True  # the only value: static columns are z-scored
-    oof_folds: int = 0  # 0, or k >= 2 for k-fold out-of-fold posterior means in the stack
+    # 0, or k >= 2 for k-fold out-of-fold posterior means in the stack; k at
+    # least the train count is leave-one-out
+    oof_folds: int = 0
 
     def __post_init__(self):
         variant_components(self.ablation)
@@ -247,16 +251,20 @@ def _train_encoder(weather3, params0: enc.EncoderParams, loss_block, block0, opt
     return enc.EncoderParams(cfg, best[:n_enc]), best[n_enc:], trace
 
 
-def _oof_means(state: gp.GPState, x: np.ndarray, y: np.ndarray, folds: int, seed: int):
-    """Out-of-fold posterior means with hyperparameters held fixed."""
-    n = x.shape[0]
-    order = np.random.default_rng(seed).permutation(n)
-    mu = np.empty(n)
-    for f in range(folds):
+def _oof_means(state: gp.GPState, folds: int, seed: int):
+    """Out-of-fold means of the refreshed state's n train rows, from its one
+    factor: fold H, rows order[f::folds], has y_H - (A^-1_HH)^-1 alpha_H with
+    A^-1 = L^-T L^-1 (Rasmussen & Williams 2006, eq. 5.12; Ginsbourger &
+    Scharer, arXiv:2101.03108). Folds past the n-th hold no row, so
+    folds >= n is leave-one-out."""
+    y, alpha = state.train_targets, state.alpha.ravel()
+    order = np.random.default_rng(seed).permutation(y.size)
+    a_inv = state.chol.inverse.T @ state.chol.inverse
+    mu = np.empty(y.size)
+    for f in range(min(folds, y.size)):
         hold = order[f::folds]
-        keep = np.setdiff1d(order, hold)
-        st = state.refresh(x[keep], y[keep])
-        mu[hold] = gp.posterior(st, x[hold]).mean
+        block = nc.cholesky(a_inv[np.ix_(hold, hold)])
+        mu[hold] = y[hold] - nc.solve_spd(block, alpha[hold]).ravel()
     return mu
 
 
@@ -314,7 +322,7 @@ def train_joint(data: Dataset, cfg: PipelineConfig | None = None) -> TrainedMode
         sigma_ref = float(np.sqrt(post.variance).max())
         mu = post.mean
         if uses_forest and cfg.oof_folds >= 2:
-            mu = _oof_means(gp_state, x, y, cfg.oof_folds, cfg.split_seed)
+            mu = _oof_means(gp_state, cfg.oof_folds, cfg.split_seed)
     if uses_forest:
         forest = fit_forest(_stack(z, static, mu), y, cfg.forest)
 
@@ -504,7 +512,7 @@ def _tree_from_doc(t, n_features: int) -> RegressionTree:
     are -1 (leaf) or a column index, and whose internal nodes point at integer
     children in range and after themselves, so every walk ends at a leaf."""
     t = _keyed(t, RegressionTree, "forest.trees")
-    feature, left, right = (np.asarray(_no_bools(t[k], f"forest tree {k}"))
+    feature, left, right = (np.asarray(_numbers_only(t[k], f"forest tree {k}"))
                             for k in ("feature", "left", "right"))
     if any(a.size and a.dtype.kind not in "iu" for a in (feature, left, right)):
         raise SchemaError("forest tree feature and child indices must be integers")
@@ -529,9 +537,10 @@ def _tree_from_doc(t, n_features: int) -> RegressionTree:
 
 
 def _typed(value, types, what: str):
-    """value itself when it is one of `types` (bool never counts as a number)
-    and not a NaN or infinite float."""
-    if isinstance(value, bool) or not isinstance(value, types):
+    """value itself when it is one of `types` and not a NaN or infinite float.
+    A JSON true or false is a bool only where `types` is bool, and never a
+    number."""
+    if isinstance(value, bool) is not (types is bool) or not isinstance(value, types):
         raise SchemaError(f"{what} has type {type(value).__name__}")
     return _finite(value, what)
 
@@ -543,22 +552,24 @@ def _finite(value, what: str):
     return value
 
 
-def _no_bools(values, what: str):
-    """values itself unless a JSON true or false stands in it, in a list at any
-    depth: numpy would read it as the number 1 or 0."""
+def _numbers_only(values, what: str):
+    """values itself unless a JSON true or false or a string stands in it, in
+    a list at any depth: numpy would read a boolean as the number 1 or 0, and
+    parse a string such as "1" or " 1e3 " as a number."""
     kinds = set(map(type, values)) if isinstance(values, list) else {type(values)}
-    if bool in kinds:
-        raise SchemaError(f"{what} holds a boolean")
+    for kind, name in ((bool, "a boolean"), (str, "a string")):
+        if kind in kinds:
+            raise SchemaError(f"{what} holds {name}")
     if list in kinds:
         for item in values:
-            _no_bools(item, what)
+            _numbers_only(item, what)
     return values
 
 
 def _floats(values, what: str) -> np.ndarray:
-    """values, which hold no boolean, as a float64 array whose every entry is
-    finite."""
-    return nc.require_finite(np.asarray(_no_bools(values, what), dtype=np.float64), what)
+    """values, which hold no boolean and no string, as a float64 array whose
+    every entry is finite."""
+    return nc.require_finite(np.asarray(_numbers_only(values, what), dtype=np.float64), what)
 
 
 def _event_ids(value, what: str) -> list:
@@ -587,9 +598,10 @@ def _keyed(d, names, what: str) -> dict:
 
 
 # the JSON values a record field may hold, by its annotation (a string under
-# `from __future__ import annotations`): a boolean is never a number, and an
-# integer field takes no fraction
-_FIELD_TYPES = {"int": int, "float": (int, float), "int | None": (int, type(None))}
+# `from __future__ import annotations`): a boolean is never a number, a bool
+# field takes only a boolean, and an integer field takes no fraction
+_FIELD_TYPES = {"int": int, "float": (int, float), "int | None": (int, type(None)),
+                "bool": bool}
 
 
 def _record(cls, d, what: str, **inner):
@@ -653,8 +665,6 @@ def _model_from_doc(doc) -> TrainedModel:
         if n_features != width:
             raise DimensionMismatch(f"forest n_features {n_features} != stack width {width}")
         trees = [_tree_from_doc(t, n_features) for t in _typed(d["trees"], list, "forest trees")]
-        if not trees:
-            raise SchemaError("forest has no trees")
         forest = Forest(
             trees=trees,
             importances=_floats(d["importances"], "forest importances"),
@@ -664,6 +674,12 @@ def _model_from_doc(doc) -> TrainedModel:
         if forest.importances.shape != (n_features,):
             raise SchemaError(f"forest importances need {n_features} entries, "
                               f"got shape {forest.importances.shape}")
+        # train_joint fits the forest on config.forest, one tree per n_trees
+        if forest.config != cfg.forest:
+            raise SchemaError("forest.config differs from config.forest")
+        if len(trees) != cfg.forest.n_trees:
+            raise SchemaError(f"forest has {len(trees)} trees, config.forest.n_trees is "
+                              f"{cfg.forest.n_trees}")
 
     loss_trace = _typed(doc["loss_trace"], list, "loss_trace")
     _floats(loss_trace, "loss_trace")
@@ -715,6 +731,7 @@ def load_model(path) -> TrainedModel:
     non-finite number, a config value train_joint cannot write, a GP kernel
     of another family than the configured one, a missing standardizer or
     one with a std <= 0, a negative sigma_ref, a malformed forest tree, a
+    forest whose config or tree count is not config.forest's, a
     wrong-length encoder, head or importances, model parts that do not match
     the configured ablation, GP inputs or forest features of another width
     than predict builds, a GP target count other than its input rows, or an

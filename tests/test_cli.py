@@ -789,6 +789,35 @@ def _fractional_split_seed(doc):
     doc["config"]["split_seed"] = 1.5
 
 
+def _numeric_string_in_standardizer(doc):
+    doc["weather_std"]["mean"][0] = "1"  # numpy parses it as 1.0
+
+
+def _padded_string_threshold(doc):
+    _internal_tree(doc)["threshold"][0] = " 1e3 "
+
+
+def _bootstrap(value):
+    """The forest's bootstrap flag set to `value` in both config records."""
+    def corrupt(doc):
+        doc["config"]["forest"]["bootstrap"] = doc["forest"]["config"]["bootstrap"] = value
+    corrupt.__name__ = f"_bootstrap_{value!r}"
+    return corrupt
+
+
+def _forest_config_more_trees(doc):
+    doc["forest"]["config"]["n_trees"] += 7  # config.forest keeps its count
+
+
+def _dropped_tree(doc):
+    doc["forest"]["trees"].pop()
+
+
+def _more_trees_configured_than_stored(doc):
+    doc["config"]["forest"]["n_trees"] += 7
+    doc["forest"]["config"]["n_trees"] += 7
+
+
 class TestCorruptModel:
     @pytest.mark.parametrize("corrupt", [
         _drop_gp, _sigma_ref_string, _child_out_of_range, _child_cycle,
@@ -805,6 +834,9 @@ class TestCorruptModel:
         _extra_tree_key, _short_importances, _test_id_in_train,
         _train_fraction_above_one, _true_train_fraction, _negative_oof_folds, _one_oof_fold,
         _true_oof_folds, _fractional_oof_folds, _fractional_split_seed,
+        _numeric_string_in_standardizer, _padded_string_threshold,
+        _bootstrap("no"), _bootstrap([1]), _bootstrap(1),
+        _forest_config_more_trees, _dropped_tree, _more_trees_configured_than_stored,
     ])
     def test_corrupt_document_is_one_validation_error(self, workspace, tmp_path, corrupt):
         doc = json.loads(workspace["model"].read_text())
@@ -928,15 +960,23 @@ class TestModelRecords:
             assert err == f"validation error: {path}: {record} record: {kind} key {key!r}\n"
         assert not (tmp_path / "p.csv").exists()
 
-    @pytest.mark.parametrize("record,key", [
-        ("config.forest", "n_trees"), ("forest.config", "n_trees"),
-        ("config.gp_opt", "max_epochs"), ("config.gp_opt", "patience"),
-        ("config.gp_opt", "learning_rate"),
+    # a case's id names its value unless that is 0
+    @pytest.mark.parametrize("record,key,value", [
+        pytest.param(record, key, value, id=f"{record}-{key}" + (f"={value}" if value else ""))
+        for record, key, value in [
+            ("config.forest", "n_trees", 0), ("forest.config", "n_trees", 0),
+            ("config.gp_opt", "max_epochs", 0), ("config.gp_opt", "patience", 0),
+            ("config.gp_opt", "learning_rate", 0),
+            ("config.gp_opt", "beta1", 5.0), ("config.gp_opt", "beta1", 1.0),
+            ("config.gp_opt", "beta2", -0.5), ("config.gp_opt", "eps", -1),
+            ("config.gp_opt", "eps", 0), ("config.gp_opt", "min_delta", -3),
+            ("config.forest", "features_per_split", 0),
+        ]
     ])
     def test_config_value_out_of_range_is_one_validation_error(self, fixture_data, tmp_path,
-                                                               record, key):
+                                                               record, key, value):
         doc = json.loads((MODEL_FIXTURE / "model.json").read_text())
-        functools.reduce(lambda d, k: d[k], record.split("."), doc)[key] = 0
+        functools.reduce(lambda d, k: d[k], record.split("."), doc)[key] = value
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
         code, err = run_cli_stderr("predict", "--model", path, "--data", fixture_data,

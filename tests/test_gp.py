@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import tape_reference as tr
+from blas_core import pinned
 from scipy.special import gamma, kv
 
 from mvelma import gp
@@ -378,14 +379,25 @@ def nmll_digest(family, n_latent):
     return hashlib.sha256(b"".join(p.tobytes() for p in parts)).hexdigest()
 
 
-# nmll_node's outputs, pinned byte for byte: (family, n_latent) -> nmll_digest.
+# nmll_node's outputs, pinned byte for byte: BLAS core -> (family, n_latent)
+# -> nmll_digest.
 NMLL_DIGESTS = {
-    ("rbf", 20): "83142ff12bf412f757bf1da2eb305bd8d0dd7111ce6365677bf988bc3691c241",
-    ("rbf", 0): "b6b0b2e96f7dac6ffe38172a2296dd03f44546655aaabfd32861b1e18c42bd60",
-    ("matern25", 20): "d8aca4aae9484cff12339f930a0ab4adc0a611f39a4fce322d4234616db3ee57",
-    ("matern25", 0): "3fef6d70232a1ca942a7a8cb6ab90c526b2afadf03df6811619d8ad35a349d0a",
-    ("composite", 20): "fd2e0fbe4b165fbda434bf44d6cb9932155cf86d003f2fc748cf49e4909fee5a",
-    ("composite", 0): "b22cc33f4815a5881291ec8565aba7294ab4ff7efb574f25ed1bceb0b4dcc9b9",
+    "SkylakeX": {
+        ("rbf", 20): "83142ff12bf412f757bf1da2eb305bd8d0dd7111ce6365677bf988bc3691c241",
+        ("rbf", 0): "b6b0b2e96f7dac6ffe38172a2296dd03f44546655aaabfd32861b1e18c42bd60",
+        ("matern25", 20): "d8aca4aae9484cff12339f930a0ab4adc0a611f39a4fce322d4234616db3ee57",
+        ("matern25", 0): "3fef6d70232a1ca942a7a8cb6ab90c526b2afadf03df6811619d8ad35a349d0a",
+        ("composite", 20): "fd2e0fbe4b165fbda434bf44d6cb9932155cf86d003f2fc748cf49e4909fee5a",
+        ("composite", 0): "b22cc33f4815a5881291ec8565aba7294ab4ff7efb574f25ed1bceb0b4dcc9b9",
+    },
+    "Haswell": {
+        ("rbf", 20): "9d9bcbef00d109b6f367b97a7719adc65e8513bf1ee66a1cf0b5bf54d54eaa0b",
+        ("rbf", 0): "c0c98a92fd184d72b2439a4ee5df483f9c97374d2e29335d5abb89b162860345",
+        ("matern25", 20): "9ac2b5e2f3d627b738383c1578a51fb193b2ad81ea9c7eb9f452cf563a222bad",
+        ("matern25", 0): "670a9e03c11ec6138887dd2a75be0a15e1af5df53eb7ea004ee902e612eeb103",
+        ("composite", 20): "46c115ab6d9ec5a7b8f04159331ffa7e0ebb744c2c6ae9c40fc2f8fcef1df430",
+        ("composite", 0): "334fb2e461643b9bc526143dab4448488ff35a033bbe3d816129352fb01efc34",
+    },
 }
 # Bounds on nmll_node's tracemalloc peak on _nmll_problem, in MiB; one n x n
 # array is 1.22 MiB. The likelihood peaks at 7.4 and 5.5 (rbf), 7.5 and 7.3
@@ -406,9 +418,9 @@ NMLL_PEAK_MB = {
 
 class TestNmllWorkingSet:
     @pytest.mark.determinism
-    @pytest.mark.parametrize("case", list(NMLL_DIGESTS), ids=str)
+    @pytest.mark.parametrize("case", list(NMLL_DIGESTS["SkylakeX"]), ids=str)
     def test_outputs_pinned_byte_for_byte(self, case):
-        assert nmll_digest(*case) == NMLL_DIGESTS[case]
+        assert nmll_digest(*case) == pinned(NMLL_DIGESTS)[case]
 
     @pytest.mark.parametrize("case", list(NMLL_PEAK_MB), ids=str)
     def test_peak_memory(self, case):

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 import tape_reference as tr
+from blas_core import pinned
 
 from mvelma import encoder as enc
 from mvelma import numcore as nc
@@ -203,6 +204,24 @@ class TestSolveSpd:
             nc.solve_spd(f, np.ones((4, 1)))
 
 
+# lower_inverse of the factor of random_spd(n), pinned byte for byte: BLAS core
+# -> n -> SHA-256
+LOWER_INVERSE_DIGESTS = {
+    "SkylakeX": {
+        65: "158342264f06715c289c53af8cb42d76329ffd0d89d8aeb6a69ed0c871ee42a3",
+        129: "eb70566fd20c974893c337db0d1a37e950ed987f0aff3157946d7bba3b0e97e2",
+        400: "0ad29b3e291e9f2cd848c47fd7492a575e2025b840dfecfb51c10808990c6869",
+        401: "484377f95569391d28c8be86aaccda552a2680cca98cd160f46cf88f212b6ec4",
+    },
+    "Haswell": {
+        65: "2180a1748830b4766b1aeb39b3fe2ecae350ff05a1df3998aeef03ad1b19c578",
+        129: "906fe184154ceddd66b44f6dc34f15a1c0ab8fede15086ab1de35027fcd05950",
+        400: "eb70ea84fdb426f8e66bcbed67b18674f939c3e36dc38794cb927893a0c5e9f1",
+        401: "642853fc57e44ac405904266d3200f3b6487c26426b2b9069ba2eaec0b501e59",
+    },
+}
+
+
 class TestLowerInverse:
     @pytest.mark.parametrize("n", [1, 5, 64, 65, 200])
     def test_inverts_cholesky_factor(self, n):
@@ -213,20 +232,17 @@ class TestLowerInverse:
         assert np.array_equal(inv, np.tril(inv))
         assert np.allclose(inv @ lower, np.eye(n), atol=1e-10)
 
-    @pytest.mark.parametrize("n, digest", [
-        (65, "158342264f06715c289c53af8cb42d76329ffd0d89d8aeb6a69ed0c871ee42a3"),
-        (129, "eb70566fd20c974893c337db0d1a37e950ed987f0aff3157946d7bba3b0e97e2"),
-        (400, "0ad29b3e291e9f2cd848c47fd7492a575e2025b840dfecfb51c10808990c6869"),
-        (401, "484377f95569391d28c8be86aaccda552a2680cca98cd160f46cf88f212b6ec4"),
-    ])
+    # the ids name each case by its n and SkylakeX digest
+    @pytest.mark.parametrize("n", list(LOWER_INVERSE_DIGESTS["SkylakeX"]),
+                             ids=lambda n: f"{n}-{LOWER_INVERSE_DIGESTS['SkylakeX'][n]}")
     @pytest.mark.determinism
-    def test_inverse_pinned_byte_for_byte(self, n, digest):
+    def test_inverse_pinned_byte_for_byte(self, n):
         # SHA-256 of the inverse, at one BLAS thread as the pipeline runs it
         rng = np.random.default_rng(RNG_SEED + 11)
         with nc.one_blas_thread():
             lower = nc.cholesky(random_spd(rng, n)).lower
             inv = nc.lower_inverse(lower)
-        assert hashlib.sha256(inv.tobytes()).hexdigest() == digest
+        assert hashlib.sha256(inv.tobytes()).hexdigest() == pinned(LOWER_INVERSE_DIGESTS)[n]
 
 
 def _weighted_sum(tape, node, w):

@@ -8,6 +8,8 @@ import weakref
 import numpy as np
 import pytest
 import tape_reference as tr
+from blas_core import pinned
+from oof_reference import reference_oof_means
 
 from mvelma import dataio, encoder, gp, gradcheck, optim, pipeline
 from mvelma import numcore as nc
@@ -140,6 +142,30 @@ class TestSeeds:
     def test_negative_seed_rejected(self, make):
         with pytest.raises(DegenerateInput, match="seed must be >= 0"):
             make()
+
+
+class TestConfigRanges:
+    @pytest.mark.parametrize("make", [
+        lambda: OptimizerConfig(beta1=1.0),
+        lambda: OptimizerConfig(beta1=-0.1),
+        lambda: OptimizerConfig(beta2=1.0),
+        lambda: OptimizerConfig(eps=0.0),
+        lambda: OptimizerConfig(eps=-1.0),
+        lambda: OptimizerConfig(eps=math.inf),
+        lambda: OptimizerConfig(min_delta=-3.0),
+        lambda: OptimizerConfig(min_delta=math.nan),
+        lambda: ForestConfig(features_per_split=0),
+    ], ids=["beta1=1", "beta1<0", "beta2=1", "eps=0", "eps<0", "eps=inf", "min_delta<0",
+            "min_delta=nan", "features_per_split=0"])
+    def test_value_out_of_range_rejected(self, make):
+        """Values Adam or the forest cannot train with: at beta1 = 1, Adam's
+        bias correction divides by zero."""
+        with pytest.raises(DegenerateInput):
+            make()
+
+    def test_edges_accepted(self):
+        OptimizerConfig(beta1=0.0, beta2=0.0, min_delta=0.0, eps=1e-300)
+        ForestConfig(features_per_split=1)
 
 
 class TestMseHead:
@@ -316,65 +342,164 @@ class TestTrainJoint:
         assert calls == {"oof": oof_calls, "untaped": final_passes}
 
 
+class TestOofMeans:
+    """Out-of-fold GP means from the one factor, against the per-fold refit
+    of oof_reference."""
+
+    @pytest.mark.parametrize("family", gp.FAMILIES)
+    def test_matches_per_fold_refit(self, family):
+        # periodic parts are PSD over a Euclidean norm only in 1-D
+        n = 50
+        rng = np.random.default_rng(4242)
+        x = rng.standard_normal((n, 1 if family in ("periodic", "composite") else 5))
+        y = np.sin(x[:, 0]) + 0.1 * rng.standard_normal(n)
+        state = gp.init_state(x, y, family).refresh(x, y)
+        for folds in (2, 5, n, n + 3):  # n + 3 folds leave 3 empty
+            found = pipeline._oof_means(state, folds, 3)
+            assert np.abs(found - reference_oof_means(state, x, y, folds, 3)).max() < 1e-10
+
+    @pytest.mark.parametrize("tag", ["full", "no-bilstm", "no-rf", "no-bilstm-rf"])
+    @pytest.mark.parametrize("folds", [0, 5, 32, 500])
+    def test_one_factor_and_one_posterior_per_training(self, monkeypatch, tag, folds):
+        """The 32 train rows are factored once, at any fold count, including
+        leave-one-out and more folds than rows."""
+        calls = {"refresh": 0, "posterior": 0}
+        refresh, posterior = gp.GPState.refresh, gp.posterior
+
+        def counted_refresh(state, *args):
+            calls["refresh"] += 1
+            return refresh(state, *args)
+
+        def counted_posterior(*args):
+            calls["posterior"] += 1
+            return posterior(*args)
+
+        monkeypatch.setattr(gp.GPState, "refresh", counted_refresh)
+        monkeypatch.setattr(gp, "posterior", counted_posterior)
+        model = pipeline.train_joint(tiny_data(), tiny_cfg(ablation=tag, oof_folds=folds))
+        assert len(model.train_event_ids) == 32
+        assert calls == {"refresh": 1, "posterior": 1}
+
+
 # SHA-256 of the saved model and of predict's yhat, gp_mean, gp_variance and
-# confidence for each variant on synth_generate(120, 4, 5)
+# confidence for each variant on synth_generate(120, 4, 5), by BLAS core
 VARIANT_DIGESTS = {
-    ("full", "latent"): (
-        "44ea03d7467973649ac30d6c0c6e6904e91a815bdffe63696145fd0102738df5",
-        "bbe3494fb79258c6241717a304a5925c959849a2126d22f7f99c5604c30192eb",
-        "63f3efac73f7018a283894ec37e55bc54c4ef7678a08eee6e488e73ba737bd29",
-        "b40e3ab0aee6312a2a89a95ccd8b9010c68849f5b521f5c230ff00a5eba3b0e2",
-        "b9a3138e8e1eb68a36e22e731b8bfa9ff7c3720a6e5091c2366006fcf01dc6e5",
-    ),
-    ("no-bilstm", "latent"): (
-        "dab3cf834b6577c989ffae00890297c90743615ad7d8daeea5067542834e5a8d",
-        "1fd0781ca9ffe28669370698ca19785a1286127c16337befd83e89c933f09da9",
-        "e6371832225808a134a0a6e4cfa1de25dc33ddc2b852de22c6cfa3be9f110e81",
-        "814dd17e59f4ad47f2168c72c315439666edbac1b1aba21670f581b1c828f698",
-        "c9f928a206e31eff2a66f63fd6a49e32c9e4cafeac532e88692243af94479644",
-    ),
-    ("no-gpr", "latent"): (
-        "e66700e342288a93fce83e55ae2d602a098ed9cdbd31ef0f05fad2919c1f519d",
-        "b63db5d1f384a8d44ad4dc7fe37c2f36a047e81b7eaef56ae087f1322c99423f",
-        "b63db5d1f384a8d44ad4dc7fe37c2f36a047e81b7eaef56ae087f1322c99423f",
-        "3dc463a76fc170607c07b104c3cb531362ce7d6e10c1a34e0c0f370aeae08ce8",
-        "ec38ca809caaf4ffee20de9f376ae3f3ec363403e4875ba125c2f080ed75eb6d",
-    ),
-    ("no-rf", "latent"): (
-        "7f4d14402406f3006aeeb38a70f14b4d93d2adab4820a729ef480b3200c54ca8",
-        "63f3efac73f7018a283894ec37e55bc54c4ef7678a08eee6e488e73ba737bd29",
-        "63f3efac73f7018a283894ec37e55bc54c4ef7678a08eee6e488e73ba737bd29",
-        "b40e3ab0aee6312a2a89a95ccd8b9010c68849f5b521f5c230ff00a5eba3b0e2",
-        "b9a3138e8e1eb68a36e22e731b8bfa9ff7c3720a6e5091c2366006fcf01dc6e5",
-    ),
-    ("no-bilstm-gpr", "latent"): (
-        "473c6b6209144486893ed619004dfa4bb4a6faeb0c6ae5700d81b98c5f199eda",
-        "877dcbc6f1f3830bbba391d7c3311eb5f526f7d99751ef37c53636eee587a02b",
-        "877dcbc6f1f3830bbba391d7c3311eb5f526f7d99751ef37c53636eee587a02b",
-        "3dc463a76fc170607c07b104c3cb531362ce7d6e10c1a34e0c0f370aeae08ce8",
-        "ec38ca809caaf4ffee20de9f376ae3f3ec363403e4875ba125c2f080ed75eb6d",
-    ),
-    ("no-bilstm-rf", "latent"): (
-        "0594c7b31907fbadcdf39229bbdb957bbc17d249545870d910a690dce44cc542",
-        "e6371832225808a134a0a6e4cfa1de25dc33ddc2b852de22c6cfa3be9f110e81",
-        "e6371832225808a134a0a6e4cfa1de25dc33ddc2b852de22c6cfa3be9f110e81",
-        "814dd17e59f4ad47f2168c72c315439666edbac1b1aba21670f581b1c828f698",
-        "c9f928a206e31eff2a66f63fd6a49e32c9e4cafeac532e88692243af94479644",
-    ),
-    ("no-gpr-rf", "latent"): (
-        "96ee9259e327d6cf5d5a7272ebb084ad77f2e17013918ac79ea66de8ad5b62fa",
-        "24171c3c0f71bb70276b40f27c17173e0940af6e7e4b0ced506797aede6cfc5b",
-        "24171c3c0f71bb70276b40f27c17173e0940af6e7e4b0ced506797aede6cfc5b",
-        "3dc463a76fc170607c07b104c3cb531362ce7d6e10c1a34e0c0f370aeae08ce8",
-        "ec38ca809caaf4ffee20de9f376ae3f3ec363403e4875ba125c2f080ed75eb6d",
-    ),
-    ("full", "stacked"): (
-        "32fadb624aba1af8931d346934a4072511722c1d352c6c484f8adf11aa1b8ff8",
-        "4d4a93b2cc9a6bb04f3cd8443f965d3e99d4f49113b5ef2e8778108db84bbacb",
-        "056eb2414b904558143d59b801c38fa672447c80e56d819c307a2888720b3302",
-        "4736d189d0b8e14b070af100f089fa293076eefda096e72cec0753d7b95b6206",
-        "fbeea32adf93b1d7f79e5c0c121e16b5b276695e77bcd58b9555a001626a08ac",
-    ),
+    "SkylakeX": {
+        ("full", "latent"): (
+            "de783c8c0317256febf50a414d363515b78f36bfcf2d64260810d45c8547954c",
+            "bbe3494fb79258c6241717a304a5925c959849a2126d22f7f99c5604c30192eb",
+            "63f3efac73f7018a283894ec37e55bc54c4ef7678a08eee6e488e73ba737bd29",
+            "b40e3ab0aee6312a2a89a95ccd8b9010c68849f5b521f5c230ff00a5eba3b0e2",
+            "b9a3138e8e1eb68a36e22e731b8bfa9ff7c3720a6e5091c2366006fcf01dc6e5",
+        ),
+        ("no-bilstm", "latent"): (
+            "9b2d065a6a746d7d85f1795d4dd9cb604d9a1544a25b0034c2ec5b675a06bb97",
+            "1fd0781ca9ffe28669370698ca19785a1286127c16337befd83e89c933f09da9",
+            "e6371832225808a134a0a6e4cfa1de25dc33ddc2b852de22c6cfa3be9f110e81",
+            "814dd17e59f4ad47f2168c72c315439666edbac1b1aba21670f581b1c828f698",
+            "c9f928a206e31eff2a66f63fd6a49e32c9e4cafeac532e88692243af94479644",
+        ),
+        ("no-gpr", "latent"): (
+            "e66700e342288a93fce83e55ae2d602a098ed9cdbd31ef0f05fad2919c1f519d",
+            "b63db5d1f384a8d44ad4dc7fe37c2f36a047e81b7eaef56ae087f1322c99423f",
+            "b63db5d1f384a8d44ad4dc7fe37c2f36a047e81b7eaef56ae087f1322c99423f",
+            "3dc463a76fc170607c07b104c3cb531362ce7d6e10c1a34e0c0f370aeae08ce8",
+            "ec38ca809caaf4ffee20de9f376ae3f3ec363403e4875ba125c2f080ed75eb6d",
+        ),
+        ("no-rf", "latent"): (
+            "7f4d14402406f3006aeeb38a70f14b4d93d2adab4820a729ef480b3200c54ca8",
+            "63f3efac73f7018a283894ec37e55bc54c4ef7678a08eee6e488e73ba737bd29",
+            "63f3efac73f7018a283894ec37e55bc54c4ef7678a08eee6e488e73ba737bd29",
+            "b40e3ab0aee6312a2a89a95ccd8b9010c68849f5b521f5c230ff00a5eba3b0e2",
+            "b9a3138e8e1eb68a36e22e731b8bfa9ff7c3720a6e5091c2366006fcf01dc6e5",
+        ),
+        ("no-bilstm-gpr", "latent"): (
+            "473c6b6209144486893ed619004dfa4bb4a6faeb0c6ae5700d81b98c5f199eda",
+            "877dcbc6f1f3830bbba391d7c3311eb5f526f7d99751ef37c53636eee587a02b",
+            "877dcbc6f1f3830bbba391d7c3311eb5f526f7d99751ef37c53636eee587a02b",
+            "3dc463a76fc170607c07b104c3cb531362ce7d6e10c1a34e0c0f370aeae08ce8",
+            "ec38ca809caaf4ffee20de9f376ae3f3ec363403e4875ba125c2f080ed75eb6d",
+        ),
+        ("no-bilstm-rf", "latent"): (
+            "0594c7b31907fbadcdf39229bbdb957bbc17d249545870d910a690dce44cc542",
+            "e6371832225808a134a0a6e4cfa1de25dc33ddc2b852de22c6cfa3be9f110e81",
+            "e6371832225808a134a0a6e4cfa1de25dc33ddc2b852de22c6cfa3be9f110e81",
+            "814dd17e59f4ad47f2168c72c315439666edbac1b1aba21670f581b1c828f698",
+            "c9f928a206e31eff2a66f63fd6a49e32c9e4cafeac532e88692243af94479644",
+        ),
+        ("no-gpr-rf", "latent"): (
+            "96ee9259e327d6cf5d5a7272ebb084ad77f2e17013918ac79ea66de8ad5b62fa",
+            "24171c3c0f71bb70276b40f27c17173e0940af6e7e4b0ced506797aede6cfc5b",
+            "24171c3c0f71bb70276b40f27c17173e0940af6e7e4b0ced506797aede6cfc5b",
+            "3dc463a76fc170607c07b104c3cb531362ce7d6e10c1a34e0c0f370aeae08ce8",
+            "ec38ca809caaf4ffee20de9f376ae3f3ec363403e4875ba125c2f080ed75eb6d",
+        ),
+        ("full", "stacked"): (
+            "32fadb624aba1af8931d346934a4072511722c1d352c6c484f8adf11aa1b8ff8",
+            "4d4a93b2cc9a6bb04f3cd8443f965d3e99d4f49113b5ef2e8778108db84bbacb",
+            "056eb2414b904558143d59b801c38fa672447c80e56d819c307a2888720b3302",
+            "4736d189d0b8e14b070af100f089fa293076eefda096e72cec0753d7b95b6206",
+            "fbeea32adf93b1d7f79e5c0c121e16b5b276695e77bcd58b9555a001626a08ac",
+        ),
+    },
+    "Haswell": {
+        ("full", "latent"): (
+            "c9bcf56b4943c74b7b7ef379372ed7439a508b41a13f3935af3c729cc4667a8c",
+            "bbe3494fb79258c6241717a304a5925c959849a2126d22f7f99c5604c30192eb",
+            "2a01b5227039ec52533d4bd4e57bbf7f0589327c96e6fcf7194b1381f2c72a0d",
+            "c1a1f4405ce8986e0c9890a78f6b72ab0ea952cf7f99636d86950cd386730458",
+            "a29d5411abd85f4118c8f2a321f7c306ebc85a8d0c9ef5895ca6643146280ad4",
+        ),
+        ("no-bilstm", "latent"): (
+            "850c6230cb321db64e720c15483f464f5ddd7924c39d27c851b623aace420dec",
+            "1fd0781ca9ffe28669370698ca19785a1286127c16337befd83e89c933f09da9",
+            "dfeb707d88e4823c1580c2237ae9ef3b7fdf55d5205981b1b571e8caf6f355bf",
+            "608d3af5629a15c9e50c4a6b550dae340a7d6996851f31b9743be83dd0261246",
+            "13f2b349f2bffb26e910af18fc2e77572a06152f855303a63dd73eeb0e265726",
+        ),
+        ("no-gpr", "latent"): (
+            "9ed8425f5a99d7454bcddc829c30387f31756f76b92fd02039842f6233b4fc2b",
+            "b63db5d1f384a8d44ad4dc7fe37c2f36a047e81b7eaef56ae087f1322c99423f",
+            "b63db5d1f384a8d44ad4dc7fe37c2f36a047e81b7eaef56ae087f1322c99423f",
+            "3dc463a76fc170607c07b104c3cb531362ce7d6e10c1a34e0c0f370aeae08ce8",
+            "ec38ca809caaf4ffee20de9f376ae3f3ec363403e4875ba125c2f080ed75eb6d",
+        ),
+        ("no-rf", "latent"): (
+            "730af15911833ad7504eba6748e19078f53ad010bc65421b49ebaef06aa13ea5",
+            "2a01b5227039ec52533d4bd4e57bbf7f0589327c96e6fcf7194b1381f2c72a0d",
+            "2a01b5227039ec52533d4bd4e57bbf7f0589327c96e6fcf7194b1381f2c72a0d",
+            "c1a1f4405ce8986e0c9890a78f6b72ab0ea952cf7f99636d86950cd386730458",
+            "a29d5411abd85f4118c8f2a321f7c306ebc85a8d0c9ef5895ca6643146280ad4",
+        ),
+        ("no-bilstm-gpr", "latent"): (
+            "473c6b6209144486893ed619004dfa4bb4a6faeb0c6ae5700d81b98c5f199eda",
+            "877dcbc6f1f3830bbba391d7c3311eb5f526f7d99751ef37c53636eee587a02b",
+            "877dcbc6f1f3830bbba391d7c3311eb5f526f7d99751ef37c53636eee587a02b",
+            "3dc463a76fc170607c07b104c3cb531362ce7d6e10c1a34e0c0f370aeae08ce8",
+            "ec38ca809caaf4ffee20de9f376ae3f3ec363403e4875ba125c2f080ed75eb6d",
+        ),
+        ("no-bilstm-rf", "latent"): (
+            "63bea60aebfaf386b50e2013a3bbb0e090ebb0f127c3726fb50329830acb61f9",
+            "dfeb707d88e4823c1580c2237ae9ef3b7fdf55d5205981b1b571e8caf6f355bf",
+            "dfeb707d88e4823c1580c2237ae9ef3b7fdf55d5205981b1b571e8caf6f355bf",
+            "608d3af5629a15c9e50c4a6b550dae340a7d6996851f31b9743be83dd0261246",
+            "13f2b349f2bffb26e910af18fc2e77572a06152f855303a63dd73eeb0e265726",
+        ),
+        ("no-gpr-rf", "latent"): (
+            "694db187fc1cedd863f2cdadbc6e5434fd6b916e681902aa64bb7490a049bba4",
+            "fb60cbb826c09e552251488498d928e843e5d08c621915b142b95f3b4860658b",
+            "fb60cbb826c09e552251488498d928e843e5d08c621915b142b95f3b4860658b",
+            "3dc463a76fc170607c07b104c3cb531362ce7d6e10c1a34e0c0f370aeae08ce8",
+            "ec38ca809caaf4ffee20de9f376ae3f3ec363403e4875ba125c2f080ed75eb6d",
+        ),
+        ("full", "stacked"): (
+            "64f77ec17437cc439981f1bc2d9c32f11b2d5479984a229d0195df4e249050f9",
+            "4d4a93b2cc9a6bb04f3cd8443f965d3e99d4f49113b5ef2e8778108db84bbacb",
+            "f6c47c7e9523e5eec44e2a6b9390ce85e8cd39dd7541beb2397296694e76ca5b",
+            "8aa3a893af61f45d104ea091b74206296b5957399c61594b0432acd2e10b527c",
+            "e04aeaa5d2edd41675fe3ff66c8a5530508074a543a43b97cbff1d84cca2e16a",
+        ),
+    },
 }
 
 
@@ -388,7 +513,7 @@ class TestVariantDigests:
     def data(self):
         return dataio.synth_generate(120, 4, 5)[0]
 
-    @pytest.mark.parametrize("tag, gp_input", list(VARIANT_DIGESTS))
+    @pytest.mark.parametrize("tag, gp_input", list(VARIANT_DIGESTS["SkylakeX"]))
     def test_model_and_predictions_pinned(self, data, tmp_path, tag, gp_input):
         cfg = pipeline.PipelineConfig(
             encoder=EncoderConfig(hidden=8, latent=4), gp_opt=OptimizerConfig(max_epochs=15),
@@ -402,7 +527,7 @@ class TestVariantDigests:
         arrays = (pred.yhat, pred.gp_mean, pred.gp_variance, pred.confidence)
         found = (hashlib.sha256(path.read_bytes()).hexdigest(),
                  *(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays))
-        assert found == VARIANT_DIGESTS[tag, gp_input]
+        assert found == pinned(VARIANT_DIGESTS)[tag, gp_input]
 
 
 class TestPredict:
