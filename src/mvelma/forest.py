@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.typing import NDArray
 
 from . import numcore as nc
 from .errors import DegenerateInput, DimensionMismatch
@@ -53,17 +54,17 @@ class RegressionTree:
     numbering with parents before children walks the same: fit_forest numbers
     nodes level by level, older model files depth first."""
 
-    feature: np.ndarray  # int, -1 for leaves
-    threshold: np.ndarray
-    left: np.ndarray  # int child ids
-    right: np.ndarray
-    value: np.ndarray
+    feature: NDArray[np.int64]  # -1 for leaves
+    threshold: NDArray[np.float64]
+    left: NDArray[np.int64]  # child ids
+    right: NDArray[np.int64]
+    value: NDArray[np.float64]
 
 
 @dataclass
 class Forest:
-    trees: list
-    importances: np.ndarray
+    trees: list[RegressionTree]
+    importances: NDArray[np.float64]
     n_features: int
     config: ForestConfig = field(default_factory=ForestConfig)
 

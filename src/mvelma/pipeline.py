@@ -16,19 +16,24 @@ count), and the forest, which fits y on [z ; static ; posterior mean], or
 [z ; static] without the GP. Without the forest the prediction is the GP
 mean. predict builds its inputs with the same helpers (_standardized,
 _latent, _gp_inputs, _stack), and subset_by_ids is the one map from event
-ids to dataset rows.
+ids to dataset rows. save_model writes the model as one JSON document, and
+load_model reads it back through one declared schema, _MODEL, which maps
+each key to the kind of its value.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import typing
 import warnings
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 
 import numpy as np
+from numpy.typing import NDArray
 
 from . import encoder as enc
 from . import gp, optim
@@ -46,7 +51,7 @@ from .errors import (
     UnknownVariant,
     ZeroVarianceTruth,
 )
-from .forest import Forest, ForestConfig, RegressionTree, fit_forest, predict_forest
+from .forest import Forest, ForestConfig, fit_forest, predict_forest
 from .optim import OptimizerConfig
 
 VARIANTS = (
@@ -105,8 +110,8 @@ class PipelineConfig:
 class Standardizer:
     """Column z-scoring with the fitted statistics kept for prediction time."""
 
-    mean: np.ndarray
-    std: np.ndarray
+    mean: NDArray[np.float64]
+    std: NDArray[np.float64]
 
     @classmethod
     def fit(cls, x: np.ndarray) -> "Standardizer":
@@ -425,20 +430,6 @@ def aggregate_county(events, observed, predicted, confidence):
 # ---------------------------------------------------------------------------
 
 
-def _std_from(doc, width: int, what: str) -> Standardizer:
-    """Standardizer.fit's output: `width` means and `width` stds, each > 0."""
-    doc = _keyed(doc, Standardizer, f"{what}_std")
-    s = Standardizer(
-        mean=_floats(doc["mean"], f"{what} standardizer mean"),
-        std=_floats(doc["std"], f"{what} standardizer std"),
-    )
-    if s.mean.shape != (width,) or s.std.shape != (width,):
-        raise SchemaError(f"{what} standardizer needs {width} means and {width} stds")
-    if np.any(s.std <= 0.0):
-        raise SchemaError(f"{what} standardizer std must be positive")
-    return s
-
-
 def save_model(model: TrainedModel, path) -> None:
     """Write the model as self-describing JSON. Floats round-trip exactly;
     the GP's Cholesky factor is recomputed on load. The bytes are those of
@@ -507,123 +498,125 @@ def _dump(value, f) -> None:
         f.write(json.dumps(value.tolist() if isinstance(value, np.ndarray) else value))
 
 
-def _tree_from_doc(t, n_features: int) -> RegressionTree:
-    """A forest tree whose node arrays agree in length, whose integer features
-    are -1 (leaf) or a column index, and whose internal nodes point at integer
-    children in range and after themselves, so every walk ends at a leaf."""
-    t = _keyed(t, RegressionTree, "forest.trees")
-    feature, left, right = (np.asarray(_numbers_only(t[k], f"forest tree {k}"))
-                            for k in ("feature", "left", "right"))
-    if any(a.size and a.dtype.kind not in "iu" for a in (feature, left, right)):
-        raise SchemaError("forest tree feature and child indices must be integers")
-    tree = RegressionTree(
-        feature=feature.astype(np.int64),
-        threshold=_floats(t["threshold"], "forest tree threshold"),
-        left=left.astype(np.int64),
-        right=right.astype(np.int64),
-        value=_floats(t["value"], "forest tree value"),
-    )
-    size = tree.feature.size
-    arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
-    if size == 0 or any(a.ndim != 1 or a.size != size for a in arrays):
-        raise SchemaError("forest tree node arrays are empty or differ in length")
-    if np.any(tree.feature < -1) or np.any(tree.feature >= n_features):
-        raise SchemaError(f"forest tree feature index outside [-1, {n_features})")
-    internal = np.flatnonzero(tree.feature >= 0)
-    for child in (tree.left[internal], tree.right[internal]):
-        if np.any(child <= internal) or np.any(child >= size):
-            raise SchemaError("forest tree child index out of range or not after its parent")
-    return tree
+# The kinds of the model file's values, as _read reads them:
+#   a JSON type   str, int, float, bool, list or dict; float takes any number,
+#                 int no fraction, a boolean is never a number, and no number
+#                 is NaN or infinite
+#   FLOATS, INTS  the annotations NDArray[np.float64] and NDArray[np.int64]: a
+#                 list of numbers, or of such lists, as a float64 array whose
+#                 every entry is finite, or as an int64 array
+#   IDS           a list of distinct event id strings, at least one
+#   [kind]        a list of values of that kind
+#   (kind, None)  a value of that kind, or null
+#   {key: kind}   an object with exactly these keys
+#   a dataclass   an object with exactly its fields, each of the kind its
+#                 annotation states (list[T] is [T], T | None is (T, None)),
+#                 passed to the class, which checks the values
+FLOATS, INTS, IDS = NDArray[np.float64], NDArray[np.int64], "event ids"
+
+# save_model's document: each key and the kind of its value
+_MODEL = {
+    "format": str,
+    "config": PipelineConfig,
+    "weather_std": Standardizer,
+    "enriched_std": Standardizer,
+    "encoder_params": (FLOATS, None),
+    "gp": ({"kernel": gp.KernelSpec, "log_noise": float, "mean_const": float,
+            "train_inputs": FLOATS, "train_targets": FLOATS}, None),
+    "forest": (Forest, None),
+    "head": (FLOATS, None),
+    "sigma_ref": float,
+    "train_event_ids": IDS,
+    "test_event_ids": IDS,
+    "loss_trace": [float],
+}
 
 
-def _typed(value, types, what: str):
-    """value itself when it is one of `types` and not a NaN or infinite float.
-    A JSON true or false is a bool only where `types` is bool, and never a
-    number."""
-    if isinstance(value, bool) is not (types is bool) or not isinstance(value, types):
-        raise SchemaError(f"{what} has type {type(value).__name__}")
-    return _finite(value, what)
-
-
-def _finite(value, what: str):
-    """value itself unless it is a NaN or infinite float."""
+def _read(value, kind, where: str):
+    """value read as `kind`, or one SchemaError naming `where`, the value's
+    place in the document."""
+    if isinstance(kind, tuple):
+        return None if value is None else _read(value, kind[0], where)
+    if isinstance(kind, list):
+        return [_read(item, kind[0], where) for item in _read(value, list, where)]
+    if isinstance(kind, dict) or is_dataclass(kind):
+        kinds = kind if isinstance(kind, dict) else _fields(kind)
+        value = _keys(value, kinds, where)
+        read = {k: _read(value[k], kinds[k], f"{where}.{k}") for k in kinds}
+        return read if isinstance(kind, dict) else kind(**read)
+    if kind == FLOATS:
+        return nc.require_finite(np.asarray(_numbers(value, where), dtype=np.float64), where)
+    if kind == INTS:
+        array = np.asarray(_numbers(value, where))
+        if array.size and array.dtype.kind not in "iu":
+            raise SchemaError(f"{where} holds a number that is not an integer")
+        return array.astype(np.int64)
+    if kind is IDS:
+        ids = _read(value, [str], where)
+        repeated = [eid for eid, n in Counter(ids).items() if n > 1]
+        if repeated:
+            raise SchemaError(f"{where} repeats event id {repeated[0]!r}")
+        if not ids:
+            raise SchemaError(f"{where} is empty")
+        return ids
+    if isinstance(value, bool) is not (kind is bool) or not isinstance(
+            value, (int, float) if kind is float else kind):
+        raise SchemaError(f"{where} has type {type(value).__name__}")
     if isinstance(value, float) and not math.isfinite(value):
-        raise SchemaError(f"{what} is not finite")
+        raise SchemaError(f"{where} is not finite")
     return value
 
 
-def _numbers_only(values, what: str):
-    """values itself unless a JSON true or false or a string stands in it, in
-    a list at any depth: numpy would read a boolean as the number 1 or 0, and
-    parse a string such as "1" or " 1e3 " as a number."""
-    kinds = set(map(type, values)) if isinstance(values, list) else {type(values)}
-    for kind, name in ((bool, "a boolean"), (str, "a string")):
-        if kind in kinds:
-            raise SchemaError(f"{what} holds {name}")
-    if list in kinds:
-        for item in values:
-            _numbers_only(item, what)
+@functools.cache
+def _fields(cls) -> dict:
+    """A dataclass's field names and the kinds their annotations state, one
+    dict per class, which every call shares: resolving the annotations for
+    each of 500 trees took about 90 ms of a 0.2 s load."""
+    kinds = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        args = typing.get_args(hint)
+        kinds[name] = ([args[0]] if typing.get_origin(hint) is list
+                       else (args[0], None) if type(None) in args else hint)
+    return kinds
+
+
+def _keys(value, kinds: dict, where: str) -> dict:
+    """value itself when it is an object with exactly the keys of `kinds`: a
+    missing key would take a default and an unknown one would be ignored
+    without a word."""
+    value = _read(value, dict, where)
+    problems = ([f"missing key {k!r}" for k in kinds if k not in value]
+                + [f"unknown key {k!r}" for k in value if k not in kinds])
+    if problems:
+        raise SchemaError(f"{where} record: {', '.join(problems)}")
+    return value
+
+
+def _numbers(values, where: str) -> list:
+    """values itself when it is a list of numbers and of such lists: numpy
+    would read a boolean as 1 or 0, a null as NaN, and parse a string such
+    as "1" or " 1e3 " as a number."""
+    kinds = set(map(type, _read(values, list, where)))
+    if kinds - {int, float, list}:
+        wrong = min(k.__name__ for k in kinds - {int, float, list})
+        raise SchemaError(f"{where} holds a value of type {wrong}")
+    for item in values if list in kinds else ():
+        if isinstance(item, list):
+            _numbers(item, where)
     return values
 
 
-def _floats(values, what: str) -> np.ndarray:
-    """values, which hold no boolean and no string, as a float64 array whose
-    every entry is finite."""
-    return nc.require_finite(np.asarray(_numbers_only(values, what), dtype=np.float64), what)
-
-
-def _event_ids(value, what: str) -> list:
-    """value itself when it is a list of distinct event id strings."""
-    ids = _typed(value, list, what)
-    for eid in ids:
-        _typed(eid, str, f"{what} entry")
-    repeated = [eid for eid, n in Counter(ids).items() if n > 1]
-    if repeated:
-        raise SchemaError(f"{what} repeats event id {repeated[0]!r}")
-    return ids
-
-
-def _keyed(d, names, what: str) -> dict:
-    """d itself when it is a dict that holds exactly the keys `names`, or the
-    field names of the dataclass `names`: a missing key would take a default
-    and an unknown one would be ignored without a word."""
-    if isinstance(names, type):
-        names = [f.name for f in fields(names)]
-    d = _typed(d, dict, what)
-    problems = ([f"missing key {k!r}" for k in names if k not in d]
-                + [f"unknown key {k!r}" for k in d if k not in names])
-    if problems:
-        raise SchemaError(f"{what} record: {', '.join(problems)}")
-    return d
-
-
-# the JSON values a record field may hold, by its annotation (a string under
-# `from __future__ import annotations`): a boolean is never a number, a bool
-# field takes only a boolean, and an integer field takes no fraction
-_FIELD_TYPES = {"int": int, "float": (int, float), "int | None": (int, type(None)),
-                "bool": bool}
-
-
-def _record(cls, d, what: str, **inner):
-    """cls(**d) for a dict d that holds exactly cls's field names; `inner`
-    maps a field to the dataclass its value is read as, in the same way."""
-    d = _keyed(d, cls, what)
-    kinds = {f.name: _FIELD_TYPES.get(f.type) for f in fields(cls)}
-    return cls(**{k: _record(inner[k], v, f"{what}.{k}") if k in inner
-                  else _finite(v, f"{what}.{k}") if kinds[k] is None
-                  else _typed(v, kinds[k], f"{what}.{k}") for k, v in d.items()})
-
-
-# the keys of save_model's document and of its "gp" object
-_MODEL_KEYS = ("format", "config", "weather_std", "enriched_std", "encoder_params", "gp",
-               "forest", "head", "sigma_ref", "train_event_ids", "test_event_ids", "loss_trace")
-_GP_KEYS = ("kernel", "log_noise", "mean_const", "train_inputs", "train_targets")
-
-
 def _model_from_doc(doc) -> TrainedModel:
-    doc = _keyed(doc, _MODEL_KEYS, "model")
-    cfg = _record(PipelineConfig, doc["config"], "config", encoder=enc.EncoderConfig,
-                  gp_opt=OptimizerConfig, forest=ForestConfig)
+    """The model in a parsed document, read key by key through _MODEL, with
+    the checks that no kind states. The GP is factored before the forest's
+    arrays exist: reading the forest first raises the peak RSS of `predict`
+    on a CLI-default model (500 trees, 400 GP rows) by about 3 MB."""
+    doc = _keys(doc, _MODEL, "model")
+
+    def read(key):
+        return _read(doc[key], _MODEL[key], key)
+
+    cfg = read("config")
     uses_encoder, uses_gp, uses_forest = variant_components(cfg.ablation)
     # train_joint writes a head exactly when the encoder trains without the GP
     parts = {"encoder_params": uses_encoder, "gp": uses_gp, "forest": uses_forest,
@@ -632,73 +625,77 @@ def _model_from_doc(doc) -> TrainedModel:
         if (doc[key] is not None) != used:
             need = "present" if used else "null"
             raise SchemaError(f"{key} must be {need} under ablation {cfg.ablation!r}")
-    head = None if doc["head"] is None else _floats(doc["head"], "head")
+    head = read("head")
     if head is not None and head.shape != (cfg.encoder.latent + 1,):
         raise SchemaError(f"head needs {cfg.encoder.latent + 1} weights, got shape {head.shape}")
 
     # the widths predict builds: z, then [z ; static], then the GP mean
     z_width = cfg.encoder.latent if uses_encoder else cfg.encoder.input_width
     stack_width = z_width + len(ENRICHED_COLUMNS)
-    gp_state = None
-    if doc["gp"] is not None:
-        d = _keyed(doc["gp"], _GP_KEYS, "gp")
-        x = _floats(d["train_inputs"], "gp train_inputs")
-        width = stack_width if cfg.gp_input == "stacked" else z_width
+    gp_state, d = None, read("gp")
+    if d is not None:
+        x, width = d["train_inputs"], stack_width if cfg.gp_input == "stacked" else z_width
         if x.ndim != 2 or x.shape[1] != width:
             raise DimensionMismatch(f"gp train_inputs need {width} columns, got shape {x.shape}")
-        kernel = _record(gp.KernelSpec, d["kernel"], "gp.kernel")
-        if kernel.family != cfg.kernel_family:
-            raise SchemaError(f"gp kernel family {kernel.family!r} is not the configured "
+        if d["kernel"].family != cfg.kernel_family:
+            raise SchemaError(f"gp kernel family {d['kernel'].family!r} is not the configured "
                               f"kernel_family {cfg.kernel_family!r}")
-        # refresh rejects a train_targets count other than the input rows
-        gp_state = gp.GPState(
-            kernel=kernel,
-            log_noise=_typed(d["log_noise"], (int, float), "gp log_noise"),
-            mean_const=_typed(d["mean_const"], (int, float), "gp mean_const"),
-        ).refresh(x, _floats(d["train_targets"], "gp train_targets"))
+        if d["train_targets"].shape != x.shape[:1]:  # refresh would ravel it
+            raise DimensionMismatch(f"gp train_targets need {x.shape[0]} entries, "
+                                    f"got shape {d['train_targets'].shape}")
+        gp_state = gp.GPState(**d).refresh(x, d["train_targets"])
 
-    forest = None
-    if doc["forest"] is not None:
-        d = _keyed(doc["forest"], Forest, "forest")
-        n_features = _typed(d["n_features"], int, "forest n_features")
-        width = stack_width + 1 if uses_gp else stack_width
+    forest = read("forest")
+    if forest is not None:
+        n_features, width = forest.n_features, stack_width + 1 if uses_gp else stack_width
         if n_features != width:
             raise DimensionMismatch(f"forest n_features {n_features} != stack width {width}")
-        trees = [_tree_from_doc(t, n_features) for t in _typed(d["trees"], list, "forest trees")]
-        forest = Forest(
-            trees=trees,
-            importances=_floats(d["importances"], "forest importances"),
-            n_features=n_features,
-            config=_record(ForestConfig, d["config"], "forest.config"),
-        )
         if forest.importances.shape != (n_features,):
             raise SchemaError(f"forest importances need {n_features} entries, "
                               f"got shape {forest.importances.shape}")
         # train_joint fits the forest on config.forest, one tree per n_trees
         if forest.config != cfg.forest:
             raise SchemaError("forest.config differs from config.forest")
-        if len(trees) != cfg.forest.n_trees:
-            raise SchemaError(f"forest has {len(trees)} trees, config.forest.n_trees is "
-                              f"{cfg.forest.n_trees}")
+        if len(forest.trees) != cfg.forest.n_trees:
+            raise SchemaError(f"forest has {len(forest.trees)} trees, config.forest.n_trees "
+                              f"is {cfg.forest.n_trees}")
+        # a tree's node arrays agree in length, its features are -1 (leaf) or
+        # a column index, and its internal nodes point at children in range
+        # and after themselves, so every walk ends at a leaf
+        for tree in forest.trees:
+            size = tree.feature.size
+            if size == 0 or any(a.ndim != 1 or a.size != size for a in vars(tree).values()):
+                raise SchemaError("forest tree node arrays are empty or differ in length")
+            if np.any(tree.feature < -1) or np.any(tree.feature >= n_features):
+                raise SchemaError(f"forest tree feature index outside [-1, {n_features})")
+            internal = np.flatnonzero(tree.feature >= 0)
+            for child in (tree.left[internal], tree.right[internal]):
+                if np.any(child <= internal) or np.any(child >= size):
+                    raise SchemaError("forest tree child index out of range or not after "
+                                      "its parent")
 
-    loss_trace = _typed(doc["loss_trace"], list, "loss_trace")
-    _floats(loss_trace, "loss_trace")
-    sigma_ref = _typed(doc["sigma_ref"], (int, float), "sigma_ref")
+    loss_trace, sigma_ref = read("loss_trace"), read("sigma_ref")
     if sigma_ref < 0:
         raise SchemaError(f"sigma_ref {sigma_ref} is negative")
-    train_ids = _event_ids(doc["train_event_ids"], "train_event_ids")
-    test_ids = _event_ids(doc["test_event_ids"], "test_event_ids")
+    train_ids, test_ids = read("train_event_ids"), read("test_event_ids")
     shared = set(train_ids).intersection(test_ids)
     if shared:
         raise SchemaError(f"test_event_ids shares event id {min(shared)!r} with train_event_ids")
+    stds = {}
+    for what, width in (("weather", cfg.encoder.input_width),
+                        ("enriched", len(ENRICHED_COLUMNS))):
+        s = stds[what] = read(f"{what}_std")
+        if s.mean.shape != (width,) or s.std.shape != (width,):
+            raise SchemaError(f"{what} standardizer needs {width} means and {width} stds")
+        if np.any(s.std <= 0.0):
+            raise SchemaError(f"{what} standardizer std must be positive")
+    params = read("encoder_params")
     return TrainedModel(
         config=cfg,
-        weather_std=_std_from(doc["weather_std"], cfg.encoder.input_width, "weather"),
-        enriched_std=_std_from(doc["enriched_std"], len(ENRICHED_COLUMNS), "enriched"),
-        encoder_params=None
-        if doc["encoder_params"] is None
-        else enc.EncoderParams.from_file_order(
-            cfg.encoder, _floats(doc["encoder_params"], "encoder_params")),
+        weather_std=stds["weather"],
+        enriched_std=stds["enriched"],
+        encoder_params=None if params is None
+        else enc.EncoderParams.from_file_order(cfg.encoder, params),
         gp_state=gp_state,
         forest=forest,
         head=head,
@@ -726,17 +723,14 @@ def _read_json(path, **hooks):
 def load_model(path) -> TrainedModel:
     """Read a model written by save_model.
 
-    A file that is not such a model (truncated JSON, another format tag, an
-    object with a missing or unknown key, a value of the wrong type or a
-    non-finite number, a config value train_joint cannot write, a GP kernel
-    of another family than the configured one, a missing standardizer or
-    one with a std <= 0, a negative sigma_ref, a malformed forest tree, a
-    forest whose config or tree count is not config.forest's, a
-    wrong-length encoder, head or importances, model parts that do not match
-    the configured ablation, GP inputs or forest features of another width
-    than predict builds, a GP target count other than its input rows, or an
-    event id repeated or in both splits) raises a one-line SchemaError
-    naming the file.
+    The document is read key by key through _MODEL, which gives each key the
+    kind of its value (see _read), and then checked where no kind can say:
+    the parts the configured ablation uses, the head, GP input and forest
+    widths that predict builds, one GP target per input row, the
+    standardizers' widths and positive stds, the GP kernel's family, each
+    tree's structure, the forest's config and tree count, the sign of
+    sigma_ref, and splits that share no event id. A file that fails, or is
+    truncated, raises a one-line SchemaError naming the file.
 
     json parses numbers with its own float. A literal that overflows, such
     as 1e999, reads as inf and fails a finiteness check as the model is

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvelma import cli, dataio, encoder, pipeline
+from mvelma.errors import SchemaError
 
 
 def run_cli(*argv):
@@ -706,6 +707,10 @@ def _gp_target_dropped(doc):
     doc["gp"]["train_targets"].pop()
 
 
+def _nested_gp_targets(doc):
+    doc["gp"]["train_targets"] = [doc["gp"]["train_targets"]]  # one row of all targets
+
+
 def _forest_too_wide(doc):
     doc["forest"]["n_features"] += 5
 
@@ -797,6 +802,14 @@ def _padded_string_threshold(doc):
     _internal_tree(doc)["threshold"][0] = " 1e3 "
 
 
+def _empty_train_ids(doc):
+    doc["train_event_ids"] = []  # split_dataset never writes an empty split
+
+
+def _empty_test_ids(doc):
+    doc["test_event_ids"] = []  # predict would run the encoder on no rows
+
+
 def _bootstrap(value):
     """The forest's bootstrap flag set to `value` in both config records."""
     def corrupt(doc):
@@ -837,6 +850,7 @@ class TestCorruptModel:
         _numeric_string_in_standardizer, _padded_string_threshold,
         _bootstrap("no"), _bootstrap([1]), _bootstrap(1),
         _forest_config_more_trees, _dropped_tree, _more_trees_configured_than_stored,
+        _empty_train_ids, _empty_test_ids, _nested_gp_targets,
     ])
     def test_corrupt_document_is_one_validation_error(self, workspace, tmp_path, corrupt):
         doc = json.loads(workspace["model"].read_text())
@@ -985,6 +999,158 @@ class TestModelRecords:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"validation error: {path}: ")
         assert not (tmp_path / "p.csv").exists()
+
+
+def _sweep_places(value, path=()):
+    """Each place of the model fixture that the sweep mutates, as (kind,
+    path): every object ("object", where a key is added), every key, and the
+    first, second and last entry of every array, descending into the first
+    tree only."""
+    if isinstance(value, dict):
+        yield "object", path
+        for key, item in value.items():
+            yield "key", path + (key,)
+            yield from _sweep_places(item, path + (key,))
+    elif isinstance(value, list):
+        entries = sorted({0, 1, len(value) - 1} & set(range(len(value))))
+        for i in entries:
+            yield "entry", path + (i,)
+        for i in entries[:1] if path[-1:] == ("trees",) else entries:
+            yield from _sweep_places(value[i], path + (i,))
+
+
+def _place_name(path):
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+
+
+def _same_json(a, b):
+    """a and b are one JSON value: an integer equals the same float, and a
+    boolean is never a number."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return type(a) is type(b) and a == b
+    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        return a == b
+    if isinstance(a, list):
+        return isinstance(b, list) and len(a) == len(b) and all(map(_same_json, a, b))
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(
+            _same_json(a[k], b[k]) for k in a)
+    return type(a) is type(b) and a == b
+
+
+# The sweep's mutations that load, as "place: values"; [i,j] at a place
+# stands for each of those entries. Each re-saves to the mutated document.
+_SWEEP_LOADS = """
+# config values in range, finite numbers and distinct ids: values that
+# train_joint writes on other data or under another config
+config.encoder.seq_len: 1000000
+config.encoder.seed: 1000000
+config.gp_opt.learning_rate: 0.5 1000000
+config.gp_opt.max_epochs: 1000000
+config.gp_opt.patience: 1000000
+config.gp_opt.min_delta: 0.5 1000000
+config.gp_opt.beta1: 0.5
+config.gp_opt.beta2: 0.5
+config.gp_opt.eps: 0.5 1000000
+config.train_fraction: 0.5
+config.split_seed: 1000000
+config.oof_folds: 1000000
+weather_std.mean[0,1,8]: 0.5 -1 1000000
+weather_std.std[0,1,8]: 0.5 1000000
+enriched_std.mean[0,1,26]: 0.5 -1 1000000
+enriched_std.std[0,1,26]: 0.5 1000000
+encoder_params[0,1,332]: 0.5 -1 1000000
+gp.kernel.log_outputscale: 0.5 -1
+gp.kernel.log_lengthscale: 0.5 -1
+gp.kernel.log_period: 0.5 -1 1000000
+gp.kernel.log_periodic_lengthscale: 0.5 -1 1000000
+gp.log_noise: 0.5 -1
+gp.mean_const: 0.5 -1 1000000
+gp.train_inputs[0,1,31][0,1,28]: 0.5 -1 1000000
+gp.train_targets[0,1,31]: 0.5 -1 1000000
+forest.importances[0,1,29]: 0.5 -1 1000000
+forest.trees[0].threshold[0,1,24]: 0.5 -1 1000000
+forest.trees[0].value[0,1,24]: 0.5 -1 1000000
+sigma_ref: 0.5 1000000
+loss_trace[0,1,79]: 0.5 -1 1000000
+train_event_ids[0,1,31]: "1"
+test_event_ids[0,1,7]: "1"
+
+# the fixture's own value: null, or true where it stands already
+config.forest.max_depth: null
+config.forest.features_per_split: null
+config.forest.bootstrap: true
+config.standardize_weather: true
+config.standardize_enriched: true
+forest.config.max_depth: null
+forest.config.features_per_split: null
+forest.config.bootstrap: true
+head: null
+
+# a node made a leaf, and the children of a leaf, which no walk reads
+forest.trees[0].feature[0,1,24]: -1
+forest.trees[0].left[24]: -1 1000000
+forest.trees[0].right[24]: -1 1000000
+
+# predict never reads the loss trace, and a variant without encoder and GP
+# writes it empty
+loss_trace: [1] []
+"""
+
+
+def _sweep_loads():
+    """_SWEEP_LOADS as a set of "place value" strings."""
+    loads = set()
+    for line in _SWEEP_LOADS.splitlines():
+        if not line or line.startswith("#"):
+            continue
+        pattern, values = line.split(": ")
+        places = [""]
+        for i, part in enumerate(re.split(r"\[([\d,]+)\]", pattern)):
+            options = [f"[{j}]" for j in part.split(",")] if i % 2 else [part]
+            places = [p + o for p in places for o in options]
+        loads |= {f"{p} {v}" for p in places for v in values.split()}
+    return loads
+
+
+class TestModelFileSweep:
+    """Load inverts save on every single-point mutation of the committed
+    model: a value, a missing key or an extra key either ends in one
+    SchemaError line naming the file, or loads and saves back to the mutated
+    document. The round trip alone would not see a dropped check, so the set
+    of mutations that load is pinned as well."""
+
+    def test_every_mutation_is_rejected_or_round_trips(self, tmp_path):
+        text = (MODEL_FIXTURE / "model.json").read_text()
+        values = [True, None, "1", 0.5, -1, 10**6, [1], []]
+        path, saved = tmp_path / "model.json", tmp_path / "saved.json"
+        count, loads = 0, set()
+        for kind, place in _sweep_places(json.loads(text)):
+            edits = (["extra"] if kind == "object"
+                     else values + (["missing"] if kind == "key" else []))
+            for edit in edits:
+                doc = json.loads(text)
+                parent = functools.reduce(lambda d, k: d[k], place[:-1], doc)
+                if edit == "extra":
+                    (parent[place[-1]] if place else doc)["extra"] = 1
+                elif edit == "missing":
+                    del parent[place[-1]]
+                else:
+                    parent[place[-1]] = edit
+                label = edit if edit in ("extra", "missing") else json.dumps(edit)
+                path.write_text(json.dumps(doc))
+                count += 1
+                try:
+                    model = pipeline.load_model(path)
+                except SchemaError as exc:
+                    message = str(exc)
+                    assert message.startswith(f"{path}: ") and "\n" not in message, message
+                    continue
+                pipeline.save_model(model, saved)
+                assert _same_json(json.loads(saved.read_text()), doc), (place, label)
+                loads.add(f"{_place_name(place)} {label}")
+        assert count == 1131
+        assert loads == _sweep_loads()
 
 
 class TestCheckGrads:
