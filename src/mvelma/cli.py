@@ -13,7 +13,6 @@ problems), 2 numerical failure, 64 usage error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -137,7 +136,6 @@ def _cmd_synth(args) -> int:
         ("out", args.out),
     ])
     ds, _ = dataio.synth_generate(args.events, args.counties, args.seed)
-    os.makedirs(args.out, exist_ok=True)
     dataio.write_dataset(ds, args.out)
     print(f"wrote {ds.n} events across {args.counties} counties to {args.out}")
     return 0

@@ -16,9 +16,9 @@ count), and the forest, which fits y on [z ; static ; posterior mean], or
 [z ; static] without the GP. Without the forest the prediction is the GP
 mean. predict builds its inputs with the same helpers (_standardized,
 _latent, _gp_inputs, _stack), and subset_by_ids is the one map from event
-ids to dataset rows. save_model writes the model as one JSON document, and
-load_model reads it back through one declared schema, _MODEL, which maps
-each key to the kind of its value.
+ids to dataset rows. save_model writes the model as one JSON document and
+load_model reads it back, both through one declared schema, _MODEL, which
+maps each key to the kind of its value.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ import math
 import typing
 import warnings
 from collections import Counter
-from collections.abc import Iterator
-from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from dataclasses import dataclass, field, is_dataclass, replace
 
 import numpy as np
 from numpy.typing import NDArray
@@ -51,7 +50,7 @@ from .errors import (
     UnknownVariant,
     ZeroVarianceTruth,
 )
-from .forest import Forest, ForestConfig, fit_forest, predict_forest
+from .forest import Forest, ForestConfig, RegressionTree, fit_forest, predict_forest
 from .optim import OptimizerConfig
 
 VARIANTS = (
@@ -281,8 +280,6 @@ def train_joint(data: Dataset, cfg: PipelineConfig | None = None) -> TrainedMode
     if data.n < 2:
         raise EmptySplit("need at least 2 events to hold out a test split")
     train, test = split_dataset(data, cfg.train_fraction, cfg.split_seed)
-    if train.n == 0:
-        raise EmptySplit("train split is empty")
     uses_encoder, uses_gp, uses_forest = variant_components(cfg.ablation)
 
     weather_std, enriched_std = Standardizer.fit(train.weather), Standardizer.fit(train.enriched)
@@ -431,74 +428,23 @@ def aggregate_county(events, observed, predicted, confidence):
 
 
 def save_model(model: TrainedModel, path) -> None:
-    """Write the model as self-describing JSON. Floats round-trip exactly;
-    the GP's Cholesky factor is recomputed on load. The bytes are those of
-    json.dumps(document), written part by part and the forest one tree at a
-    time, so the whole document never sits in memory as lists and text."""
-    gp_doc = None
-    if model.gp_state is not None:
-        st = model.gp_state
-        gp_doc = {
-            "kernel": asdict(st.kernel),
-            "log_noise": st.log_noise,
-            "mean_const": st.mean_const,
-            "train_inputs": st.train_inputs,
-            "train_targets": st.train_targets,
-        }
-    forest_doc = None
-    if model.forest is not None:
-        forest_doc = {
-            "config": asdict(model.forest.config),
-            "importances": model.forest.importances,
-            "n_features": model.forest.n_features,
-            "trees": (
-                {"feature": t.feature, "threshold": t.threshold, "left": t.left,
-                 "right": t.right, "value": t.value}
-                for t in model.forest.trees
-            ),
-        }
-    doc = {
+    """Write the model as self-describing JSON through _MODEL, the schema
+    load_model reads it with. Floats round-trip exactly; the GP's Cholesky
+    factor is recomputed on load. Only the format tag, the GP's stored
+    fields and the encoder parameters in file order are not the model's
+    attributes as they stand."""
+    doc = vars(model) | {
         "format": MODEL_FORMAT,
-        "config": asdict(model.config),
-        "weather_std": asdict(model.weather_std),
-        "enriched_std": asdict(model.enriched_std),
-        "encoder_params": None
-        if model.encoder_params is None
+        "gp": None if model.gp_state is None else vars(model.gp_state),
+        "encoder_params": None if model.encoder_params is None
         else model.encoder_params.in_file_order(),
-        "gp": gp_doc,
-        "forest": forest_doc,
-        "head": model.head,
-        "sigma_ref": model.sigma_ref,
-        "train_event_ids": model.train_event_ids,
-        "test_event_ids": model.test_event_ids,
-        "loss_trace": model.loss_trace,
     }
     with open(path, "w", encoding="utf-8") as f:
-        _dump(doc, f)
+        _write(doc, _MODEL, f)
 
 
-def _dump(value, f) -> None:
-    """Write json.dumps(value)'s text to f part by part: a dict member by
-    member, a generator item by item, an array as its list. Each leaf goes
-    through json.dumps, whose C encoder is about twice as fast as json.dump's
-    pure Python one."""
-    if isinstance(value, dict):
-        f.write("{")
-        for i, (key, item) in enumerate(value.items()):
-            f.write(f"{', ' if i else ''}{json.dumps(key)}: ")
-            _dump(item, f)
-        f.write("}")
-    elif isinstance(value, Iterator):
-        f.write("[")
-        for i, item in enumerate(value):
-            f.write(", " if i else "")
-            _dump(item, f)
-        f.write("]")
-    else:
-        f.write(json.dumps(value.tolist() if isinstance(value, np.ndarray) else value))
-
-
-# The kinds of the model file's values, as _read reads them:
+# The kinds of the model file's values, as _read reads them (_write writes
+# the same kinds, an object's keys in the kind's order):
 #   a JSON type   str, int, float, bool, list or dict; float takes any number,
 #                 int no fraction, a boolean is never a number, and no number
 #                 is NaN or infinite
@@ -508,7 +454,7 @@ def _dump(value, f) -> None:
 #   IDS           a list of distinct event id strings, at least one
 #   [kind]        a list of values of that kind
 #   (kind, None)  a value of that kind, or null
-#   {key: kind}   an object with exactly these keys
+#   {key: kind}   an object with exactly these keys, in this order
 #   a dataclass   an object with exactly its fields, each of the kind its
 #                 annotation states (list[T] is [T], T | None is (T, None)),
 #                 passed to the class, which checks the values
@@ -523,13 +469,41 @@ _MODEL = {
     "encoder_params": (FLOATS, None),
     "gp": ({"kernel": gp.KernelSpec, "log_noise": float, "mean_const": float,
             "train_inputs": FLOATS, "train_targets": FLOATS}, None),
-    "forest": (Forest, None),
+    "forest": ({"config": ForestConfig, "importances": FLOATS, "n_features": int,
+                "trees": [RegressionTree]}, None),
     "head": (FLOATS, None),
     "sigma_ref": float,
     "train_event_ids": IDS,
     "test_event_ids": IDS,
     "loss_trace": [float],
 }
+
+
+def _write(value, kind, f) -> None:
+    """Write json.dumps(value)'s text to f part by part, walking `kind` as
+    _read does: a list item by item, an object or a dataclass record key by
+    key in the kind's order, so the forest goes one tree at a time and the
+    whole document never sits in memory as lists and text. Every other value
+    goes through json.dumps, an array as its list: its C encoder is about
+    twice as fast as json.dump's pure Python one."""
+    if isinstance(kind, tuple):
+        kind = None if value is None else kind[0]
+    if isinstance(kind, list):
+        f.write("[")
+        for i, item in enumerate(value):
+            f.write(", " if i else "")
+            _write(item, kind[0], f)
+        f.write("]")
+    elif isinstance(kind, dict) or is_dataclass(kind):
+        kinds = kind if isinstance(kind, dict) else _fields(kind)
+        fields = value if isinstance(value, dict) else vars(value)
+        f.write("{")
+        for i, key in enumerate(kinds):
+            f.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+            _write(fields[key], kinds[key], f)
+        f.write("}")
+    else:
+        f.write(json.dumps(value.tolist() if isinstance(value, np.ndarray) else value))
 
 
 def _read(value, kind, where: str):
@@ -647,6 +621,7 @@ def _model_from_doc(doc) -> TrainedModel:
 
     forest = read("forest")
     if forest is not None:
+        forest = Forest(**forest)
         n_features, width = forest.n_features, stack_width + 1 if uses_gp else stack_width
         if n_features != width:
             raise DimensionMismatch(f"forest n_features {n_features} != stack width {width}")
@@ -729,8 +704,9 @@ def load_model(path) -> TrainedModel:
     widths that predict builds, one GP target per input row, the
     standardizers' widths and positive stds, the GP kernel's family, each
     tree's structure, the forest's config and tree count, the sign of
-    sigma_ref, and splits that share no event id. A file that fails, or is
-    truncated, raises a one-line SchemaError naming the file.
+    sigma_ref, and splits that share no event id. A file that fails, is
+    truncated, or nests its values deeper than the recursion limit, raises a
+    one-line SchemaError naming the file.
 
     json parses numbers with its own float. A literal that overflows, such
     as 1e999, reads as inf and fails a finiteness check as the model is
@@ -749,6 +725,8 @@ def load_model(path) -> TrainedModel:
             raise
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{path}: not a JSON document ({exc})") from None
+    except RecursionError:  # from json's decoder or _numbers
+        raise SchemaError(f"{path}: values nested too deeply") from None
     except (SchemaError, ShapeMismatch, UnknownVariant, DimensionMismatch,
             DegenerateInput, NonFiniteInput) as exc:
         raise SchemaError(f"{path}: {exc}") from None

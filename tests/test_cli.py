@@ -863,6 +863,24 @@ class TestCorruptModel:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"validation error: {path}: ")
 
+    # json's decoder and the array reader recurse once per level, and
+    # pytest's own frames move the depth at which each runs out of stack, so
+    # the depths span the recursion limit and go far above it
+    @pytest.mark.parametrize("key", ["encoder_params", "head"])
+    @pytest.mark.parametrize("depth", [-30, 0, 30, 1000, 99_000])
+    def test_deeply_nested_array_is_one_validation_error(self, workspace, tmp_path, key,
+                                                         depth):
+        depth += sys.getrecursionlimit()
+        doc = json.loads(workspace["model"].read_text())
+        doc[key] = "nested"
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc).replace('"nested"', "[" * depth + "1.0" + "]" * depth))
+        code, err = run_cli_stderr("predict", "--model", path, "--data", workspace["data"],
+                                   "--out", tmp_path / "p.csv")
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"validation error: {path}: ")
+
     def test_head_of_latent_plus_one_loads(self, workspace, tmp_path):
         # the control for _one_entry_head: the right head size predicts
         doc = json.loads(workspace["model"].read_text())
@@ -1118,13 +1136,16 @@ class TestModelFileSweep:
     model: a value, a missing key or an extra key either ends in one
     SchemaError line naming the file, or loads and saves back to the mutated
     document. The round trip alone would not see a dropped check, so the set
-    of mutations that load is pinned as well."""
+    of mutations that load is pinned as well. Each mutation that loads runs
+    through `predict --split all` on the fixture's dataset, which must exit 0
+    or exit 1 with one `validation error:` line; the set that exits 1 is
+    pinned too."""
 
-    def test_every_mutation_is_rejected_or_round_trips(self, tmp_path):
+    def test_every_mutation_is_rejected_or_round_trips(self, fixture_data, tmp_path):
         text = (MODEL_FIXTURE / "model.json").read_text()
         values = [True, None, "1", 0.5, -1, 10**6, [1], []]
         path, saved = tmp_path / "model.json", tmp_path / "saved.json"
-        count, loads = 0, set()
+        count, loads, refused = 0, set(), set()
         for kind, place in _sweep_places(json.loads(text)):
             edits = (["extra"] if kind == "object"
                      else values + (["missing"] if kind == "key" else []))
@@ -1149,8 +1170,16 @@ class TestModelFileSweep:
                 pipeline.save_model(model, saved)
                 assert _same_json(json.loads(saved.read_text()), doc), (place, label)
                 loads.add(f"{_place_name(place)} {label}")
+                code, err = run_cli_stderr("predict", "--model", path, "--data", fixture_data,
+                                           "--out", tmp_path / "p.csv", "--split", "all")
+                if code:
+                    assert code == 1 and len(err.splitlines()) == 1, (place, label, err)
+                    assert err.startswith("validation error: "), (place, label, err)
+                    refused.add(f"{_place_name(place)} {label}")
         assert count == 1131
         assert loads == _sweep_loads()
+        # a sequence length other than the dataset's 30 days
+        assert refused == {"config.encoder.seq_len 1000000"}
 
 
 class TestCheckGrads:

@@ -507,7 +507,8 @@ VARIANT_DIGESTS = {
 class TestVariantDigests:
     """Each variant's saved model and predict's four arrays, pinned by their
     SHA-256: a change meant to keep the outputs must keep every byte, at any
-    BLAS thread count."""
+    BLAS thread count. The saved model, loaded and saved again, keeps its
+    bytes too."""
 
     @pytest.fixture(scope="class")
     def data(self):
@@ -528,6 +529,8 @@ class TestVariantDigests:
         found = (hashlib.sha256(path.read_bytes()).hexdigest(),
                  *(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays))
         assert found == pinned(VARIANT_DIGESTS)[tag, gp_input]
+        pipeline.save_model(pipeline.load_model(path), tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
 class TestPredict:
