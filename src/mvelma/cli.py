@@ -145,6 +145,9 @@ def _cmd_train(args) -> int:
     _echo("train", _training_echo_pairs(args) + [("model", args.model)])
     ds = _load_dataset(args.data)
     model = pipeline.train_joint(ds, _training_config(args))
+    if model.gp_state is not None and model.gp_state.chol.jitter > 0:
+        print(f"warning: the trained GP's Cholesky factor needed diagonal jitter "
+              f"{model.gp_state.chol.jitter:g}", file=sys.stderr)
     test = pipeline.subset_by_ids(ds, model.test_event_ids, "model test split")
     pred = pipeline.predict(model, test)
     metrics = pipeline.evaluate(_quantize(pred.yhat), test.targets)

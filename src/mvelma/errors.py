@@ -51,3 +51,12 @@ class EmptyWindow(MvelmaError):
 
 class SchemaError(MvelmaError):
     """A data file violates its schema; message carries row/column context."""
+
+
+def require_fixed(record, **values) -> None:
+    """Raise UnknownVariant naming the first field of ``record`` that does not
+    hold its one value, given as name=value; 1 is not True, nor 0.9 "0.9"."""
+    for name, value in values.items():
+        got = getattr(record, name)
+        if not (isinstance(got, type(value)) and got == value):
+            raise UnknownVariant(f"{name} must be {value!r}, got {got!r}")

@@ -1,16 +1,16 @@
 """Random-forest regression with variance-reduction feature importance.
 
-Bootstrap-resampled trees, a uniformly sampled feature subset per node, and
-midpoint thresholds between consecutive distinct sorted values. The tree ids
-are split into contiguous ranges, one per CPU this process may use, and each
-range grows on its own thread, the calling thread growing the first. The
-trees of a range grow together, one depth level at a time: each level's
-nodes are array rows and one batched split search serves the whole level.
-The ranges share the search's cell budget, and their threads overlap inside
-numpy's sorts, gathers and prefix sums, which release the GIL. Prediction
-walks all trees at once. Both give the same numbers, bit for bit, as growing
-each tree alone level by level and walking the trees one by one, whatever
-the number of ranges.
+Bootstrap-resampled trees of unlimited depth, ceil(d/3) uniformly sampled
+features searched per node, and midpoint thresholds between consecutive
+distinct sorted values. The tree ids are split into contiguous ranges, one
+per CPU this process may use, and each range grows on its own thread, the
+calling thread growing the first. The trees of a range grow together, one
+depth level at a time: each level's nodes are array rows and one batched
+split search serves the whole level. The ranges share the search's cell
+budget, and their threads overlap inside numpy's sorts, gathers and prefix
+sums, which release the GIL. Prediction walks all trees at once. Both give
+the same numbers, bit for bit, as growing each tree alone level by level and
+walking the trees one by one, whatever the number of ranges.
 """
 
 from __future__ import annotations
@@ -22,16 +22,16 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import numcore as nc
-from .errors import DegenerateInput, DimensionMismatch
+from .errors import DegenerateInput, DimensionMismatch, require_fixed
 
 
 @dataclass
 class ForestConfig:
     n_trees: int = 500
-    max_depth: int | None = None  # None = unlimited
+    max_depth: int | None = None  # the only value: no depth limit
     min_samples_leaf: int = 2
-    features_per_split: int | None = None  # None = ceil(d/3)
-    bootstrap: bool = True
+    features_per_split: int | None = None  # the only value: ceil(d/3) per node
+    bootstrap: bool = True  # the only value: n rows drawn with replacement per tree
     seed: int = 0
 
     def __post_init__(self):
@@ -39,12 +39,9 @@ class ForestConfig:
             raise DegenerateInput("n_trees must be >= 1")
         if self.min_samples_leaf < 1:
             raise DegenerateInput("min_samples_leaf must be >= 1")
-        if self.max_depth is not None and self.max_depth < 0:
-            raise DegenerateInput("max_depth must be >= 0")
-        if self.features_per_split is not None and self.features_per_split < 1:
-            raise DegenerateInput("features_per_split must be >= 1")
         if self.seed < 0:
             raise DegenerateInput("seed must be >= 0")
+        require_fixed(self, max_depth=None, features_per_split=None, bootstrap=True)
 
 
 @dataclass
@@ -196,42 +193,39 @@ class _SplitSearch:
         return feat, thr, best_gain, n_left, taken
 
 
-def _grow_forest(x, y, cfg: ForestConfig, m: int, trees: range, cells: int):
+def _grow_forest(x, y, cfg: ForestConfig, trees: range, cells: int):
     """Grow the trees with ids in ``trees`` together, one depth level at a time.
 
     A level holds every tree's nodes at that depth as arrays, in tree order
     and, within a tree, in node order: the tree, the node's first row in the
     flat row array (one slice of n rows per tree, a node's rows contiguous)
     and its row count. A node's value and sum of squares are np.add.reduceat
-    sums over its rows. Tree t draws the features of its c nodes that pass
-    the leaf tests with one rng_t.random((c, d)) call, each node keeping the
-    m lowest keys of its row. Those nodes are searched together: bucketed by
-    size rounded up to a power of two, each bucket in chunks of at most
-    ``cells`` cells. Each tree numbers its nodes in level order, the right
-    child at left + 1. Returns the trees and the per-tree gain totals by
-    feature.
+    sums over its rows. Tree t draws its bootstrap rows, then at each level
+    the features of its c nodes that pass the leaf tests in one
+    rng_t.random((c, d)) call, each node keeping its m = ceil(d/3) lowest
+    keys. Those nodes are searched together: bucketed by size rounded up to
+    a power of two, each bucket in chunks of at most ``cells`` cells. Each
+    tree numbers its nodes in level order, the right child at left + 1.
+    Returns the trees and the per-tree gain totals by feature.
     """
     n, d = x.shape
-    n_trees, msl = len(trees), cfg.min_samples_leaf
+    n_trees, msl, m = len(trees), cfg.min_samples_leaf, math.ceil(d / 3)
     rngs = [np.random.default_rng(cfg.seed + t) for t in trees]
-    rows = np.concatenate(
-        [rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n) for rng in rngs])
+    rows = np.concatenate([rng.integers(0, n, size=n) for rng in rngs])
     search = _SplitSearch(x, y, rows, msl)
     gain_by_feature = np.zeros((n_trees, d))
     n_nodes = np.ones(n_trees, dtype=np.int64)
     tree = np.arange(n_trees)
     start, count = tree * n, np.full(n_trees, n)
     levels = []
-    depth = 0
     while tree.size:
         first = np.cumsum(count) - count  # each node's offset among the level's rows
         yy = y[rows[np.repeat(start - first, count) + np.arange(count.sum())]]
         value = np.add.reduceat(yy, first) / count
         sse = np.add.reduceat(yy * yy, first) - count * value * value
-        deep = cfg.max_depth is not None and depth >= cfg.max_depth
         # the last test skips numerically pure nodes
         searched = np.flatnonzero(
-            (count >= 2 * msl) & (not deep) & ~(sse <= count * 1e-14 * (1.0 + value * value)))
+            (count >= 2 * msl) & ~(sse <= count * 1e-14 * (1.0 + value * value)))
 
         owners, lo, c = np.unique(tree[searched], return_index=True, return_counts=True)
         keys = np.empty((searched.size, d))
@@ -270,7 +264,6 @@ def _grow_forest(x, y, cfg: ForestConfig, m: int, trees: range, cells: int):
         tree = np.repeat(owner, 2)
         start = np.column_stack([start[split], start[split] + n_left]).ravel()
         count = np.column_stack([n_left, count[split] - n_left]).ravel()
-        depth += 1
 
     tree_of, *columns = map(np.concatenate, zip(*levels))
     order = np.argsort(tree_of, kind="stable")  # each tree's nodes in level order
@@ -299,14 +292,13 @@ def fit_forest(x, y, cfg: ForestConfig | None = None) -> Forest:
         raise DegenerateInput("forest fitting needs at least 2 samples")
     nc.require_finite(x, "forest inputs")
     nc.require_finite(y, "forest targets")
-    m = cfg.features_per_split if cfg.features_per_split is not None else math.ceil(d / 3)
-    if not 1 <= m <= d:
-        raise DegenerateInput(f"features_per_split {m} outside [1, {d}]")
+    if d == 0:
+        raise DegenerateInput("forest fitting needs at least 1 feature")
 
     workers = min(nc.cpu_count(), cfg.n_trees)
     cuts = [cfg.n_trees * k // workers for k in range(workers + 1)]
     parts = nc.run_parts(lambda k: _grow_forest(
-        x, y, cfg, m, range(cuts[k], cuts[k + 1]), _BATCH_CELLS // workers), workers)
+        x, y, cfg, range(cuts[k], cuts[k + 1]), _BATCH_CELLS // workers), workers)
     trees = [tree for part, _ in parts for tree in part]
     gain_by_feature = np.vstack([gains for _, gains in parts])
     gain_totals = np.zeros(d)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, Divergence, NonFiniteInput
+from .errors import DegenerateInput, Divergence, NonFiniteInput, require_fixed
 
 
 @dataclass
@@ -15,10 +15,10 @@ class OptimizerConfig:
     learning_rate: float = 0.1
     max_epochs: int = 80
     patience: int = 10
-    min_delta: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    min_delta: float = 1e-4  # the only value: the least loss drop that resets patience
+    beta1: float = 0.9  # the only value: Adam's first-moment decay
+    beta2: float = 0.999  # the only value: Adam's second-moment decay
+    eps: float = 1e-8  # the only value: added to Adam's sqrt(vhat)
 
     def __post_init__(self):
         if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
@@ -27,13 +27,7 @@ class OptimizerConfig:
             raise DegenerateInput("max_epochs must be >= 1")
         if self.patience < 1:
             raise DegenerateInput("patience must be >= 1")
-        # Adam divides by 1 - beta^t and by sqrt(vhat) + eps
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise DegenerateInput("beta1 and beta2 must be in [0, 1)")
-        if not (self.eps > 0 and math.isfinite(self.eps)):
-            raise DegenerateInput("eps must be finite and > 0")
-        if not (self.min_delta >= 0 and math.isfinite(self.min_delta)):
-            raise DegenerateInput("min_delta must be finite and >= 0")
+        require_fixed(self, min_delta=1e-4, beta1=0.9, beta2=0.999, eps=1e-8)
 
 
 class Adam:

@@ -49,6 +49,7 @@ from .errors import (
     ShapeMismatch,
     UnknownVariant,
     ZeroVarianceTruth,
+    require_fixed,
 )
 from .forest import Forest, ForestConfig, RegressionTree, fit_forest, predict_forest
 from .optim import OptimizerConfig
@@ -77,7 +78,7 @@ class PipelineConfig:
     gp_input: str = "stacked"  # GP sees [z ; static] ("stacked") or z alone ("latent")
     rf_target: str = "direct"  # the only value: the forest fits y itself
     ablation: str = "full"
-    train_fraction: float = 0.8
+    train_fraction: float = 0.8  # the only value: 80% of the events train
     split_seed: int = 0
     standardize_weather: bool = True  # the only value: weather channels are z-scored
     standardize_enriched: bool = True  # the only value: static columns are z-scored
@@ -93,14 +94,10 @@ class PipelineConfig:
         if self.gp_input not in ("stacked", "latent"):
             raise UnknownVariant(f"unknown gp_input mode {self.gp_input!r}")
         # one value each, kept as fields for the model file's config record
-        if self.rf_target != "direct":
-            raise UnknownVariant(f"rf_target must be 'direct', got {self.rf_target!r}")
-        if self.standardize_weather is not True or self.standardize_enriched is not True:
-            raise UnknownVariant("standardize_weather and standardize_enriched must be True")
+        require_fixed(self, rf_target="direct", train_fraction=0.8,
+                      standardize_weather=True, standardize_enriched=True)
         if self.split_seed < 0:
             raise DegenerateInput("split_seed must be >= 0")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise DegenerateInput(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if self.oof_folds < 0 or self.oof_folds == 1:
             raise DegenerateInput(f"oof_folds must be 0 or >= 2, got {self.oof_folds}")
 

@@ -8,8 +8,8 @@ the same arrays, bit for bit.
 The draw rule both builders share: tree t's rng is default_rng(seed + t),
 its first call draws the bootstrap rows, and at each depth level one
 rng.random((c, d)) call gives a key row to each of the c nodes that need a
-split search, in node order; a node searches the features of its m lowest
-keys. A node's value and sum of squares are np.add.reduceat sums over its
+split search, in node order; a node searches the features of its
+m = ceil(d/3) lowest keys. A node's value and sum of squares are np.add.reduceat sums over its
 own rows. Nodes are numbered in level order, the right child at left + 1.
 """
 
@@ -27,7 +27,6 @@ def _grow_tree(x, y, cfg, m, rng, root_rows):
     feature, threshold, left, right, value = [-1], [0.0], [-1], [-1], [0.0]
     gain_by_feature = np.zeros(d)
     level = [(0, root_rows)]
-    depth = 0
     while level:
         searched = []
         for node, idx in level:
@@ -35,7 +34,7 @@ def _grow_tree(x, y, cfg, m, rng, root_rows):
             n = idx.size
             mean = np.add.reduceat(yy, [0])[0] / n
             value[node] = mean
-            if n < 2 * msl or (cfg.max_depth is not None and depth >= cfg.max_depth):
+            if n < 2 * msl:
                 continue
             sse = np.add.reduceat(yy * yy, [0])[0] - n * mean * mean
             if sse <= n * 1e-14 * (1.0 + mean * mean):
@@ -65,7 +64,6 @@ def _grow_tree(x, y, cfg, m, rng, root_rows):
             value += [0.0, 0.0]
             children += [(left[node], idx[mask]), (right[node], idx[~mask])]
         level = children
-        depth += 1
     tree = RegressionTree(
         feature=np.array(feature, dtype=np.int64),
         threshold=np.array(threshold),
@@ -120,12 +118,12 @@ def reference_fit_forest(x, y, cfg) -> Forest:
         x = x.reshape(-1, 1)
     y = np.asarray(y, dtype=np.float64).ravel()
     n, d = x.shape
-    m = cfg.features_per_split if cfg.features_per_split is not None else math.ceil(d / 3)
+    m = math.ceil(d / 3)
     trees = []
     gain_totals = np.zeros(d)
     for t in range(cfg.n_trees):
         rng = np.random.default_rng(cfg.seed + t)
-        idx = rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n)
+        idx = rng.integers(0, n, size=n)
         tree, gain_by_feature = _grow_tree(x, y, cfg, m, rng, idx)
         trees.append(tree)
         gain_totals += gain_by_feature

@@ -20,7 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvelma import cli, dataio, encoder, pipeline
+from mvelma import cli, dataio, encoder, gp, pipeline
+from mvelma import numcore as nc
 from mvelma.errors import SchemaError
 
 
@@ -269,6 +270,53 @@ class TestMapAndAblate:
         assert code == 0
         assert out.startswith("config: subcommand=ablate variant=no-bilstm-gpr ")
         assert re.search(r"variant=no-bilstm-gpr MAE=\d+\.\d{6} R2=", out)
+
+
+# the knobs that trained the committed model fixture
+FIXTURE_KNOBS = ("--hidden", 3, "--latent", 2, "--trees", 3)
+
+
+class TestJitterReport:
+    """train says on stderr when the trained GP's factor needed jitter."""
+
+    def test_no_line_without_jitter(self, fixture_data, tmp_path):
+        code, err = run_cli_stderr("train", "--data", fixture_data,
+                                   "--model", tmp_path / "m.json", *FIXTURE_KNOBS)
+        assert code == 0 and err == ""
+
+    def test_one_line_when_the_final_factor_is_jittered(self, fixture_data, tmp_path,
+                                                        monkeypatch):
+        # the final refresh starts the ladder at its second rung, 1e-8
+        refresh, ladder = gp.GPState.refresh, nc.JITTER_LADDER
+
+        def refresh_past_first_rung(state, inputs, targets):
+            monkeypatch.setattr(nc, "JITTER_LADDER", ladder[1:])
+            try:
+                return refresh(state, inputs, targets)
+            finally:
+                monkeypatch.setattr(nc, "JITTER_LADDER", ladder)
+
+        monkeypatch.setattr(gp.GPState, "refresh", refresh_past_first_rung)
+        code, err = run_cli_stderr("train", "--data", fixture_data,
+                                   "--model", tmp_path / "m.json", *FIXTURE_KNOBS)
+        assert code == 0
+        assert err == "warning: the trained GP's Cholesky factor needed diagonal jitter 1e-08\n"
+
+
+class TestKernels:
+    """Every kernel the CLI offers trains, saves and predicts."""
+
+    @pytest.mark.parametrize("kernel", ["rbf", "composite"])
+    def test_train_then_predict(self, fixture_data, tmp_path, kernel):
+        model, preds = tmp_path / "m.json", tmp_path / "p.csv"
+        code, out = run_cli("train", "--data", fixture_data, "--model", model,
+                            "--kernel", kernel, *FIXTURE_KNOBS)
+        assert code == 0 and f" kernel={kernel} " in out.splitlines()[0]
+        assert json.loads(model.read_text())["gp"]["kernel"]["family"] == kernel
+        code, out = run_cli("predict", "--model", model, "--data", fixture_data, "--out", preds)
+        assert code == 0
+        ids, cols = cli._read_predictions(preds)
+        assert len(ids) == 8 and np.all(cols["gp_var"] >= 0.0)
 
 
 class TestExitCodes:
@@ -767,7 +815,7 @@ def _test_id_in_train(doc):
 
 
 def _train_fraction_above_one(doc):
-    doc["config"]["train_fraction"] = 5.0  # split_dataset rejects it
+    doc["config"]["train_fraction"] = 5.0  # split_dataset would reject it too
 
 
 def _true_train_fraction(doc):
@@ -1003,6 +1051,12 @@ class TestModelRecords:
             ("config.gp_opt", "beta2", -0.5), ("config.gp_opt", "eps", -1),
             ("config.gp_opt", "eps", 0), ("config.gp_opt", "min_delta", -3),
             ("config.forest", "features_per_split", 0),
+            # the fields that hold one value, each set to another that
+            # train_joint could train or grow with
+            ("config.gp_opt", "min_delta", 0.5), ("config.gp_opt", "beta1", 0.5),
+            ("config.gp_opt", "beta2", 0.5), ("config.gp_opt", "eps", 0.5),
+            ("config", "train_fraction", 0.5), ("config.forest", "max_depth", 3),
+            ("config.forest", "features_per_split", 1), ("config.forest", "bootstrap", False),
         ]
     ])
     def test_config_value_out_of_range_is_one_validation_error(self, fixture_data, tmp_path,
@@ -1066,11 +1120,6 @@ config.encoder.seed: 1000000
 config.gp_opt.learning_rate: 0.5 1000000
 config.gp_opt.max_epochs: 1000000
 config.gp_opt.patience: 1000000
-config.gp_opt.min_delta: 0.5 1000000
-config.gp_opt.beta1: 0.5
-config.gp_opt.beta2: 0.5
-config.gp_opt.eps: 0.5 1000000
-config.train_fraction: 0.5
 config.split_seed: 1000000
 config.oof_folds: 1000000
 weather_std.mean[0,1,8]: 0.5 -1 1000000

@@ -38,20 +38,17 @@ class TestFit:
         rng = np.random.default_rng(SEED + 1)
         x = rng.uniform(-1, 1, size=(100, 1))
         y = (x[:, 0] > 0).astype(float)
-        f = rf.fit_forest(
-            x, y,
-            rf.ForestConfig(n_trees=1, bootstrap=False, features_per_split=1,
-                            min_samples_leaf=1, seed=0),
-        )
-        pred = rf.predict_forest(f, x)
-        assert np.mean((pred - y) ** 2) == 0.0
+        f = rf.fit_forest(x, y, rf.ForestConfig(n_trees=1, min_samples_leaf=1, seed=0))
+        rows = _in_bag(0, 100)  # the rows the tree grew on
+        pred = rf.predict_forest(f, x[rows])
+        assert np.mean((pred - y[rows]) ** 2) == 0.0
 
     def test_informative_feature_dominates(self):
         rng = np.random.default_rng(SEED + 2)
         n = 500
         x = rng.standard_normal((n, 2))
         y = x[:, 0] + 0.1 * rng.standard_normal(n)
-        f = rf.fit_forest(x, y, rf.ForestConfig(n_trees=30, features_per_split=2, seed=3))
+        f = rf.fit_forest(x, y, rf.ForestConfig(n_trees=30, seed=3))
         assert f.importances[0] > 0.8
         assert abs(f.importances.sum() - 1.0) < 1e-10
 
@@ -60,7 +57,7 @@ class TestFit:
         n = 400
         x = rng.standard_normal((n, 4))
         y = 2.0 * x[:, 0] + x[:, 1] + 0.05 * rng.standard_normal(n)
-        f = rf.fit_forest(x, y, rf.ForestConfig(n_trees=30, features_per_split=4, seed=4))
+        f = rf.fit_forest(x, y, rf.ForestConfig(n_trees=30, seed=4))
         assert f.importances[0] + f.importances[1] > 0.9
 
     def test_needs_two_samples(self):
@@ -84,11 +81,9 @@ class TestFit:
         rng = np.random.default_rng(SEED + 5)
         x = rng.standard_normal((60, 3))
         y = rng.standard_normal(60)
-        f = rf.fit_forest(
-            x, y, rf.ForestConfig(n_trees=5, bootstrap=False, min_samples_leaf=7, seed=2)
-        )
-        for tree in f.trees:
-            counts = _leaf_counts(tree, x)
+        f = rf.fit_forest(x, y, rf.ForestConfig(n_trees=5, min_samples_leaf=7, seed=2))
+        for t, tree in enumerate(f.trees):
+            counts = _leaf_counts(tree, x[_in_bag(2 + t, 60)])  # with repeats
             assert min(counts) >= 7
 
     def test_bit_identical_from_same_seed(self):
@@ -103,21 +98,6 @@ class TestFit:
             assert np.array_equal(t1.feature, t2.feature)
             assert np.array_equal(t1.threshold, t2.threshold)
             assert np.array_equal(t1.value, t2.value)
-
-    def test_mse_nonincreasing_in_depth(self):
-        rng = np.random.default_rng(SEED + 7)
-        x = rng.standard_normal((150, 4))
-        y = np.sin(x[:, 0]) + x[:, 1] ** 2 + 0.1 * rng.standard_normal(150)
-        prev = np.inf
-        for depth in (1, 2, 4, 8, 16):
-            f = rf.fit_forest(
-                x, y,
-                rf.ForestConfig(n_trees=1, bootstrap=False, features_per_split=4,
-                                max_depth=depth, seed=5),
-            )
-            mse = float(np.mean((rf.predict_forest(f, x) - y) ** 2))
-            assert mse <= prev + 1e-12
-            prev = mse
 
     def test_no_spurious_skill_on_noise(self):
         rng = np.random.default_rng(SEED + 8)
@@ -140,17 +120,20 @@ class TestFit:
         assert np.all(pred <= y.max() + 1e-12)
 
     def test_tie_break_lowest_feature(self):
-        # duplicate feature columns: identical gains, split must pick column 0
+        # duplicate feature columns: identical gains, the search of a node
+        # offered both must pick column 0
         rng = np.random.default_rng(SEED + 10)
         col = rng.standard_normal(50)
         x = np.column_stack([col, col])
-        y = col * 2.0
-        f = rf.fit_forest(
-            x, y,
-            rf.ForestConfig(n_trees=1, bootstrap=False, features_per_split=2,
-                            max_depth=1, seed=0),
-        )
-        assert f.trees[0].feature[0] == 0
+        search = rf._SplitSearch(x, col * 2.0, np.arange(50), 1)
+        feat, *_, taken = search(np.array([0]), np.array([50]), np.array([[0, 1]]), 64)
+        assert taken[0] and feat[0] == 0
+
+
+def _in_bag(seed, n):
+    """The n bootstrap rows of the tree whose rng is default_rng(seed): its
+    first draw (forest_reference.py)."""
+    return np.random.default_rng(seed).integers(0, n, size=n)
 
 
 def _leaf_counts(tree, x):
@@ -209,11 +192,10 @@ class TestImportance:
     def test_single_split_one_hot(self):
         x = np.column_stack([np.array([0.0, 0, 0, 1, 1, 1]), np.zeros(6)])
         y = np.array([0.0, 0, 0, 1, 1, 1])
-        f = rf.fit_forest(
-            x, y,
-            rf.ForestConfig(n_trees=1, bootstrap=False, features_per_split=2,
-                            min_samples_leaf=1, seed=0),
-        )
+        # the constant column never splits, so every tree that splits at all
+        # splits once, on column 0
+        f = rf.fit_forest(x, y, rf.ForestConfig(n_trees=10, min_samples_leaf=1, seed=0))
+        assert max(t.feature.size for t in f.trees) == 3
         assert np.allclose(f.importances, [1.0, 0.0], atol=1e-15)
 
 
@@ -247,10 +229,7 @@ def forest_problems(draw):
         y = rng.standard_normal(n)
     cfg = rf.ForestConfig(
         n_trees=draw(st.integers(1, 20)),
-        max_depth=draw(st.sampled_from([None, 0, 3])),
         min_samples_leaf=draw(st.integers(1, 10)),
-        features_per_split=draw(st.integers(1, d)),
-        bootstrap=draw(st.booleans()),
         seed=seed,
     )
     return x, y, cfg

@@ -158,14 +158,31 @@ class TestConfigRanges:
     ], ids=["beta1=1", "beta1<0", "beta2=1", "eps=0", "eps<0", "eps=inf", "min_delta<0",
             "min_delta=nan", "features_per_split=0"])
     def test_value_out_of_range_rejected(self, make):
-        """Values Adam or the forest cannot train with: at beta1 = 1, Adam's
-        bias correction divides by zero."""
-        with pytest.raises(DegenerateInput):
+        """Values Adam or the forest could never train with are refused as
+        any value but a field's one is."""
+        with pytest.raises(UnknownVariant):
             make()
 
-    def test_edges_accepted(self):
-        OptimizerConfig(beta1=0.0, beta2=0.0, min_delta=0.0, eps=1e-300)
-        ForestConfig(features_per_split=1)
+    # each field that accepts only its one value, and other values it refuses:
+    # in range, at the edges of the old ranges, of another type, and None
+    FIXED = [
+        (OptimizerConfig, "min_delta", 1e-4, [0.0, 0.5, 1e-3, None]),
+        (OptimizerConfig, "beta1", 0.9, [0.0, 0.5, 0.99, None]),
+        (OptimizerConfig, "beta2", 0.999, [0.0, 0.5, 0.9999, None]),
+        (OptimizerConfig, "eps", 1e-8, [1e-300, 1e-7, 0.5, None]),
+        (ForestConfig, "max_depth", None, [0, 3, 1000, 0.5]),
+        (ForestConfig, "features_per_split", None, [1, 2, 1000, 0.5]),
+        (ForestConfig, "bootstrap", True, [False, 1, 1.0, None]),
+        (pipeline.PipelineConfig, "train_fraction", 0.8, [0.5, 0.7, 0.75, 0.99, None]),
+    ]
+
+    @pytest.mark.parametrize("cls,field,value,others", FIXED, ids=[f[1] for f in FIXED])
+    def test_only_the_one_value_accepted(self, cls, field, value, others):
+        assert getattr(cls(), field) == value
+        cls(**{field: value})
+        for other in others:
+            with pytest.raises(UnknownVariant, match=f"{field} must be {value!r}"):
+                cls(**{field: other})
 
 
 class TestMseHead:
