@@ -9,8 +9,9 @@ The draw rule both builders share: tree t's rng is default_rng(seed + t),
 its first call draws the bootstrap rows, and at each depth level one
 rng.random((c, d)) call gives a key row to each of the c nodes that need a
 split search, in node order; a node searches the features of its
-m = ceil(d/3) lowest keys. A node's value and sum of squares are np.add.reduceat sums over its
-own rows. Nodes are numbered in level order, the right child at left + 1.
+m = ceil(d/3) lowest keys. A node's value and sum of squares are
+np.add.reduceat sums over its own rows. Nodes are numbered in level order,
+the right child at left + 1.
 """
 
 import math

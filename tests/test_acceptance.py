@@ -283,15 +283,14 @@ def test_criterion_10_forest_sanity():
         noise_r2.append(r2)
         assert abs(r2) < 0.2
 
-    # a single informative feature dominates the importances: it carries
-    # more than the five noise features together, though only a third of the
-    # nodes search it (ceil(6/3) = 2 of the 6 features per node)
+    # a single informative feature dominates the importances, though a node
+    # searches only ceil(6/3) = 2 of the 6 features: 0.77 at this seed
     rng = np.random.default_rng(123)
     x = rng.normal(size=(300, 6))
     y = 3.0 * x[:, 0] + 0.01 * rng.normal(size=300)
     f = fr.fit_forest(x, y, ForestConfig(n_trees=100, seed=0))
     importance = f.importances[0]
-    assert importance > 0.5
+    assert importance > 0.7
 
     # averaged leaf means can never leave the training target range
     f = fr.fit_forest(x, y, ForestConfig(n_trees=50, seed=1))

@@ -64,6 +64,10 @@ class TestFit:
         with pytest.raises(DegenerateInput):
             rf.fit_forest(np.zeros((1, 2)), np.zeros(1))
 
+    def test_needs_one_feature(self):
+        with pytest.raises(DegenerateInput, match="at least 1 feature"):
+            rf.fit_forest(np.zeros((5, 0)), np.zeros(5))
+
     def test_rejects_nonfinite(self):
         x = np.zeros((5, 2))
         x[3, 1] = np.inf
